@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, NoAdmissibleR0, QuadratureFailure
-from .geometry import RadialInitialData
+from .geometry import RadialFrame, RadialInitialData, graph_operator
 from .grids import RadialGrid
 
 _REL_EDGE = 1e-9
@@ -110,40 +110,26 @@ def graph_operator_at_barrier(data: RadialInitialData, bp: BarrierProfile,
     This is the capillary Jang operator evaluated at the radial graph of the
     barrier, reduced to the warped-product frame.
     """
-    r = np.asarray(r, dtype=float)
-    n = data.n
-    a = data.a(r)
-    da = data.a.deriv1(r)
-    c = data.c(r)
-    dc = data.c.deriv1(r)
-    qr = data.q_rad(r)
-    qt = data.q_tan(r)
-    w1 = bp.bprime(r)
-    w2 = bp.bsecond(r)
-    P = 1.0 + w1 ** 2 / a
-    warp = (dc / (2.0 * c) + 1.0 / r) / a      # B'/(2 a B), B = c r^2
-    hess_rad = w2 - da / (2.0 * a) * w1
-    lam = -q_sign  # operator carries (... - lambda q); +q corresponds to lambda=-1
-    return (P ** -1.5 * hess_rad / a - lam * qr / P
-            + (n - 1) * (P ** -0.5 * warp * w1 - lam * qt))
+    frame = RadialFrame(data, r)
+    # the operator carries (... - lambda q); +q corresponds to lambda = -1
+    return graph_operator(frame, bp.bprime(frame.r), bp.bsecond(frame.r), -q_sign)
 
 
-def barrier_inequality_audit(data: RadialInitialData, bp: BarrierProfile,
-                             grid: RadialGrid):
-    """Both strict-inequality left-hand sides (-q and +q) on nodes r > r0.
+def barrier_inequality_audit(data: RadialInitialData, bp: BarrierProfile, r):
+    """Both strict-inequality left-hand sides (-q and +q) at radii r > r0.
 
-    The audit passes when both profiles are strictly negative at every node.
+    The audit passes when both profiles are strictly negative at every radius.
     """
-    r = grid.nodes
-    if np.any(r <= bp.r0):
-        raise DomainError("audit grid must contain only nodes with r > r0")
-    minus = graph_operator_at_barrier(data, bp, r, q_sign=-1.0)
-    plus = graph_operator_at_barrier(data, bp, r, q_sign=+1.0)
-    return minus, plus
+    frame = RadialFrame(data, r)
+    if np.any(frame.r <= bp.r0):
+        raise DomainError("audit radii must all satisfy r > r0")
+    b1, b2 = bp.bprime(frame.r), bp.bsecond(frame.r)
+    # -q is lambda = 1, +q is lambda = -1
+    return graph_operator(frame, b1, b2, 1.0), graph_operator(frame, b1, b2, -1.0)
 
 
-def barrier_audit_passes(data, bp, grid) -> bool:
-    minus, plus = barrier_inequality_audit(data, bp, grid)
+def barrier_audit_passes(data, bp, r) -> bool:
+    minus, plus = barrier_inequality_audit(data, bp, r)
     return bool(np.all(minus < 0.0) and np.all(plus < 0.0))
 
 
@@ -163,9 +149,7 @@ def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
         sel = r > r0 * (1.0 + _REL_EDGE)
         if np.count_nonzero(sel) < 8:
             continue
-        minus = graph_operator_at_barrier(data, bp, r[sel], -1.0)
-        plus = graph_operator_at_barrier(data, bp, r[sel], +1.0)
-        if np.all(minus < 0.0) and np.all(plus < 0.0):
+        if barrier_audit_passes(data, bp, r[sel]):
             return r0
     raise NoAdmissibleR0(
         "no candidate passes the barrier inequalities; decay hypotheses "

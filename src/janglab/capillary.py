@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigFailure, DecViolation, InvalidArgument
-from .geometry import (RadialInitialData, constraint_fields, geodesic_distance,
-                       radius_at_distance)
+from .geometry import RadialInitialData, constraint_fields, radius_at_distance
 from .grids import RadialGrid
 from .profiles import SampledProfile
 

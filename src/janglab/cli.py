@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (overridden by $JANGLAB_OUT)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--grid-n", type=int, help="override grid interval count")
-    p.add_argument("--tol", type=float, help="override solver tolerance scale")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel datasets for the experiment subcommand")
     p.add_argument("command",
                    choices=["gen", "barrier", "solve", "audit", "mass",
                             "pipeline", "experiment"])
@@ -74,8 +71,6 @@ def load_config(args) -> dict:
         cfg.setdefault("dataset", {})["seed"] = args.seed
     if args.grid_n is not None:
         cfg.setdefault("grid", {})["n_intervals"] = args.grid_n
-    if args.tol is not None:
-        cfg["tol"] = args.tol
     return cfg
 
 
@@ -117,7 +112,7 @@ def main(argv=None) -> int:
             report = positivity_experiment(
                 int(exp.get("n", 4)), int(exp.get("count", 20)),
                 int(exp.get("seed", cfg.get("dataset", {}).get("seed", 1))),
-                grid=grid, jobs=args.jobs,
+                grid=grid,
                 stability_count=int(exp.get("stability_count", 10)))
             write_artifact(out, "experiment.csv", experiment_csv(report))
             write_artifact(out, "experiment.json", report)

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DecViolation, GenerationFailure, InvalidArgument,
-                     NumericalDegeneracy)
+from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
 from .grids import RadialGrid, build_grid
 from .profiles import AnalyticProfile, SampledProfile, constant_profile
 
@@ -51,16 +50,9 @@ class RadialInitialData:
         if self.delta <= 0.0:
             raise InvalidArgument("decay exponent delta must be positive")
 
-    def q_is_zero(self, grid: RadialGrid) -> bool:
-        qr = self.q_rad(grid.nodes)
-        qt = self.q_tan(grid.nodes)
-        return bool(np.all(qr == 0.0) and np.all(qt == 0.0))
-
     def q_frame_norm(self, r) -> np.ndarray:
         """|q|_g at the given radii."""
-        qr = self.q_rad(r)
-        qt = self.q_tan(r)
-        return np.sqrt(qr ** 2 + (self.n - 1) * qt ** 2)
+        return RadialFrame(self, r).q_norm
 
     def q_trace(self, r) -> np.ndarray:
         return self.q_rad(r) + (self.n - 1) * self.q_tan(r)
@@ -285,64 +277,156 @@ def dataset_from_json(spec: dict) -> tuple[RadialInitialData, RadialGrid]:
 # curvature and constraints
 # ---------------------------------------------------------------------------
 
-def _metric_arrays(data: RadialInitialData, grid: RadialGrid):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, da, d2a = data.a.on(grid)
-        c, dc, d2c = data.c.on(grid)
-    lo = 1 if not data.origin_regular else 0
-    bad = ~np.isfinite(a[lo:]) | ~np.isfinite(c[lo:]) \
-        | (a[lo:] < 1e-10) | (c[lo:] < 1e-10)
-    if np.any(bad):
-        raise NumericalDegeneracy("metric coefficients below 1e-10 or non-finite")
-    return a, da, d2a, c, dc, d2c
+@dataclass(frozen=True, eq=False)
+class RadialFrame:
+    """Warped-product frame coefficients of a dataset at fixed radii.
+
+    Profiles are read through ``profile(r)``, ``.deriv1(r)`` and ``.deriv2(r)``;
+    every coefficient is evaluated on first use and kept, so one frame can
+    serve many operator evaluations on the same radii.  ``f = r sqrt(c)`` is
+    the warping radius and ``warp = f'/f = c'/(2c) + 1/r`` (infinite at r = 0,
+    where every caller substitutes its own origin closure).
+    """
+
+    data: RadialInitialData
+    r: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+
+    @property
+    def n(self) -> int:
+        return self.data.n
+
+    def _eval(self, fn):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return fn(self.r)
+
+    a = cached_property(lambda self: self._eval(self.data.a))
+    da = cached_property(lambda self: self._eval(self.data.a.deriv1))
+    c = cached_property(lambda self: self._eval(self.data.c))
+    dc = cached_property(lambda self: self._eval(self.data.c.deriv1))
+    d2c = cached_property(lambda self: self._eval(self.data.c.deriv2))
+    q_rad = cached_property(lambda self: self._eval(self.data.q_rad))
+    q_tan = cached_property(lambda self: self._eval(self.data.q_tan))
+    dq_rad = cached_property(lambda self: self._eval(self.data.q_rad.deriv1))
+    dq_tan = cached_property(lambda self: self._eval(self.data.q_tan.deriv1))
+
+    @cached_property
+    def _sc(self):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(self.c)
+
+    @cached_property
+    def f(self):
+        with np.errstate(invalid="ignore"):
+            return self.r * self._sc
+
+    @cached_property
+    def f1(self):
+        r, dc, sc = self.r, self.dc, self._sc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sc + r * dc / (2.0 * sc)
+
+    @cached_property
+    def f2(self):
+        r, c, dc, sc = self.r, self.c, self.dc, self._sc
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return dc / sc + r * self.d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
+
+    @cached_property
+    def warp(self):
+        r, c, dc = self.r, self.c, self.dc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return dc / (2.0 * c) + 1.0 / r
+
+    @cached_property
+    def warp_a(self):
+        """B'/(2aB) with B = c r^2, the tangential graph-Hessian weight; 0 at r = 0."""
+        with np.errstate(invalid="ignore"):
+            out = self.warp / self.a
+        out[self.r == 0.0] = 0.0
+        return out
+
+    @cached_property
+    def q_norm(self):
+        """|q|_g = sqrt(q_rad^2 + (n-1) q_tan^2)."""
+        return np.sqrt(self.q_rad ** 2 + (self.n - 1) * self.q_tan ** 2)
+
+    @cached_property
+    def origin_d2(self):
+        """(a''(0), c''(0)) at a smooth center; NaN for origin-singular data."""
+        if not self.data.origin_regular:
+            return math.nan, math.nan
+        return self.data.a.deriv2_origin(), self.data.c.deriv2_origin()
+
+    def check_metric(self):
+        """Raise NumericalDegeneracy where a or c is tiny or non-finite."""
+        lo = 1 if not self.data.origin_regular else 0
+        a, c = self.a[lo:], self.c[lo:]
+        if np.any(~np.isfinite(a) | ~np.isfinite(c) | (a < 1e-10) | (c < 1e-10)):
+            raise NumericalDegeneracy("metric coefficients below 1e-10 or non-finite")
+
+
+def graph_operator(frame: RadialFrame, p, s, lam: float) -> np.ndarray:
+    """Mean curvature of the graph of w minus lam tr q, at slopes p = w', s = w''.
+
+    The warped-product reduction of H(graph w) - lam tr_g q in the frame of
+    ``a dr^2 + c r^2 sigma``; rows at r = 0 need the caller's origin closure.
+    """
+    a, da, qr, qt = frame.a, frame.da, frame.q_rad, frame.q_tan
+    P = 1.0 + p ** 2 / a
+    if not np.all(np.isfinite(P)):
+        raise NumericalDegeneracy("1 + |dw|^2 overflowed")
+    return (P ** -1.5 * (s - da / (2.0 * a) * p) / a - lam * qr / P
+            + (frame.n - 1) * (P ** -0.5 * frame.warp_a * p - lam * qt))
+
+
+def _origin_curvature(frame: RadialFrame, A0, A2):
+    """Even-profile limit of the scalar curvature at r = 0 (A(0), A''(0))."""
+    n = frame.n
+    return n * (n - 1) * (A2 - 3.0 * frame.origin_d2[1]) / (2.0 * A0 ** 2)
+
+
+def warped_scalar_curvature(frame: RadialFrame, A, dA, A2_origin) -> np.ndarray:
+    """Scalar curvature of ``A dr^2 + c r^2 sigma`` at the frame radii (r_0 = 0).
+
+    With the warping radius f = r sqrt(c):
+        R = (n-1)(n-2) (1 - f'^2/A)/f^2 - 2(n-1) (f''/A - f' A'/(2A^2))/f
+    and the even-profile limit at r = 0.  Origin-singular data get NaN there.
+    """
+    n, f, f1 = frame.n, frame.f, frame.f1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = ((n - 1) * (n - 2) * (1.0 - f1 ** 2 / A) / f ** 2
+             - 2.0 * (n - 1) * (frame.f2 / A - f1 * dA / (2.0 * A ** 2)) / f)
+    R[0] = _origin_curvature(frame, A[0], A2_origin)
+    return R
 
 
 def scalar_curvature(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
     """Scalar curvature of g = a dr^2 + c r^2 sigma at the grid nodes.
 
-    Uses the warping radius f = r sqrt(c):
-        R = (n-1)(n-2) (1 - f'^2/a)/f^2 - 2(n-1) (f''/a - f' a'/(2a^2))/f
-    with the even-profile limit at r = 0.  Origin-singular families (exact
-    Schwarzschild) get NaN at the first node.
+    Origin-singular families (exact Schwarzschild) get NaN at the first node.
     """
-    n = data.n
-    a, da, d2a, c, dc, d2c = _metric_arrays(data, grid)
-    r = grid.nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sc = np.sqrt(c)
-        f = r * sc
-        f1 = sc + r * dc / (2.0 * sc)
-        f2 = dc / sc + r * d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
-        term1 = (n - 1) * (n - 2) * (1.0 - f1 ** 2 / a) / f ** 2
-        term2 = -2.0 * (n - 1) * (f2 / a - f1 * da / (2.0 * a ** 2)) / f
-        R = term1 + term2
-    if data.origin_regular:
-        if data.a.kind == "sampled":
-            a2 = grid.even_deriv2_origin(data.a.values)
-            c2 = grid.even_deriv2_origin(data.c.values)
-        else:
-            a2, c2 = d2a[0], d2c[0]
-        R[0] = n * (n - 1) * (a2 - 3.0 * c2) / (2.0 * a[0] ** 2)
-    else:
-        R[0] = np.nan
-    return R
+    return _scalar_curvature(RadialFrame(data, grid.nodes))
+
+
+def _scalar_curvature(frame: RadialFrame) -> np.ndarray:
+    frame.check_metric()
+    return warped_scalar_curvature(frame, frame.a, frame.da, frame.origin_d2[0])
 
 
 def constraint_fields(data: RadialInitialData, grid: RadialGrid) -> ConstraintFields:
     """Energy density mu, radial momentum J_rad, and the strict-DEC margin."""
     n = data.n
-    R = scalar_curvature(data, grid)
-    r = grid.nodes
-    a = data.a(r)
-    c, dc = data.c(r), data.c.deriv1(r)
-    qr, qt = data.q_rad(r), data.q_tan(r)
-    dqt = data.q_tan.deriv1(r)
+    frame = RadialFrame(data, grid.nodes)
+    R = _scalar_curvature(frame)
+    qr, qt = frame.q_rad, frame.q_tan
     q2 = qr ** 2 + (n - 1) * qt ** 2
     tr = qr + (n - 1) * qt
     mu = 0.5 * (R - q2 + tr ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        warp = dc / (2.0 * c) + 1.0 / r
-        J = (n - 1) * (warp * (qr - qt) - dqt) / np.sqrt(a)
+    with np.errstate(invalid="ignore"):
+        J = (n - 1) * (frame.warp * (qr - qt) - frame.dq_tan) / np.sqrt(frame.a)
     # smooth origin: (q_rad - q_tan)/r -> (q_rad - q_tan)'(0) = 0 and q_tan'(0) = 0
     J[0] = 0.0 if data.origin_regular else np.nan
     margin = mu - np.abs(J)
@@ -394,38 +478,27 @@ def radius_at_distance(data: RadialInitialData, r_start: float, dist: float,
 def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):
     """(radial, tangential) orthonormal-frame Ricci eigenvalues at the nodes."""
     n = data.n
-    a, da, _, c, dc, d2c = _metric_arrays(data, grid)
-    r = grid.nodes
+    frame = RadialFrame(data, grid.nodes)
+    frame.check_metric()
+    a, f, f1 = frame.a, frame.f, frame.f1
     with np.errstate(divide="ignore", invalid="ignore"):
-        sc = np.sqrt(c)
-        f = r * sc
-        f1 = sc + r * dc / (2.0 * sc)
-        f2 = dc / sc + r * d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
-        fss_over_f = (f2 / a - f1 * da / (2.0 * a ** 2)) / f
+        fss_over_f = (frame.f2 / a - f1 * frame.da / (2.0 * a ** 2)) / f
         ric_rad = -(n - 1) * fss_over_f
         ric_tan = -fss_over_f + (n - 2) * (1.0 - f1 ** 2 / a) / f ** 2
-    if data.origin_regular:
-        # isotropy at a smooth center: every Ricci eigenvalue equals R/n there
-        R0 = scalar_curvature(data, grid)[0]
-        ric_rad[0] = ric_tan[0] = R0 / n
-    else:
-        ric_rad[0] = ric_tan[0] = np.nan
+    # isotropy at a smooth center: every Ricci eigenvalue equals R/n there
+    ric_rad[0] = ric_tan[0] = _origin_curvature(frame, a[0], frame.origin_d2[0]) / n
     return ric_rad, ric_tan
 
 
 def dq_frame_norm(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
     """|Dq|_g at the nodes (orthonormal-frame covariant derivative norm)."""
     n = data.n
-    r = grid.nodes
-    a = data.a(r)
-    c, dc = data.c(r), data.c.deriv1(r)
-    qr, qt = data.q_rad(r), data.q_tan(r)
-    dqr, dqt = data.q_rad.deriv1(r), data.q_tan.deriv1(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        warp = dc / (2.0 * c) + 1.0 / r
-        mixed = warp * (qr - qt)
+    frame = RadialFrame(data, grid.nodes)
+    with np.errstate(invalid="ignore"):
+        mixed = frame.warp * (frame.q_rad - frame.q_tan)
     mixed[0] = 0.0
-    sq = (dqr ** 2 + (n - 1) * dqt ** 2 + 2.0 * (n - 1) * mixed ** 2) / a
+    sq = (frame.dq_rad ** 2 + (n - 1) * frame.dq_tan ** 2
+          + 2.0 * (n - 1) * mixed ** 2) / frame.a
     return np.sqrt(sq)
 
 
@@ -433,7 +506,11 @@ def dq_frame_norm(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
 # invariant checks
 # ---------------------------------------------------------------------------
 
-def _masked_loglog_slope(r, y, floor=1e-13):
+def loglog_slope(r, y, floor: float):
+    """Slope of log|y| against log r over nodes with r > 0 and |y| > floor.
+
+    None when fewer than 8 nodes qualify.
+    """
     mask = (r > 0) & (np.abs(y) > floor)
     if np.count_nonzero(mask) < 8:
         return None
@@ -449,8 +526,8 @@ def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     """
     n = data.n
     r = grid.nodes
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, c = data.a(r), data.c(r)
+    frame = RadialFrame(data, r)
+    a, c = frame.a, frame.c
     lo = 0 if data.origin_regular else 1
     if np.any(a[lo:] <= 0.0) or np.any(c[lo:] <= 0.0):
         raise InvalidArgument("metric profiles must be positive at every node")
@@ -458,10 +535,11 @@ def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     if data.origin_regular:
         if abs(a[0] - c[0]) > 1e-10 * max(1.0, abs(a[0])):
             raise InvalidArgument("smooth origin needs a(0) = c(0)")
-        for name, prof in (("a", data.a), ("c", data.c),
-                           ("q_rad", data.q_rad), ("q_tan", data.q_tan)):
+        for name, vals in (("a", a), ("c", c), ("q_rad", frame.q_rad),
+                           ("q_tan", frame.q_tan)):
+            prof = getattr(data, name)
             d0 = float(np.atleast_1d(prof.deriv1(np.array([0.0])))[0])
-            scale = max(1.0, float(np.max(np.abs(prof(r)))))
+            scale = max(1.0, float(np.max(np.abs(vals))))
             if abs(d0) > 1e-6 * scale:
                 raise InvalidArgument(f"profile {name} must have vanishing slope at r=0")
     # metric decay toward (1 + alpha r^{2-n}) at rate r^{2-n-2delta}
@@ -475,13 +553,12 @@ def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     resid_c = c[outer] - 1.0 - alpha * r[outer] ** (2.0 - n)
     want = -(n - 2 + 2 * data.delta)
     for name, resid in (("a", resid_a), ("c", resid_c)):
-        slope = _masked_loglog_slope(r[outer], resid)
+        slope = loglog_slope(r[outer], resid, floor=1e-13)
         report[f"slope_{name}"] = slope
         if slope is not None and slope > want + 0.5:
             raise InvalidArgument(
                 f"profile {name} decays at rate {slope:.2f}, declared {want:.2f}")
-    qn = data.q_frame_norm(r)
-    slope_q = _masked_loglog_slope(r[outer], qn[outer])
+    slope_q = loglog_slope(r[outer], frame.q_norm[outer], floor=1e-13)
     report["slope_q"] = slope_q
     if slope_q is not None and slope_q > -(n - 1) + 0.5:
         raise InvalidArgument(f"|q| decays at rate {slope_q:.2f}, need ~{1 - n}")

@@ -20,7 +20,8 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from .capillary import CapillaryConfig, smoothstep, smoothstep_d1
 from .errors import (InadmissibleTestFunction, InvalidArgument,
                      NumericalDegeneracy, ShieldingFailure)
-from .geometry import RadialInitialData, constraint_fields
+from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
+                       warped_scalar_curvature)
 from .grids import RadialGrid
 from .jang_solver import JangLimit
 from .profiles import SampledProfile
@@ -82,11 +83,8 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
     r = grid.nodes
     uv = _u_values(u, grid)
     du, d2u = _u_derivs(grid, uv)
-    a = data.a(r)
-    da = data.a.deriv1(r)
-    c = data.c(r)
-    dc = data.c.deriv1(r)
-    d2c = data.c.deriv2(r)
+    frame = RadialFrame(data, r)
+    a, da = frame.a, frame.da
 
     a_check = a + du ** 2
     da_check = da + 2.0 * du * d2u
@@ -95,35 +93,18 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
         raise NumericalDegeneracy("non-finite graph-metric derivatives")
 
     dlogP = (2.0 * du * d2u / a - du ** 2 * da / a ** 2) / P
-    xi = 0.5 * dlogP - P ** -0.5 * data.q_rad(r) * du
+    xi = 0.5 * dlogP - P ** -0.5 * frame.q_rad * du
 
-    # scalar curvature of a_check dr^2 + c r^2 sigma via f = r sqrt(c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sc = np.sqrt(c)
-        f = r * sc
-        f1 = sc + r * dc / (2.0 * sc)
-        f2 = dc / sc + r * d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
-        R = ((n - 1) * (n - 2) * (1.0 - f1 ** 2 / a_check) / f ** 2
-             - 2.0 * (n - 1) * (f2 / a_check - f1 * da_check
-                                / (2.0 * a_check ** 2)) / f)
-    if data.origin_regular:
-        if data.a.kind == "sampled":
-            a2 = grid.even_deriv2_origin(data.a.values)
-        else:
-            a2 = data.a.deriv2(np.zeros(1))[0]
-        c2 = (grid.even_deriv2_origin(data.c.values)
-              if data.c.kind == "sampled" else data.c.deriv2(np.zeros(1))[0])
-        a2_check = a2 + 2.0 * d2u[0] ** 2
-        R[0] = n * (n - 1) * (a2_check - 3.0 * c2) / (2.0 * a_check[0] ** 2)
-    else:
-        R[0] = np.nan
+    # the graph only changes the radial coefficient: a_check dr^2 + c r^2 sigma
+    R = warped_scalar_curvature(frame, a_check, da_check,
+                                frame.origin_d2[0] + 2.0 * d2u[0] ** 2)
 
     theta = config.tau ** 2 * config.zeta(r) ** 2 * uv
     mk = lambda vals, lab: SampledProfile(grid, vals, label=lab)
     return JangGraphGeometry(
         grid=grid, n=n,
         g_check_rr=mk(a_check, "a_check"),
-        g_check_tan=mk(c * r ** 2, "B"),
+        g_check_tan=mk(frame.c * r ** 2, "B"),
         Xi_rad=mk(xi, "Xi_rad"),
         R_check=mk(R, "R_check"),
         Theta=mk(theta, "Theta"),
@@ -140,15 +121,13 @@ def div_xi(data: RadialInitialData, geo: JangGraphGeometry) -> np.ndarray:
     grid = geo.grid
     r = grid.nodes
     n = data.n
+    frame = RadialFrame(data, r)
     a_check = geo.g_check_rr.values
-    da_check = data.a.deriv1(r) + 2.0 * geo.du * geo.d2u
-    c = data.c(r)
-    dc = data.c.deriv1(r)
+    da_check = frame.da + 2.0 * geo.du * geo.d2u
     up = geo.Xi_rad.values / a_check          # raised radial component
     dup = grid.deriv1(up)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_ratio = dc / (2.0 * c) + 1.0 / r    # f'/f for f = r sqrt(c)
-        out = dup + up * (da_check / (2.0 * a_check) + (n - 1) * f_ratio)
+    with np.errstate(invalid="ignore"):
+        out = dup + up * (da_check / (2.0 * a_check) + (n - 1) * frame.warp)
     out[0] = n * dup[0]                       # Xi_r(0) = 0, Xi_r/a_check odd
     return out
 
@@ -164,10 +143,8 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
     geo = build_graph_geometry(data, config, uv, grid)
     n = data.n
     r = grid.nodes
-    a = data.a(r)
-    da = data.a.deriv1(r)
-    c = data.c(r)
-    dc = data.c.deriv1(r)
+    frame = RadialFrame(data, r)
+    a, da, c, dc = frame.a, frame.da, frame.c, frame.dc
     du, d2u = geo.du, geo.d2u
     a_check = geo.g_check_rr.values
     P = a_check / a
@@ -184,8 +161,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
 
     lhs = 0.5 * geo.R_check.values - xi_norm_sq(geo) + div_xi(data, geo)
 
-    qr = data.q_rad(r)
-    qt = data.q_tan(r)
+    qr, qt = frame.q_rad, frame.q_tan
     B = c * r ** 2
     dB = dc * r ** 2 + 2.0 * c * r
     h_rr = P ** -0.5 * (d2u - da / (2.0 * a) * du) - a * qr
@@ -536,8 +512,8 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     r = grid.nodes
     uv = geo.u.values
     a_check = geo.g_check_rr.values
-    sqrtc = np.sqrt(data.c(r))
-    vol = np.sqrt(a_check) * (r * sqrtc) ** (data.n - 1) * sphere_volume(data.n)
+    f = RadialFrame(data, r).f
+    vol = np.sqrt(a_check) * f ** (data.n - 1) * sphere_volume(data.n)
     half_R = 0.5 * geo.R_check.values
     q = config.Q(r)
     budget = 2.0 * config.smallness_budget   # min(kappa0/tau, kappa1/tau^2)
@@ -580,8 +556,7 @@ def divergence_balance(data: RadialInitialData, geo: JangGraphGeometry,
     grid = geo.grid
     r = grid.nodes
     a_check = geo.g_check_rr.values
-    sqrtc = np.sqrt(data.c(r))
-    area = (r * sqrtc) ** (data.n - 1) * sphere_volume(data.n)
+    area = RadialFrame(data, r).f ** (data.n - 1) * sphere_volume(data.n)
     flux = f_values ** 2 * geo.Xi_rad.values / np.sqrt(a_check) * area
     dflux = grid.deriv1(flux)
     return float(simpson(dflux, x=r))

@@ -21,8 +21,9 @@ from .barrier import BarrierProfile
 from .capillary import CapillaryConfig
 from .errors import (AuditInapplicable, ContinuationFailure,
                      ExhaustionNonconvergence, InvalidArgument,
-                     NewtonDivergence, NumericalDegeneracy, SingularJacobian)
-from .geometry import RadialInitialData, ricci_eigenvalues, dq_frame_norm
+                     NewtonDivergence, SingularJacobian)
+from .geometry import (RadialFrame, RadialInitialData, dq_frame_norm,
+                       graph_operator, loglog_slope, ricci_eigenvalues)
 from .grids import RadialGrid
 from .profiles import SampledProfile
 
@@ -45,10 +46,17 @@ class TruncatedDomain:
 
     r_j: float
     grid: RadialGrid
+    _frame: RadialFrame | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_base(cls, base: RadialGrid, r_j: float) -> "TruncatedDomain":
         return cls(r_j=float(r_j), grid=base.truncate(float(r_j)))
+
+    def frame(self, data: RadialInitialData) -> RadialFrame:
+        """The dataset's radial frame on this domain's nodes, built once."""
+        if self._frame is None or self._frame.data is not data:
+            object.__setattr__(self, "_frame", RadialFrame(data, self.grid.nodes))
+        return self._frame
 
 
 @dataclass
@@ -85,31 +93,17 @@ class GradientAuditSpec:
     """Parameters of the exponential-weight gradient audit on a geodesic ball.
 
     ``A`` may be None, in which case the smallest admissible value >= 4 is
-    computed from the hypothesis inequalities.  ``psi_kind`` is "outer" or
-    "inner" and only selects the default center of the ball.
+    computed from the hypothesis inequalities.
     """
 
     A: float | None = None
     sigma: float = 1.0
-    psi_kind: str = "outer"
     center: float = 0.0
 
 
 # ---------------------------------------------------------------------------
 # residual and Jacobian
 # ---------------------------------------------------------------------------
-
-def _frame_pieces(data: RadialInitialData, grid: RadialGrid):
-    r = grid.nodes
-    a = data.a(r)
-    da = data.a.deriv1(r)
-    c = data.c(r)
-    dc = data.c.deriv1(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        warp = (dc / (2.0 * c) + 1.0 / r) / a          # B'/(2aB), B = c r^2
-    warp[0] = 0.0  # unused: the origin row has its own closure
-    return r, a, da, warp
-
 
 def jang_operator(data: RadialInitialData, w: np.ndarray, lam: float,
                   grid: RadialGrid) -> np.ndarray:
@@ -118,33 +112,29 @@ def jang_operator(data: RadialInitialData, w: np.ndarray, lam: float,
     Interior nodes use the grid's three-point stencils; the origin uses the
     even-symmetry closure w'(0) = 0, w''(0) = 2 (w_1 - w_0)/r_1^2.
     """
+    return _operator(RadialFrame(data, grid.nodes), w, lam, grid)
+
+
+def _operator(frame: RadialFrame, w, lam, grid):
     w = np.asarray(w, dtype=float)
-    n = data.n
-    r, a, da, warp = _frame_pieces(data, grid)
-    p = grid.deriv1(w)
-    s = grid.deriv2(w)
-    P = 1.0 + p ** 2 / a
-    if not np.all(np.isfinite(P)):
-        raise NumericalDegeneracy("1 + |dw|^2 overflowed")
-    qr = data.q_rad(r)
-    qt = data.q_tan(r)
-    out = (P ** -1.5 * (s - da / (2.0 * a) * p) / a - lam * qr / P
-           + (n - 1) * (P ** -0.5 * warp * p - lam * qt))
+    out = graph_operator(frame, grid.deriv1(w), grid.deriv2(w), lam)
     # origin closure: isotropic Hessian, w'(0) = 0
-    s0 = grid.even_deriv2_origin(w)
-    out[0] = n * s0 / a[0] - lam * (qr[0] + (n - 1) * qt[0])
+    n = frame.n
+    out[0] = (n * grid.even_deriv2_origin(w) / frame.a[0]
+              - lam * (frame.q_rad[0] + (n - 1) * frame.q_tan[0]))
     return out
 
 
 def capillary_residual(data: RadialInitialData, config: CapillaryConfig,
                        state: JangState, grid: RadialGrid | None = None) -> np.ndarray:
     """Full discrete residual vector including the Dirichlet boundary row."""
+    frame = state.domain.frame(data) if grid is None else RadialFrame(data, grid.nodes)
     grid = state.domain.grid if grid is None else grid
-    return _residual(data, config, state.w, state.lam, grid)
+    return _residual(frame, config, state.w, state.lam, grid)
 
 
-def _residual(data, config, w, lam, grid):
-    res = jang_operator(data, w, lam, grid)
+def _residual(frame, config, w, lam, grid):
+    res = _operator(frame, w, lam, grid)
     res -= config.tau ** 2 * config.zeta(grid.nodes) ** 2 * w
     res[-1] = w[-1]  # Dirichlet row
     return res
@@ -153,14 +143,17 @@ def _residual(data, config, w, lam, grid):
 def jang_jacobian_banded(data: RadialInitialData, config: CapillaryConfig,
                          w: np.ndarray, lam: float, grid: RadialGrid) -> np.ndarray:
     """Tridiagonal Jacobian of the discrete residual in solve_banded layout."""
+    return _jacobian_banded(RadialFrame(data, grid.nodes), config, w, lam, grid)
+
+
+def _jacobian_banded(frame, config, w, lam, grid):
     w = np.asarray(w, dtype=float)
-    n = data.n
-    r, a, da, warp = _frame_pieces(data, grid)
+    n = frame.n
+    a, da, warp, qr = frame.a, frame.da, frame.warp_a, frame.q_rad
     d1, d2 = grid._weights()
     p = grid.deriv1(w)
     P = 1.0 + p ** 2 / a
     s = grid.deriv2(w)
-    qr = data.q_rad(r)
     a1 = da / (2.0 * a)
     hess = s - a1 * p
 
@@ -168,7 +161,7 @@ def jang_jacobian_banded(data: RadialInitialData, config: CapillaryConfig,
     dF_dp = ((-3.0 * (p / a) * P ** -2.5 * hess - P ** -1.5 * a1) / a
              + lam * qr * P ** -2.0 * (2.0 * p / a)
              + (n - 1) * warp * (P ** -0.5 - p ** 2 * P ** -1.5 / a))
-    dF_dw = -config.tau ** 2 * config.zeta(r) ** 2
+    dF_dw = -config.tau ** 2 * config.zeta(grid.nodes) ** 2
 
     m = w.size
     ab = np.zeros((3, m))
@@ -208,9 +201,9 @@ def jang_jacobian_dense(data, config, w, lam, grid):
 # Newton / continuation / exhaustion
 # ---------------------------------------------------------------------------
 
-def _tolerance(data, config, w, grid) -> float:
-    qn = data.q_frame_norm(grid.nodes)
-    scale = config.tau ** 2 * float(np.max(np.abs(w))) + float(np.max(np.abs(qn)))
+def _tolerance(frame, config, w) -> float:
+    scale = (config.tau ** 2 * float(np.max(np.abs(w)))
+             + float(np.max(np.abs(frame.q_norm))))
     return TOL_NEWTON * max(1.0, scale)
 
 
@@ -219,6 +212,7 @@ def newton_solve(data: RadialInitialData, config: CapillaryConfig,
                  w_init: np.ndarray) -> JangState:
     """Damped Newton with Armijo backtracking on the residual max-norm."""
     grid = domain.grid
+    frame = domain.frame(data)
     if domain.r_j <= 32.0 * config.r0:
         raise InvalidArgument(
             f"outer radius {domain.r_j} must exceed 32 r0 = {32.0 * config.r0}")
@@ -226,15 +220,15 @@ def newton_solve(data: RadialInitialData, config: CapillaryConfig,
     if w.shape != grid.nodes.shape:
         raise InvalidArgument("w_init must match the truncated grid")
     w[-1] = 0.0
-    res = _residual(data, config, w, lam, grid)
+    res = _residual(frame, config, w, lam, grid)
     norm = float(np.max(np.abs(res)))
     damping_total = 0
     for it in range(NEWTON_MAX_ITER):
-        tol = _tolerance(data, config, w, grid)
+        tol = _tolerance(frame, config, w)
         if norm < tol:
             return JangState(w=w, lam=lam, residual_norm=norm, domain=domain,
                              iterations=it, damping_count=damping_total)
-        ab = jang_jacobian_banded(data, config, w, lam, grid)
+        ab = _jacobian_banded(frame, config, w, lam, grid)
         try:
             step = solve_banded((1, 1), ab, -res)
         except np.linalg.LinAlgError as exc:
@@ -245,7 +239,7 @@ def newton_solve(data: RadialInitialData, config: CapillaryConfig,
         accepted = False
         for _ in range(NEWTON_MAX_DAMPING_FAILURES):
             trial = w + t * step
-            trial_res = _residual(data, config, trial, lam, grid)
+            trial_res = _residual(frame, config, trial, lam, grid)
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm <= (1.0 - ARMIJO_C * t) * norm:
                 accepted = True
@@ -257,7 +251,7 @@ def newton_solve(data: RadialInitialData, config: CapillaryConfig,
                 f"{NEWTON_MAX_DAMPING_FAILURES} consecutive damping failures "
                 f"at lambda={lam}, residual {norm:.3e}")
         w, res, norm = trial, trial_res, trial_norm
-    if norm < _tolerance(data, config, w, grid):
+    if norm < _tolerance(frame, config, w):
         return JangState(w=w, lam=lam, residual_norm=norm, domain=domain,
                          iterations=NEWTON_MAX_ITER, damping_count=damping_total)
     raise NewtonDivergence(
@@ -349,7 +343,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
             "r_j": r_j,
             "residual_norm": state.residual_norm,
             "sup_w": float(np.max(np.abs(state.w))),
-            "sup_dw_g": float(np.max(np.abs(dw) / np.sqrt(data.a(domain.grid.nodes)))),
+            "sup_dw_g": float(np.max(np.abs(dw) / np.sqrt(domain.frame(data).a))),
             "newton_steps": steps,
             "cauchy_gap": None,
         }
@@ -393,14 +387,6 @@ def _transfer(state: JangState, domain: TruncatedDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # estimate audits
 # ---------------------------------------------------------------------------
-
-def _loglog_slope(r, v, mask, floor=1e-280):
-    sel = mask & (np.abs(v) > floor) & (r > 0.0)
-    if np.count_nonzero(sel) < 8:
-        return None
-    coef = np.polyfit(np.log(r[sel]), np.log(np.abs(v[sel])), 1)
-    return float(coef[0])
-
 
 def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
                     result, bp: BarrierProfile,
@@ -465,8 +451,8 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
     wprof = SampledProfile(grid, w)
     dw = wprof.deriv1(r)
     window = (r >= 32.0 * r0) & (r <= 0.5 * r_out)
-    slope_u = _loglog_slope(r, w, window)
-    slope_du = _loglog_slope(r, dw, window)
+    slope_u = loglog_slope(r[window], w[window], floor=1e-280)
+    slope_du = loglog_slope(r[window], dw[window], floor=1e-280)
     if np.max(absw) < 1e-14:
         entries["decay_rates"] = {"passed": True, "slope_u": None,
                                   "slope_du": None,
@@ -559,7 +545,9 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
 
 def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     r = grid.nodes
-    sqrt_a = np.sqrt(data.a(r))
+    frame = RadialFrame(data, r)
+    a = frame.a
+    sqrt_a = np.sqrt(a)
     # signed radial geodesic distance from the center, then the ball mask
     cum = np.concatenate(([0.0], cumulative_trapezoid(sqrt_a, r)))
     d_center = float(np.interp(center, r, cum))
@@ -575,7 +563,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     # hypothesis inequalities -> smallest admissible A on the ball
     ric_rad, ric_tan = ricci_eigenvalues(data, grid)
     ric_min = float(np.nanmin(np.minimum(ric_rad[ball], ric_tan[ball])))
-    qn = data.q_frame_norm(r)
+    qn = frame.q_norm
     dqn = dq_frame_norm(data, grid)
     n = data.n
     tz = config.tau * config.zeta(r)
@@ -586,14 +574,8 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     psi_hat = 2.0 / sigma * (2.0 * d ** 2 - sigma ** 2)
     dpsi_hat = grid.deriv1(psi_hat)
     d2psi_hat = grid.deriv2(psi_hat)
-    a = data.a(r)
-    da = data.a.deriv1(r)
-    c = data.c(r)
-    dc = data.c.deriv1(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        warp = (dc / (2.0 * c) + 1.0 / r) / a
-    hess_rad = (d2psi_hat - da / (2.0 * a) * dpsi_hat) / a
-    hess_tan = warp * dpsi_hat
+    hess_rad = (d2psi_hat - frame.da / (2.0 * a) * dpsi_hat) / a
+    hess_tan = frame.warp_a * dpsi_hat
     hess_norm = np.sqrt(hess_rad ** 2 + (n - 1) * hess_tan ** 2)
     if 0 in np.nonzero(ball)[0]:
         hess_norm[0] = hess_norm[1]
@@ -634,7 +616,7 @@ def solution_csv(data: RadialInitialData, config: CapillaryConfig,
                  state: JangState) -> str:
     """CSV export 'r,w,residual' for one converged truncated solve."""
     grid = state.domain.grid
-    res = _residual(data, config, state.w, state.lam, grid)
+    res = _residual(state.domain.frame(data), config, state.w, state.lam, grid)
     lines = ["r,w,residual"]
     for ri, wi, qi in zip(grid.nodes, state.w, res):
         lines.append(f"{float(ri)!r},{float(wi)!r},{float(qi)!r}")

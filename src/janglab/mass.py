@@ -106,7 +106,6 @@ def fit_decay_exponent(profile, grid: RadialGrid, window) -> DecayFit:
 
 def positivity_experiment(n: int, count: int, seed: int,
                           grid: RadialGrid | None = None,
-                          jobs: int = 1,
                           stability_count: int = 10) -> dict:
     """Generate strict-DEC datasets and verify the mass parameter is positive.
 
@@ -125,8 +124,7 @@ def positivity_experiment(n: int, count: int, seed: int,
         sk = seed + k
         rng = np.random.default_rng(sk)
         params = {"m": float(rng.uniform(0.5, 2.0)),
-                  "amplitude": float(rng.uniform(0.01, 0.08)),
-                  "width": float(rng.uniform(2.0, 5.0))}
+                  "amplitude": float(rng.uniform(0.01, 0.08))}
         try:
             res = full_pipeline("perturbed-dec", n, params, grid, seed=sk,
                                 stability_count=stability_count)
@@ -141,13 +139,7 @@ def positivity_experiment(n: int, count: int, seed: int,
                     "identity_err": None, "audits_passed": False,
                     "error": f"{type(exc).__name__}: {exc}"}
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, range(count)))
-    else:
-        rows = [run_one(k) for k in range(count)]
-    rows.sort(key=lambda row: row["seed"])
+    rows = [run_one(k) for k in range(count)]
     eligible = [row for row in rows
                 if row["error"] is None and row["min_margin"] is not None
                 and row["min_margin"] > 0.0 and row["audits_passed"]]

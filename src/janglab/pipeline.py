@@ -63,7 +63,8 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     r0 = find_r0(data, grid, cands)
     bp = BarrierProfile(r0=r0, n=data.n)
     ode_samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
-    minus, plus = barrier_inequality_audit(data, bp, _exterior_grid(grid, r0))
+    exterior = grid.nodes[grid.nodes > r0 * (1.0 + 1e-9)]
+    minus, plus = barrier_inequality_audit(data, bp, exterior)
     barrier_report = {
         "r0": r0,
         "ode_max_residual": ode_residual_audit(bp, ode_samples),
@@ -147,13 +148,6 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
                    "residual_trace": limit.trace,
                    "consequence_margin": cons},
     }
-
-
-def _exterior_grid(grid: RadialGrid, r0: float):
-    """Nodes strictly outside r0, packaged for the barrier inequality audit."""
-    class _View:
-        nodes = grid.nodes[grid.nodes > r0 * (1.0 + 1e-9)]
-    return _View()
 
 
 def _fit_dict(fit):

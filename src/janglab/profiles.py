@@ -1,8 +1,8 @@
 """Radial profiles: analytic closed forms or sampled nodal values.
 
 A profile knows its value and first two derivatives. Analytic profiles carry
-closed-form derivatives; sampled profiles differentiate with the grid's
-three-point stencils and interpolate off-node with a cubic spline.
+closed-form derivatives; sampled profiles interpolate and differentiate with a
+cubic spline through their nodal values.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from .grids import RadialGrid
 
 class AnalyticProfile:
     """Profile defined by callables for f, f', f''."""
-
-    kind = "analytic"
 
     def __init__(self, f, d1=None, d2=None, label=""):
         self._f = f
@@ -37,15 +35,13 @@ class AnalyticProfile:
             return _central(self._f, r, 2)
         return self._d2(np.asarray(r, dtype=float))
 
-    def on(self, grid: RadialGrid):
-        r = grid.nodes
-        return self(r), self.deriv1(r), self.deriv2(r)
+    def deriv2_origin(self) -> float:
+        """f''(0) of an even profile."""
+        return float(self.deriv2(np.zeros(1))[0])
 
 
 class SampledProfile:
     """Profile given by nodal values on a grid."""
-
-    kind = "sampled"
 
     def __init__(self, grid: RadialGrid, values, label=""):
         self.grid = grid
@@ -70,12 +66,9 @@ class SampledProfile:
     def deriv2(self, r):
         return self._get_spline()(np.asarray(r, dtype=float), 2)
 
-    def on(self, grid: RadialGrid):
-        if grid is self.grid or np.array_equal(grid.nodes, self.grid.nodes):
-            v = self.values
-            return v, grid.deriv1(v), grid.deriv2(v)
-        v = self(grid.nodes)
-        return v, grid.deriv1(v), grid.deriv2(v)
+    def deriv2_origin(self) -> float:
+        """f''(0) of an even profile, from the first two nodal values."""
+        return float(self.grid.even_deriv2_origin(self.values))
 
 
 def constant_profile(value: float):

@@ -98,9 +98,8 @@ def test_barrier_suite():
                         for x in s])
     assert np.min(margins) >= 0.0
 
-    class _View:
-        nodes = grid.nodes[grid.nodes > r0 * (1.0 + 1e-9)]
-    minus, plus = barrier_inequality_audit(data, bp, _View())
+    exterior = grid.nodes[grid.nodes > r0 * (1.0 + 1e-9)]
+    minus, plus = barrier_inequality_audit(data, bp, exterior)
     assert np.max(minus) < 0.0 and np.max(plus) < 0.0
     assert time.perf_counter() - t0 < 5.0
 

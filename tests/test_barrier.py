@@ -93,20 +93,17 @@ def test_barrier_inequality_strict_on_vacuum_data():
     grid = build_grid(512.0, 1024, "uniform")
     data = make_dataset("schwarzschild", 4, {"m": 1.0})
     bp = BarrierProfile(r0=2.0, n=4)
-    sub = build_grid(512.0, 1024, "uniform")
-
-    class _View:
-        nodes = sub.nodes[sub.nodes > 2.0 * (1 + 1e-9)]
-    minus, plus = barrier_inequality_audit(data, bp, _View())
+    exterior = grid.nodes[grid.nodes > 2.0 * (1 + 1e-9)]
+    minus, plus = barrier_inequality_audit(data, bp, exterior)
     assert np.max(minus) < 0.0
     assert np.max(plus) < 0.0
-    assert barrier_audit_passes(data, bp, _View())
+    assert barrier_audit_passes(data, bp, exterior)
 
 
 def test_barrier_inequality_rejects_interior_nodes(flat_data, base_grid):
     bp = BarrierProfile(r0=1.0, n=4)
     with pytest.raises(DomainError):
-        barrier_inequality_audit(flat_data, bp, base_grid)
+        barrier_inequality_audit(flat_data, bp, base_grid.nodes)
 
 
 def test_find_r0_returns_smallest_admissible(dec_data, base_grid, r0):

@@ -107,7 +107,7 @@ def test_experiment_subcommand(tmp_path):
     cfg = dict(GOOD)
     cfg["experiment"] = {"n": 4, "count": 2, "seed": 3, "stability_count": 3}
     code, out = run(tmp_path, "experiment", cfg=cfg,
-                    extra=("--grid-n", "1024", "--jobs", "2"))
+                    extra=("--grid-n", "1024"))
     assert code == EXIT_OK
     lines = (tmp_path / "out" / "experiment.csv").read_text().strip().split("\n")
     assert lines[0] == "seed,n,min_margin,alpha,identity_err,audits_passed"

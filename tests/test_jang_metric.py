@@ -36,7 +36,7 @@ def test_zero_solution_reproduces_base_geometry(dec_data, cap_config,
     assert np.array_equal(geo.g_check_rr.values, dec_data.a(base_grid.nodes))
     assert np.max(np.abs(geo.Xi_rad.values)) == 0.0
     R_base = scalar_curvature(dec_data, base_grid)
-    assert np.allclose(geo.R_check.values, R_base, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(geo.R_check.values, R_base)
     assert np.max(np.abs(xi_norm_sq(geo))) == 0.0
 
 

@@ -6,7 +6,7 @@ import pytest
 from janglab.capillary import CapillaryConfig
 from janglab.errors import (AuditInapplicable, ExhaustionNonconvergence,
                             InvalidArgument)
-from janglab.geometry import make_dataset
+from janglab.geometry import RadialFrame, make_dataset
 from janglab.grids import build_grid
 from janglab.jang_solver import (GradientAuditSpec, TruncatedDomain,
                                  capillary_residual, continuation_solve,
@@ -63,14 +63,15 @@ def test_jacobian_matches_finite_differences(dec_data, cap_config):
         + 0.01 * rng.standard_normal(grid.nodes.size)
     w[-1] = 0.0
     J = jang_jacobian_dense(dec_data, cap_config, w, 0.7, grid)
+    frame = RadialFrame(dec_data, grid.nodes)
     m = w.size
     fd = np.zeros((m, m))
     h = 1e-7
     for j in range(m):
         e = np.zeros(m)
         e[j] = h
-        fp = _residual(dec_data, cap_config, w + e, 0.7, grid)
-        fm = _residual(dec_data, cap_config, w - e, 0.7, grid)
+        fp = _residual(frame, cap_config, w + e, 0.7, grid)
+        fm = _residual(frame, cap_config, w - e, 0.7, grid)
         fd[:, j] = (fp - fm) / (2.0 * h)
     scale = np.max(np.abs(J))
     assert np.max(np.abs(J - fd)) < 1e-6 * scale
@@ -87,6 +88,45 @@ def test_newton_zero_coupling_is_exact(dec_data, cap_config, base_grid, r0):
     assert state.iterations == 0
     assert np.all(state.w == 0.0)
     assert state.residual_norm < 1e-15
+
+
+def test_newton_evaluates_profiles_once_per_domain(dec_data, cap_config,
+                                                   base_grid, r0):
+    # every profile read goes through one frame per truncated domain, so the
+    # number of profile evaluations does not grow with the Newton iterations
+    calls = []
+
+    class Counted:
+        def __init__(self, prof):
+            self.prof = prof
+
+        def __call__(self, r):
+            calls.append(0)
+            return self.prof(r)
+
+        def deriv1(self, r):
+            calls.append(1)
+            return self.prof.deriv1(r)
+
+        def deriv2(self, r):
+            calls.append(2)
+            return self.prof.deriv2(r)
+
+    data = copy.copy(dec_data)
+    for name in ("a", "c", "q_rad", "q_tan"):
+        setattr(data, name, Counted(getattr(dec_data, name)))
+    solved = None
+    counts = []
+    for _ in range(2):
+        domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+        w_init = (np.zeros_like(domain.grid.nodes) if solved is None
+                  else solved.w)
+        calls.clear()
+        state = newton_solve(data, cap_config, domain, 1.0, w_init)
+        counts.append(len(calls))
+        solved = solved or state
+    assert solved.iterations >= 2 and state.iterations == 0
+    assert 0 < counts[0] == counts[1]
 
 
 def test_newton_momentum_free_solution_is_zero():

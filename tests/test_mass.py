@@ -104,14 +104,6 @@ def test_positivity_experiment_small_batch(base_grid):
         assert row["audits_passed"]
 
 
-def test_positivity_experiment_parallel_matches_serial(base_grid):
-    serial = positivity_experiment(4, 3, seed=9, grid=base_grid,
-                                   stability_count=3)
-    parallel = positivity_experiment(4, 3, seed=9, grid=base_grid, jobs=3,
-                                     stability_count=3)
-    assert serial["rows"] == parallel["rows"]
-
-
 def test_positivity_experiment_validates_count(base_grid):
     with pytest.raises(InvalidArgument):
         positivity_experiment(4, 0, seed=1, grid=base_grid)
