@@ -1,22 +1,24 @@
 """Radial supersolution barrier for the capillary Jang problems.
 
 The barrier is ``b(s) = r0 * Int_{s/r0}^inf (t^{2n-4} - 1)^{-1/2} dt`` with
-closed-form derivative ``b'(s) = -((s/r0)^{2n-4} - 1)^{-1/2}``.  The integral
-has an integrable endpoint singularity at t = 1 which the substitution
-t = 1 + v^2 removes.  b' and b'' are evaluated in closed form, which makes the
-second-order ODE satisfied by b a pure audit target rather than part of the
-construction.
+closed-form derivative ``b'(s) = -((s/r0)^{2n-4} - 1)^{-1/2}``.  With
+p = 2n - 4 the substitution x = t^{-p} turns the integral into an incomplete
+beta function (DLMF 8.17):
+
+    b(s) = (r0/p) B(1/2 - 1/p, 1/2) I_x(1/2 - 1/p, 1/2),   x = (s/r0)^{-p}.
+
+b, b' and b'' are all evaluated in closed form, which makes the second-order
+ODE satisfied by b a pure audit target rather than part of the construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta, betainc
 
-from .errors import DomainError, NoAdmissibleR0, QuadratureFailure
+from .errors import DomainError, NoAdmissibleR0
 from .geometry import RadialFrame, RadialInitialData, graph_operator
 from .grids import RadialGrid
 
@@ -25,11 +27,10 @@ _REL_EDGE = 1e-9
 
 @dataclass(frozen=True)
 class BarrierProfile:
-    """Barrier data: inner radius r0, dimension n, quadrature tolerance."""
+    """Barrier data: inner radius r0 and dimension n."""
 
     r0: float
     n: int
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.r0 <= 0.0:
@@ -51,35 +52,28 @@ class BarrierProfile:
         return ((self.n - 2) * rho ** (p - 1) / self.r0
                 * (rho ** p - 1.0) ** -1.5)
 
-    # -- quadrature --------------------------------------------------------
+    def b(self, s):
+        """b(s) via the regularized incomplete beta function.
 
-    def b(self, s) -> float:
-        """b(s) by adaptive quadrature after the substitution t = 1 + v^2."""
-        s = float(s)
+        A scalar argument returns a float, an array argument an array.
+        """
+        scalar = np.ndim(s) == 0
+        # a scalar goes through the same array loops, so it gets the same bits
+        s = np.atleast_1d(np.asarray(s, dtype=float))
         self._check_domain(s)
-        rho = s / self.r0
         p = 2 * self.n - 4
-
-        def integrand(v):
-            t = 1.0 + v * v
-            return 2.0 * v / math.sqrt(t ** p - 1.0)
-
-        v0 = math.sqrt(rho - 1.0)
-        val, err = quad(integrand, v0, np.inf, epsrel=self.quad_tol,
-                        epsabs=0.0, limit=400)
-        if not math.isfinite(val) or (val > 0 and err > 50.0 * self.quad_tol * val):
-            raise QuadratureFailure(
-                f"barrier quadrature at s={s}: estimate {val}, error {err}")
-        return self.r0 * val
+        a = 0.5 - 1.0 / p
+        val = (self.r0 / p) * beta(a, 0.5) * betainc(a, 0.5, (s / self.r0) ** -p)
+        return float(val[0]) if scalar else val
 
     def _check_domain(self, s):
-        if s - self.r0 < _REL_EDGE * self.r0:
-            raise DomainError(f"barrier needs s > r0 (s={s}, r0={self.r0})")
+        if np.any(s - self.r0 < _REL_EDGE * self.r0):
+            raise DomainError(
+                f"barrier needs s > r0 (s={np.min(s)}, r0={self.r0})")
 
 
 def eval_barrier(bp: BarrierProfile, s: float):
     """(b, b', b'') at radius s > r0."""
-    bp._check_domain(float(s))
     return bp.b(s), float(bp.bprime(s)), float(bp.bsecond(s))
 
 
@@ -168,9 +162,9 @@ def default_r0_candidates(grid: RadialGrid, scale: float = 1.0):
 
 def barrier_csv(bp: BarrierProfile, samples) -> str:
     """CSV export 's,b,bprime,bsecond,ode_residual' for plotting."""
+    s = np.asarray(samples, dtype=float)
+    cols = (s, bp.b(s), bp.bprime(s), bp.bsecond(s), ode_residual(bp, s))
     lines = ["s,b,bprime,bsecond,ode_residual"]
-    for s in np.asarray(samples, dtype=float):
-        b, b1, b2 = eval_barrier(bp, float(s))
-        res = float(ode_residual(bp, np.array([s]))[0])
-        lines.append(",".join(repr(float(v)) for v in (s, b, b1, b2, res)))
+    for row in zip(*cols):
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

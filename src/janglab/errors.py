@@ -29,10 +29,6 @@ class DomainError(JanglabError, ValueError):
     """Evaluation requested outside the domain of definition."""
 
 
-class QuadratureFailure(JanglabError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class NoAdmissibleR0(JanglabError):
     """No candidate inner radius makes the barrier inequalities pass."""
 

@@ -75,8 +75,8 @@ class RadialGrid:
         m = x.size
         d1 = np.zeros((m, 3))
         d2 = np.zeros((m, 3))
-        for i in range(1, m - 1):
-            d1[i], d2[i] = _three_point_weights(x[i - 1], x[i], x[i + 1])
+        w1, w2 = _three_point_weights(x[:-2], x[1:-1], x[2:])
+        d1[1:-1], d2[1:-1] = w1.T, w2.T
         # one-sided stencils at the ends, exact on quadratics
         for i, (j0, j1, j2) in ((0, (0, 1, 2)), (m - 1, (m - 3, m - 2, m - 1))):
             xs = x[[j0, j1, j2]]

@@ -395,7 +395,8 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
 
     ``result`` is a JangState (one truncated solve) or a JangLimit
     (exhaustion).  Returns a report dictionary with one entry per estimate
-    and an overall pass flag.
+    and an overall pass flag.  An inapplicable gradient-ball audit becomes a
+    failed entry with a note, so the other estimates are still reported.
     """
     if isinstance(result, JangLimit):
         grid = result.grid
@@ -417,8 +418,8 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
 
     # (i) |w| <= b(r) - b(r_j) on (r0, r_j]
     sel = (r > r0 * (1.0 + 1e-9)) & (r <= r_out)
-    bvals = np.array([bp.b(float(x)) for x in r[sel]])
-    bound = bvals - bp.b(min(r_out, float(r[sel][-1])))
+    bvals = bp.b(r[sel])
+    bound = bvals - bvals[-1]
     entries["barrier_envelope"] = _bound_entry(absw[sel], bound, tol, r[sel])
 
     # (ii) |w| <= 2 r0^{n-2} r^{3-n} on (2 r0, r_j]
@@ -470,8 +471,13 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
     # (vi) exponential-weight gradient audit on a geodesic ball
     if audit_spec is None:
         audit_spec = GradientAuditSpec(sigma=4.0 * r0, center=4.0 * r0)
-    entries["gradient_ball"] = gradient_ball_audit(data, config, wprof,
-                                                   audit_spec)
+    try:
+        entries["gradient_ball"] = gradient_ball_audit(data, config, wprof,
+                                                       audit_spec)
+    except AuditInapplicable as exc:
+        entries["gradient_ball"] = {"passed": False,
+                                    "note": f"inapplicable: {exc}",
+                                    "first_violation": None}
 
     return {"passed": all(e["passed"] for e in entries.values()),
             "entries": entries}

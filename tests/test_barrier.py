@@ -10,6 +10,7 @@ from janglab.barrier import (BarrierProfile, barrier_audit_passes,
 from janglab.errors import DomainError, NoAdmissibleR0
 from janglab.geometry import make_dataset
 from janglab.grids import build_grid
+from janglab.jang_solver import estimate_audits
 
 
 def test_bprime_closed_form_matches_direct_quadrature_derivative():
@@ -22,6 +23,60 @@ def test_bprime_closed_form_matches_direct_quadrature_derivative():
                          limit=400)
         assert abs(bp.b(s) - 1.5 * direct) < 1e-8
         assert abs(bp.bprime(s) + (rho ** 4 - 1.0) ** -0.5) < 1e-14
+
+
+def _b_by_quadrature(r0, n, s):
+    # the integral after t = 1 + v^2, which removes the endpoint singularity
+    p = 2 * n - 4
+    val, _ = quad(lambda v: 2.0 * v / np.sqrt((1.0 + v * v) ** p - 1.0),
+                  np.sqrt(s / r0 - 1.0), np.inf, epsrel=1e-12, epsabs=0.0,
+                  limit=400)
+    return r0 * val
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_closed_form_b_matches_quadrature(n):
+    r0 = 1.5
+    bp = BarrierProfile(r0=r0, n=n)
+    s = r0 * (1.0 + np.geomspace(2e-9, 4095.0, 25))
+    got = bp.b(s)
+    want = np.array([_b_by_quadrature(r0, n, x) for x in s])
+    assert np.max(np.abs(got - want) / want) < 1e-10
+
+
+def test_b_array_matches_scalar_calls():
+    bp = BarrierProfile(r0=1.0, n=5)
+    s = np.geomspace(1.0 + 1e-6, 2048.0, 301)
+    got = bp.b(s)
+    assert isinstance(got, np.ndarray) and got.shape == s.shape
+    assert np.array_equal(got, [bp.b(float(x)) for x in s])
+    assert type(bp.b(2.0)) is float
+
+
+def test_b_rejects_any_radius_at_r0():
+    bp = BarrierProfile(r0=2.0, n=4)
+    with pytest.raises(DomainError):
+        bp.b(np.array([3.0, 2.0 * (1.0 + 5e-10), 5.0]))
+    with pytest.raises(DomainError):
+        bp.b(np.array([1.0, 3.0]))
+    with pytest.raises(DomainError):
+        bp.b(2.0)
+
+
+def test_estimate_audits_evaluates_barrier_once(dec_data, cap_config,
+                                                jang_limit, barrier,
+                                                monkeypatch):
+    calls = []
+    original = BarrierProfile.b
+
+    def counting(self, s):
+        calls.append(np.size(s))
+        return original(self, s)
+
+    monkeypatch.setattr(BarrierProfile, "b", counting)
+    report = estimate_audits(dec_data, cap_config, jang_limit, barrier)
+    assert report["entries"]["barrier_envelope"]["passed"]
+    assert 1 <= len(calls) <= 2
 
 
 def test_bprime_is_derivative_of_b():

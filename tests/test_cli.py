@@ -160,11 +160,18 @@ def test_stalled_schedule_is_solver_error(tmp_path):
 
 
 def test_undersampled_grid_is_audit_error(tmp_path):
-    # at 256 intervals the gradient-audit ball holds too few nodes, so the
-    # audit stage reports inapplicability
+    # at 256 intervals the gradient-audit ball holds too few nodes, so that
+    # audit is recorded as inapplicable and every other result is still kept
     code, out = run(tmp_path, "pipeline", extra=("--grid-n", "256"))
     assert code == EXIT_AUDIT
-    assert (tmp_path / "out" / "error.json").exists()
+    names = set(os.listdir(out))
+    assert {"audits.json", "mass.json", "solution.csv", "config.json",
+            "manifest.json"} <= names
+    assert "error.json" not in names
+    audits = json.loads((tmp_path / "out" / "audits.json").read_text())
+    ball = audits["estimates"]["entries"]["gradient_ball"]
+    assert ball["passed"] is False
+    assert ball["note"].startswith("inapplicable")
 
 
 def test_pipeline_reruns_are_byte_identical(tmp_path):

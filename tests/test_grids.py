@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janglab.errors import InvalidArgument
-from janglab.grids import (MIN_NODES, RadialGrid, build_grid,
-                           geometric_stretch_for)
+from janglab.grids import (MIN_NODES, RadialGrid, _three_point_weights,
+                           build_grid, geometric_stretch_for)
 
 
 def test_uniform_grid_nodes():
@@ -40,6 +40,22 @@ def test_stencils_exact_on_quadratics(a, b, c):
     scale = max(1.0, abs(a), abs(b), abs(c))
     assert np.max(np.abs(g.deriv1(v) - (2 * a * r + b))) < 1e-10 * scale
     assert np.max(np.abs(g.deriv2(v) - 2 * a)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(512.0, 2048, "uniform"),
+    build_grid(512.0, 2048, "geometric", stretch=1.001),
+    build_grid(512.0, 2048, "uniform").truncate(100.3),
+], ids=["uniform", "geometric", "truncated"])
+def test_vectorized_weights_match_per_node_loop(grid):
+    x = grid.nodes
+    d1, d2 = grid._weights()
+    loop1 = np.zeros_like(d1)
+    loop2 = np.zeros_like(d2)
+    for i in range(1, x.size - 1):
+        loop1[i], loop2[i] = _three_point_weights(x[i - 1], x[i], x[i + 1])
+    assert np.array_equal(d1[1:-1], loop1[1:-1])
+    assert np.array_equal(d2[1:-1], loop2[1:-1])
 
 
 def test_stencils_second_order_on_smooth_profile():
