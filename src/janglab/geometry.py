@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
 from .grids import RadialGrid, build_grid
@@ -368,18 +369,44 @@ class RadialFrame:
             raise NumericalDegeneracy("metric coefficients below 1e-10 or non-finite")
 
 
+@dataclass(frozen=True, eq=False)
+class GraphTerms:
+    """The lambda-free pieces of the graph operator at slopes p = w', s = w''.
+
+    ``P = 1 + p^2/a``, its powers ``P^{-3/2}`` and ``P^{-1/2}``, and the
+    radial Hessian numerator ``hess = s - a'/(2a) p``.
+    """
+
+    p: np.ndarray
+    P: np.ndarray
+    P_m32: np.ndarray
+    P_m12: np.ndarray
+    hess: np.ndarray
+
+
+def graph_terms(frame: RadialFrame, p, s) -> GraphTerms:
+    """Evaluate the lambda-free pieces of ``graph_operator`` once."""
+    a = frame.a
+    P = 1.0 + p ** 2 / a
+    if not np.all(np.isfinite(P)):
+        raise NumericalDegeneracy("1 + |dw|^2 overflowed")
+    return GraphTerms(p=p, P=P, P_m32=P ** -1.5, P_m12=P ** -0.5,
+                      hess=s - frame.da / (2.0 * a) * p)
+
+
+def graph_combination(frame: RadialFrame, t: GraphTerms, lam: float) -> np.ndarray:
+    """Combine precomputed graph terms with the momentum coupling lam."""
+    return (t.P_m32 * t.hess / frame.a - lam * frame.q_rad / t.P
+            + (frame.n - 1) * (t.P_m12 * frame.warp_a * t.p - lam * frame.q_tan))
+
+
 def graph_operator(frame: RadialFrame, p, s, lam: float) -> np.ndarray:
     """Mean curvature of the graph of w minus lam tr q, at slopes p = w', s = w''.
 
     The warped-product reduction of H(graph w) - lam tr_g q in the frame of
     ``a dr^2 + c r^2 sigma``; rows at r = 0 need the caller's origin closure.
     """
-    a, da, qr, qt = frame.a, frame.da, frame.q_rad, frame.q_tan
-    P = 1.0 + p ** 2 / a
-    if not np.all(np.isfinite(P)):
-        raise NumericalDegeneracy("1 + |dw|^2 overflowed")
-    return (P ** -1.5 * (s - da / (2.0 * a) * p) / a - lam * qr / P
-            + (frame.n - 1) * (P ** -0.5 * frame.warp_a * p - lam * qt))
+    return graph_combination(frame, graph_terms(frame, p, s), lam)
 
 
 def _origin_curvature(frame: RadialFrame, A0, A2):
@@ -461,18 +488,11 @@ def radius_at_distance(data: RadialInitialData, r_start: float, dist: float,
 
     if not inward:
         raise InvalidArgument("only inward collars are needed")
-    lo, hi = 0.0, r_start
     if dist_to(0.0) <= dist:
         return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dist_to(mid) > dist:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, r_start):
-            break
-    return 0.5 * (lo + hi)
+    # dist_to falls from above dist at 0 to 0 at r_start: one sign change
+    return brentq(lambda r: dist_to(r) - dist, 0.0, r_start,
+                  xtol=1e-12 * max(1.0, r_start))
 
 
 def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):

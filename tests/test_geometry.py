@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,6 +227,31 @@ def test_radius_at_distance_inverts_distance():
     r_in = radius_at_distance(data, 10.0, 3.0)
     assert 0.0 < r_in < 10.0
     assert abs(geodesic_distance(data, r_in, 10.0) - 3.0) < 1e-8
+
+
+def _bisected_radius(data, r_start, dist):
+    """Radius at distance `dist` inward of r_start, by plain bisection."""
+    def dist_to(r):
+        return quad(lambda s: math.sqrt(float(data.a(s))), r, r_start,
+                    epsrel=1e-10, epsabs=1e-14, limit=200)[0]
+
+    lo, hi = 0.0, r_start
+    while hi - lo >= 1e-12 * max(1.0, r_start):
+        mid = 0.5 * (lo + hi)
+        if dist_to(mid) > dist:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("r_start,dist", [(8.0, 0.5), (8.0, 4.0), (2.0, 0.3),
+                                          (4.0, 1.0)])
+def test_radius_at_distance_matches_bisection(dec_data, r_start, dist):
+    # both stop within 1e-12 max(1, r_start) of the root of the same quad
+    # distance, which at these collar radii leaves them 2e-11 apart at most
+    got = radius_at_distance(dec_data, r_start, dist)
+    assert abs(got - _bisected_radius(dec_data, r_start, dist)) <= 2e-11
 
 
 def test_radius_at_distance_clips_at_origin():

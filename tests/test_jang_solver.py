@@ -2,16 +2,20 @@ import copy
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from janglab.capillary import CapillaryConfig
 from janglab.errors import (AuditInapplicable, ExhaustionNonconvergence,
                             InvalidArgument)
 from janglab.geometry import RadialFrame, make_dataset
-from janglab.grids import build_grid
-from janglab.jang_solver import (GradientAuditSpec, TruncatedDomain,
-                                 capillary_residual, continuation_solve,
-                                 estimate_audits, exhaustion_solve,
-                                 gradient_ball_audit, jang_jacobian_dense,
+from janglab.grids import RadialGrid, build_grid
+from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP,
+                                 NEWTON_MAX_DAMPING_FAILURES, NEWTON_MAX_ITER,
+                                 TOL_NEWTON, GradientAuditSpec,
+                                 TruncatedDomain, capillary_residual,
+                                 continuation_solve, estimate_audits,
+                                 exhaustion_solve, gradient_ball_audit,
+                                 jang_jacobian_banded, jang_jacobian_dense,
                                  jang_operator, newton_solve, solution_csv,
                                  _residual)
 from janglab.profiles import SampledProfile, constant_profile
@@ -127,6 +131,120 @@ def test_newton_evaluates_profiles_once_per_domain(dec_data, cap_config,
         solved = solved or state
     assert solved.iterations >= 2 and state.iterations == 0
     assert 0 < counts[0] == counts[1]
+
+
+def _reference_newton(data, config, domain, lam, w_init):
+    """Newton as a separate residual, banded Jacobian and solve_banded per
+    iterate: the loop the solver's shared-evaluation path must reproduce."""
+    grid = domain.grid
+    frame = domain.frame(data)
+    q_max = float(np.max(np.abs(frame.q_norm)))
+    w = np.asarray(w_init, dtype=float).copy()
+    w[-1] = 0.0
+    res = _residual(frame, config, w, lam, grid)
+    norm = float(np.max(np.abs(res)))
+    halvings = 0
+    for it in range(NEWTON_MAX_ITER):
+        tol = TOL_NEWTON * max(
+            1.0, config.tau ** 2 * float(np.max(np.abs(w))) + q_max)
+        if norm < tol:
+            return w, it, halvings
+        ab = jang_jacobian_banded(data, config, w, lam, grid)
+        step = solve_banded((1, 1), ab, -res)
+        t = 1.0
+        for _ in range(NEWTON_MAX_DAMPING_FAILURES):
+            trial = w + t * step
+            trial_res = _residual(frame, config, trial, lam, grid)
+            trial_norm = float(np.max(np.abs(trial_res)))
+            if trial_norm <= (1.0 - ARMIJO_C * t) * norm:
+                break
+            t *= 0.5
+            halvings += 1
+        else:
+            raise AssertionError("reference Newton needs no divergence here")
+        w, res, norm = trial, trial_res, trial_norm
+    raise AssertionError("reference Newton did not converge")
+
+
+def _bump_start(domain):
+    return 6.0 * np.exp(-(domain.grid.nodes / 3.0) ** 2)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+def test_newton_matches_reference_loop(dec_data, cap_config, base_grid, r0,
+                                       lam):
+    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    strong = synthetic_config(grid=base_grid, tau=0.3)
+    zeros = np.zeros_like(domain.grid.nodes)
+    halvings = 0
+    for config, w_init in ((cap_config, zeros), (strong, zeros),
+                           (strong, _bump_start(domain))):
+        state = newton_solve(dec_data, config, domain, lam, w_init)
+        w, its, damped = _reference_newton(dec_data, config, domain, lam,
+                                           w_init)
+        assert np.array_equal(state.w, w)
+        assert (state.iterations, state.damping_count) == (its, damped)
+        halvings += damped
+    assert halvings > 0   # the bump start exercises the damped path
+
+
+def test_continuation_matches_reference_loop(dec_data, cap_config, base_grid,
+                                             r0):
+    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    strong = synthetic_config(grid=base_grid, tau=0.3)
+    zeros = np.zeros_like(domain.grid.nodes)
+    for config, w_init in ((cap_config, zeros), (strong, _bump_start(domain))):
+        trace = []
+        state = continuation_solve(dec_data, config, domain, w_init=w_init,
+                                   trace=trace)
+        # lambda path 0, 0.1, ..., 1 with the same rounding as the solver
+        w, lam = w_init, 0.0
+        expected = []
+        while True:
+            w, its, damped = _reference_newton(dec_data, config, domain, lam,
+                                               w)
+            expected.append((lam, its, damped))
+            if lam == 1.0:
+                break
+            lam = lam + min(CONTINUATION_STEP, 1.0 - lam)
+            if abs(1.0 - lam) < 1e-12:
+                lam = 1.0
+        assert [(e["lambda"], e["iterations"], e["damping_count"])
+                for e in trace] == expected
+        assert np.array_equal(state.w, w)
+        assert trace[0]["damping_count"] > 0 or w_init is zeros
+
+
+def test_newton_evaluates_each_iterate_once(dec_data, cap_config, base_grid,
+                                            r0, monkeypatch):
+    calls = {"deriv1": 0, "deriv2": 0, "zeta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("deriv1", "deriv2"):
+        monkeypatch.setattr(RadialGrid, name,
+                            counted(name, getattr(RadialGrid, name)))
+    config = copy.copy(synthetic_config(grid=base_grid, tau=0.3))
+    config.zeta = counted("zeta", config.zeta)
+    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+
+    state = newton_solve(dec_data, config, domain, 1.0, _bump_start(domain))
+    trials = 1 + state.iterations + state.damping_count
+    assert state.damping_count > 0
+    assert calls == {"deriv1": trials, "deriv2": trials, "zeta": 1}
+
+    calls.update(deriv1=0, deriv2=0, zeta=0)
+    trace = []
+    continuation_solve(dec_data, config, domain, trace=trace)
+    # one evaluation of the start, then one per trial; a converged step's
+    # evaluation is the next step's first
+    trials = 1 + sum(e["iterations"] + e["damping_count"] for e in trace)
+    assert len(trace) == 11
+    assert calls == {"deriv1": trials, "deriv2": trials, "zeta": 1}
 
 
 def test_newton_momentum_free_solution_is_zero():
