@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigFailure, DecViolation, InvalidArgument
-from .geometry import RadialInitialData, constraint_fields, radius_at_distance
+from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
+                       radius_at_distance)
 from .grids import RadialGrid
 from .profiles import SampledProfile
 
@@ -104,7 +105,7 @@ def select_capillary_config(data: RadialInitialData, r0: float,
     supp = dz2 > 0.0
     cfg.kappa0 = float(np.sqrt(np.min(margin[supp] / (4.0 * dz2[supp]))))
 
-    qn = data.q_frame_norm(r)
+    qn = RadialFrame.on(data, grid).q_norm
     act = (zeta > 0.0) & (qn > 0.0)
     if np.any(act):
         cfg.kappa1 = float(np.min(margin[act] / (4.0 * zeta[act] ** 2 * n * qn[act])))
@@ -158,7 +159,7 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     if np.any(q_vals <= 0.0):
         problems.append("Q must be strictly positive")
     lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(data, r)
-           - cfg.kappa1 * zeta ** 2 * n * data.q_frame_norm(r))
+           - cfg.kappa1 * zeta ** 2 * n * RadialFrame.on(data, grid).q_norm)
     if np.any(lhs < q_vals):
         problems.append("margin - kappa terms >= Q fails at some node")
 

@@ -278,15 +278,31 @@ def dataset_from_json(spec: dict) -> tuple[RadialInitialData, RadialGrid]:
 # curvature and constraints
 # ---------------------------------------------------------------------------
 
+def _profiles(data: RadialInitialData) -> dict:
+    return {"a": data.a, "c": data.c, "q_rad": data.q_rad, "q_tan": data.q_tan}
+
+
+def _coefficient(fn):
+    """A frame coefficient: evaluated on first use, kept, and read-only."""
+    def get(self):
+        out = np.asarray(fn(self)).view()
+        out.flags.writeable = False
+        return out
+    get.__doc__ = fn.__doc__
+    return cached_property(get)
+
+
 @dataclass(frozen=True, eq=False)
 class RadialFrame:
     """Warped-product frame coefficients of a dataset at fixed radii.
 
     Profiles are read through ``profile(r)``, ``.deriv1(r)`` and ``.deriv2(r)``;
-    every coefficient is evaluated on first use and kept, so one frame can
-    serve many operator evaluations on the same radii.  ``f = r sqrt(c)`` is
-    the warping radius and ``warp = f'/f = c'/(2c) + 1/r`` (infinite at r = 0,
-    where every caller substitutes its own origin closure).
+    every coefficient is evaluated on first use, kept and read-only, so one
+    frame can serve many operator evaluations on the same radii.  The
+    profiles are taken from the dataset when the frame is built.  ``f = r
+    sqrt(c)`` is the warping radius and ``warp = f'/f = c'/(2c) + 1/r``
+    (infinite at r = 0, where every caller substitutes its own origin
+    closure).
     """
 
     data: RadialInitialData
@@ -294,6 +310,26 @@ class RadialFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        object.__setattr__(self, "_profiles", _profiles(self.data))
+
+    @classmethod
+    def on(cls, data: RadialInitialData, grid: RadialGrid) -> "RadialFrame":
+        """The frame of ``data`` at the nodes of ``grid``, kept on the grid.
+
+        The grid holds the frame of the last dataset evaluated on it.  It is
+        reused while ``data`` and its a, c, q_rad, q_tan are the same
+        objects, and replaced otherwise.
+        """
+        frame = grid._frame
+        if frame is None or not frame._reads(data):
+            frame = cls(data, grid.nodes)
+            object.__setattr__(grid, "_frame", frame)
+        return frame
+
+    def _reads(self, data: RadialInitialData) -> bool:
+        mine = self._profiles
+        return self.data is data and all(
+            mine[name] is prof for name, prof in _profiles(data).items())
 
     @property
     def n(self) -> int:
@@ -303,45 +339,45 @@ class RadialFrame:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return fn(self.r)
 
-    a = cached_property(lambda self: self._eval(self.data.a))
-    da = cached_property(lambda self: self._eval(self.data.a.deriv1))
-    c = cached_property(lambda self: self._eval(self.data.c))
-    dc = cached_property(lambda self: self._eval(self.data.c.deriv1))
-    d2c = cached_property(lambda self: self._eval(self.data.c.deriv2))
-    q_rad = cached_property(lambda self: self._eval(self.data.q_rad))
-    q_tan = cached_property(lambda self: self._eval(self.data.q_tan))
-    dq_rad = cached_property(lambda self: self._eval(self.data.q_rad.deriv1))
-    dq_tan = cached_property(lambda self: self._eval(self.data.q_tan.deriv1))
+    a = _coefficient(lambda self: self._eval(self._profiles["a"]))
+    da = _coefficient(lambda self: self._eval(self._profiles["a"].deriv1))
+    c = _coefficient(lambda self: self._eval(self._profiles["c"]))
+    dc = _coefficient(lambda self: self._eval(self._profiles["c"].deriv1))
+    d2c = _coefficient(lambda self: self._eval(self._profiles["c"].deriv2))
+    q_rad = _coefficient(lambda self: self._eval(self._profiles["q_rad"]))
+    q_tan = _coefficient(lambda self: self._eval(self._profiles["q_tan"]))
+    dq_rad = _coefficient(lambda self: self._eval(self._profiles["q_rad"].deriv1))
+    dq_tan = _coefficient(lambda self: self._eval(self._profiles["q_tan"].deriv1))
 
-    @cached_property
+    @_coefficient
     def _sc(self):
         with np.errstate(invalid="ignore"):
             return np.sqrt(self.c)
 
-    @cached_property
+    @_coefficient
     def f(self):
         with np.errstate(invalid="ignore"):
             return self.r * self._sc
 
-    @cached_property
+    @_coefficient
     def f1(self):
         r, dc, sc = self.r, self.dc, self._sc
         with np.errstate(divide="ignore", invalid="ignore"):
             return sc + r * dc / (2.0 * sc)
 
-    @cached_property
+    @_coefficient
     def f2(self):
         r, c, dc, sc = self.r, self.c, self.dc, self._sc
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return dc / sc + r * self.d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
 
-    @cached_property
+    @_coefficient
     def warp(self):
         r, c, dc = self.r, self.c, self.dc
         with np.errstate(divide="ignore", invalid="ignore"):
             return dc / (2.0 * c) + 1.0 / r
 
-    @cached_property
+    @_coefficient
     def warp_a(self):
         """B'/(2aB) with B = c r^2, the tangential graph-Hessian weight; 0 at r = 0."""
         with np.errstate(invalid="ignore"):
@@ -349,7 +385,7 @@ class RadialFrame:
         out[self.r == 0.0] = 0.0
         return out
 
-    @cached_property
+    @_coefficient
     def q_norm(self):
         """|q|_g = sqrt(q_rad^2 + (n-1) q_tan^2)."""
         return np.sqrt(self.q_rad ** 2 + (self.n - 1) * self.q_tan ** 2)
@@ -359,7 +395,8 @@ class RadialFrame:
         """(a''(0), c''(0)) at a smooth center; NaN for origin-singular data."""
         if not self.data.origin_regular:
             return math.nan, math.nan
-        return self.data.a.deriv2_origin(), self.data.c.deriv2_origin()
+        return (self._profiles["a"].deriv2_origin(),
+                self._profiles["c"].deriv2_origin())
 
     def check_metric(self):
         """Raise NumericalDegeneracy where a or c is tiny or non-finite."""
@@ -435,7 +472,7 @@ def scalar_curvature(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
 
     Origin-singular families (exact Schwarzschild) get NaN at the first node.
     """
-    return _scalar_curvature(RadialFrame(data, grid.nodes))
+    return _scalar_curvature(RadialFrame.on(data, grid))
 
 
 def _scalar_curvature(frame: RadialFrame) -> np.ndarray:
@@ -446,7 +483,7 @@ def _scalar_curvature(frame: RadialFrame) -> np.ndarray:
 def constraint_fields(data: RadialInitialData, grid: RadialGrid) -> ConstraintFields:
     """Energy density mu, radial momentum J_rad, and the strict-DEC margin."""
     n = data.n
-    frame = RadialFrame(data, grid.nodes)
+    frame = RadialFrame.on(data, grid)
     R = _scalar_curvature(frame)
     qr, qt = frame.q_rad, frame.q_tan
     q2 = qr ** 2 + (n - 1) * qt ** 2
@@ -498,7 +535,7 @@ def radius_at_distance(data: RadialInitialData, r_start: float, dist: float,
 def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):
     """(radial, tangential) orthonormal-frame Ricci eigenvalues at the nodes."""
     n = data.n
-    frame = RadialFrame(data, grid.nodes)
+    frame = RadialFrame.on(data, grid)
     frame.check_metric()
     a, f, f1 = frame.a, frame.f, frame.f1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -513,7 +550,7 @@ def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):
 def dq_frame_norm(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
     """|Dq|_g at the nodes (orthonormal-frame covariant derivative norm)."""
     n = data.n
-    frame = RadialFrame(data, grid.nodes)
+    frame = RadialFrame.on(data, grid)
     with np.errstate(invalid="ignore"):
         mixed = frame.warp * (frame.q_rad - frame.q_tan)
     mixed[0] = 0.0
@@ -546,7 +583,7 @@ def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     """
     n = data.n
     r = grid.nodes
-    frame = RadialFrame(data, r)
+    frame = RadialFrame.on(data, grid)
     a, c = frame.a, frame.c
     lo = 0 if data.origin_regular else 1
     if np.any(a[lo:] <= 0.0) or np.any(c[lo:] <= 0.0):

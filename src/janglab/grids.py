@@ -43,6 +43,8 @@ class RadialGrid:
     stretch: float = 1.0
     _d1: np.ndarray = field(default=None, repr=False, compare=False)
     _d2: np.ndarray = field(default=None, repr=False, compare=False)
+    # the frame of the last dataset evaluated here (geometry.RadialFrame.on)
+    _frame: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -115,9 +117,14 @@ class RadialGrid:
     # -- restriction --------------------------------------------------------
 
     def truncate(self, r_out: float) -> "RadialGrid":
-        """Sub-grid covering [0, r_out]; appends r_out if it is not a node."""
+        """Sub-grid covering [0, r_out]; appends r_out if it is not a node.
+
+        At r_out = r_max it is the grid itself, with its stencils and frame.
+        """
         if r_out <= self.nodes[MIN_NODES]:
             raise InvalidArgument("truncation radius leaves too few nodes")
+        if r_out == self.nodes[-1]:
+            return self
         keep = self.nodes[self.nodes <= r_out * (1.0 + 1e-14)]
         if keep[-1] < r_out * (1.0 - 1e-14):
             keep = np.append(keep, r_out)

@@ -83,7 +83,7 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
     r = grid.nodes
     uv = _u_values(u, grid)
     du, d2u = _u_derivs(grid, uv)
-    frame = RadialFrame(data, r)
+    frame = RadialFrame.on(data, grid)
     a, da = frame.a, frame.da
 
     a_check = a + du ** 2
@@ -121,7 +121,7 @@ def div_xi(data: RadialInitialData, geo: JangGraphGeometry) -> np.ndarray:
     grid = geo.grid
     r = grid.nodes
     n = data.n
-    frame = RadialFrame(data, r)
+    frame = RadialFrame.on(data, grid)
     a_check = geo.g_check_rr.values
     da_check = frame.da + 2.0 * geo.du * geo.d2u
     up = geo.Xi_rad.values / a_check          # raised radial component
@@ -143,7 +143,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
     geo = build_graph_geometry(data, config, uv, grid)
     n = data.n
     r = grid.nodes
-    frame = RadialFrame(data, r)
+    frame = RadialFrame.on(data, grid)
     a, da, c, dc = frame.a, frame.da, frame.c, frame.dc
     du, d2u = geo.du, geo.d2u
     a_check = geo.g_check_rr.values
@@ -197,7 +197,11 @@ def schoen_yau_audit(data: RadialInitialData, config: CapillaryConfig,
     if coarse_nodes[-1] != grid.nodes[-1]:
         coarse_nodes = np.append(coarse_nodes, grid.nodes[-1])
     cgrid = RadialGrid(coarse_nodes, policy="coarsened", stretch=grid.stretch)
-    ucoarse = SampledProfile(grid, uv)(cgrid.nodes)
+    if isinstance(u, JangLimit) and uv is u.u:
+        uprof = u.profile()     # the limit's own spline, built once
+    else:
+        uprof = SampledProfile(grid, uv)
+    ucoarse = uprof(cgrid.nodes)
     tcoarse = theta_override
     lhs_c, rhs_c = _identity_sides(data, config, ucoarse, cgrid, tcoarse)
     err_coarse = _rel_err(lhs_c, rhs_c)
@@ -235,7 +239,7 @@ def consequence_audit(data: RadialInitialData, config: CapillaryConfig,
     lhs = 0.5 * geo.R_check.values - xi_norm_sq(geo) + div_xi(data, geo)
     dz2 = config.dzeta_norm_sq(data, r)
     zeta = config.zeta(r)
-    qn = data.q_frame_norm(r)
+    qn = RadialFrame.on(data, grid).q_norm
     rhs = (config.Q(r)
            + (config.kappa0 ** 2 - config.tau ** 2 * uv ** 2) * dz2
            + (config.kappa1 - config.tau ** 2 * np.abs(uv)) * zeta ** 2
@@ -252,7 +256,8 @@ def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
     """
     grid = geo.grid
     r = grid.nodes
-    coeff = geo.g_check_rr.values if metric == "check" else data.a(r)
+    coeff = (geo.g_check_rr.values if metric == "check"
+             else RadialFrame.on(data, grid).a)
     cum = np.concatenate(([0.0], cumulative_trapezoid(np.sqrt(coeff), r)))
     c_thr = float(np.interp(threshold, r, cum))
     return np.maximum(0.0, c_thr - cum)
@@ -512,7 +517,7 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     r = grid.nodes
     uv = geo.u.values
     a_check = geo.g_check_rr.values
-    f = RadialFrame(data, r).f
+    f = RadialFrame.on(data, grid).f
     vol = np.sqrt(a_check) * f ** (data.n - 1) * sphere_volume(data.n)
     half_R = 0.5 * geo.R_check.values
     q = config.Q(r)
@@ -556,7 +561,7 @@ def divergence_balance(data: RadialInitialData, geo: JangGraphGeometry,
     grid = geo.grid
     r = grid.nodes
     a_check = geo.g_check_rr.values
-    area = RadialFrame(data, r).f ** (data.n - 1) * sphere_volume(data.n)
+    area = RadialFrame.on(data, grid).f ** (data.n - 1) * sphere_volume(data.n)
     flux = f_values ** 2 * geo.Xi_rad.values / np.sqrt(a_check) * area
     dflux = grid.deriv1(flux)
     return float(simpson(dflux, x=r))

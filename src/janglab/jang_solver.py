@@ -55,17 +55,21 @@ class TruncatedDomain:
 
     r_j: float
     grid: RadialGrid
-    _frame: RadialFrame | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_base(cls, base: RadialGrid, r_j: float) -> "TruncatedDomain":
         return cls(r_j=float(r_j), grid=base.truncate(float(r_j)))
 
     def frame(self, data: RadialInitialData) -> RadialFrame:
-        """The dataset's radial frame on this domain's nodes, built once."""
-        if self._frame is None or self._frame.data is not data:
-            object.__setattr__(self, "_frame", RadialFrame(data, self.grid.nodes))
-        return self._frame
+        """The dataset's radial frame on this domain's nodes."""
+        return RadialFrame.on(data, self.grid)
+
+
+def _spline(cached, grid: RadialGrid, values, label: str) -> SampledProfile:
+    """``cached`` while it still interpolates ``values`` on ``grid``."""
+    if cached is None or cached.values is not values or cached.grid is not grid:
+        return SampledProfile(grid, values, label=label)
+    return cached
 
 
 @dataclass
@@ -78,9 +82,13 @@ class JangState:
     domain: TruncatedDomain
     iterations: int = 0
     damping_count: int = 0
+    _profile: SampledProfile | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def profile(self) -> SampledProfile:
-        return SampledProfile(self.domain.grid, self.w, label="w")
+        """w as a spline profile, built once per w array."""
+        self._profile = _spline(self._profile, self.domain.grid, self.w, "w")
+        return self._profile
 
 
 @dataclass
@@ -92,9 +100,13 @@ class JangLimit:
     trace: list = field(default_factory=list)
     converged_radius: float = 0.0
     outer_radius: float = 0.0
+    _profile: SampledProfile | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def profile(self) -> SampledProfile:
-        return SampledProfile(self.grid, self.u, label="u")
+        """u as a spline profile, built once per u array."""
+        self._profile = _spline(self._profile, self.grid, self.u, "u")
+        return self._profile
 
 
 @dataclass
@@ -121,7 +133,7 @@ def jang_operator(data: RadialInitialData, w: np.ndarray, lam: float,
     Interior nodes use the grid's three-point stencils; the origin uses the
     even-symmetry closure w'(0) = 0, w''(0) = 2 (w_1 - w_0)/r_1^2.
     """
-    return _operator(RadialFrame(data, grid.nodes), w, lam, grid)
+    return _operator(RadialFrame.on(data, grid), w, lam, grid)
 
 
 def _operator(frame: RadialFrame, w, lam, grid):
@@ -165,6 +177,7 @@ class _System:
         return res
 
     def tolerance(self, w) -> float:
+        """Residual tolerance scaled by w, the iterate Newton starts from."""
         scale = self.tau2 * float(np.max(np.abs(w))) + self.q_max
         return TOL_NEWTON * max(1.0, scale)
 
@@ -212,7 +225,7 @@ class _System:
 def capillary_residual(data: RadialInitialData, config: CapillaryConfig,
                        state: JangState, grid: RadialGrid | None = None) -> np.ndarray:
     """Full discrete residual vector including the Dirichlet boundary row."""
-    frame = state.domain.frame(data) if grid is None else RadialFrame(data, grid.nodes)
+    frame = state.domain.frame(data) if grid is None else RadialFrame.on(data, grid)
     grid = state.domain.grid if grid is None else grid
     return _residual(frame, config, state.w, state.lam, grid)
 
@@ -226,7 +239,7 @@ def _residual(frame, config, w, lam, grid):
 def jang_jacobian_banded(data: RadialInitialData, config: CapillaryConfig,
                          w: np.ndarray, lam: float, grid: RadialGrid) -> np.ndarray:
     """Tridiagonal Jacobian of the discrete residual in solve_banded layout."""
-    system = _System(RadialFrame(data, grid.nodes), config, grid)
+    system = _System(RadialFrame.on(data, grid), config, grid)
     t = system.terms(np.asarray(w, dtype=float))
     sub, diag, sup = system.tridiagonal(t, lam)
     ab = np.zeros((3, diag.size))
@@ -275,15 +288,18 @@ def _newton(system: _System, domain: TruncatedDomain, lam: float,
     """Newton from w; ``terms`` are w's graph terms when already evaluated.
 
     Each trial iterate is evaluated once, and the accepted trial's terms
-    serve the next Jacobian.  Returns the state and its solution's terms.
+    serve the next Jacobian.  The tolerance is fixed by the start, so an
+    iterate that runs off cannot raise it.  Returns the state and its
+    solution's terms.
     """
     if terms is None:
         terms = system.terms(w)
     res = system.residual(w, terms, lam)
     norm = float(np.max(np.abs(res)))
+    tol = system.tolerance(w)
     damping_total = 0
     for it in range(NEWTON_MAX_ITER):
-        if norm < system.tolerance(w):
+        if norm < tol:
             return JangState(w=w, lam=lam, residual_norm=norm, domain=domain,
                              iterations=it, damping_count=damping_total), terms
         step = system.newton_step(terms, lam, res)
@@ -304,7 +320,7 @@ def _newton(system: _System, domain: TruncatedDomain, lam: float,
                 f"{NEWTON_MAX_DAMPING_FAILURES} consecutive damping failures "
                 f"at lambda={lam}, residual {norm:.3e}")
         w, terms, res, norm = trial, trial_terms, trial_res, trial_norm
-    if norm < system.tolerance(w):
+    if norm < tol:
         return JangState(w=w, lam=lam, residual_norm=norm, domain=domain,
                          iterations=NEWTON_MAX_ITER,
                          damping_count=damping_total), terms
@@ -371,7 +387,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     or the gap sequence contracts geometrically (ratio <= 0.75, at least two
     gaps); in the latter case the Richardson-extrapolated remaining error is
     recorded in the trace.  The outer-boundary influence decays like
-    r_j^{3-n}, so for low dimensions only the contraction route is reachable
+    r_j^{2-n}, so for low dimensions only the contraction route is reachable
     at practical radii.  The returned nodal u is the last iterate, extended
     by zero beyond its outer radius.
 
@@ -499,7 +515,7 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
     entries["decay_envelope"] = _bound_entry(absw[sel2], bound2, tol, r[sel2])
 
     # (iii) sup |w| <= max(2^{4-n} r0, tau^{-2} sup n|q|)
-    qn = data.q_frame_norm(r)
+    qn = RadialFrame.on(data, grid).q_norm
     cap = max(2.0 ** (4 - n) * r0,
               float(np.max(n * qn)) / config.tau ** 2)
     entries["sup_bound"] = {
@@ -520,7 +536,7 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
             "note": "single solve: uniformity vacuous", "first_violation": None}
 
     # (v) log-log decay of |u| and |u'| on the far window
-    wprof = SampledProfile(grid, w)
+    wprof = result.profile()
     dw = wprof.deriv1(r)
     window = (r >= 32.0 * r0) & (r <= 0.5 * r_out)
     slope_u = loglog_slope(r[window], w[window], floor=1e-280)
@@ -622,7 +638,7 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
 
 def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     r = grid.nodes
-    frame = RadialFrame(data, r)
+    frame = RadialFrame.on(data, grid)
     a = frame.a
     sqrt_a = np.sqrt(a)
     # signed radial geodesic distance from the center, then the ball mask

@@ -57,14 +57,33 @@ class SampledProfile:
         return self._spline
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return self._get_spline()(r)
+        return self._eval(r, 0)
 
     def deriv1(self, r):
-        return self._get_spline()(np.asarray(r, dtype=float), 1)
+        return self._eval(r, 1)
 
     def deriv2(self, r):
-        return self._get_spline()(np.asarray(r, dtype=float), 2)
+        return self._eval(r, 2)
+
+    def _eval(self, r, order):
+        spline = self._get_spline()
+        r = np.asarray(r, dtype=float)
+        if r is not self.grid.nodes:
+            return spline(r, order)
+        # At its own nodes r_i, i < N, the spline is its interval polynomial
+        # at offset 0: the result is the constant term of the derivative,
+        # formed as PPoly forms it (0.0 + c) so the bits and zero signs agree.
+        # The last node lies at the end of the last interval.
+        c = spline.c
+        out = np.empty_like(r)
+        if order == 0:
+            out[:-1] = c[3] + 0.0
+        elif order == 1:
+            out[:-1] = c[2] + 0.0
+        else:
+            out[:-1] = 2.0 * c[1] + 0.0
+        out[-1:] = spline(r[-1:], order)
+        return out
 
     def deriv2_origin(self) -> float:
         """f''(0) of an even profile, from the first two nodal values."""

@@ -286,17 +286,26 @@ def test_mass_positivity_batch():
 
 def test_deterministic_artifacts(tmp_path):
     grid = build_grid(512.0, 1024, "uniform")
-    manifests = []
-    for name in ("one", "two"):
-        data = make_dataset("perturbed-dec", 4, DEC_PARAMS, grid=grid,
-                            seed=7)
+    shared = make_dataset("perturbed-dec", 4, DEC_PARAMS, grid=grid, seed=7)
+    other = make_dataset("perturbed-dec", 4, DEC_PARAMS, grid=grid, seed=8)
+    # a new dataset object, then one dataset object certified twice on the
+    # grid with another dataset certified in between (unnamed: not compared),
+    # then once more right after, on the frame the grid kept
+    runs = [("one", make_dataset("perturbed-dec", 4, DEC_PARAMS, grid=grid,
+                                 seed=7)),
+            ("two", shared), (None, other), ("three", shared),
+            ("four", shared)]
+    names = []
+    for name, data in runs:
         results = run_pipeline_on(data, grid, seed=7, stability_count=5)
+        if name is None:
+            continue
         results["config_echo"] = {"seed": 7}
-        out = tmp_path / name
-        emit_report(results, str(out))
-        manifests.append((out / "manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
-    for entry in json.loads(manifests[0])["files"]:
-        b1 = (tmp_path / "one" / entry["file"]).read_bytes()
-        b2 = (tmp_path / "two" / entry["file"]).read_bytes()
-        assert b1 == b2
+        emit_report(results, str(tmp_path / name))
+        names.append(name)
+    manifest = (tmp_path / "one" / "manifest.json").read_bytes()
+    for name in names[1:]:
+        assert (tmp_path / name / "manifest.json").read_bytes() == manifest
+        for entry in json.loads(manifest)["files"]:
+            assert ((tmp_path / name / entry["file"]).read_bytes()
+                    == (tmp_path / "one" / entry["file"]).read_bytes())

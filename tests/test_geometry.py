@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janglab.errors import DecViolation, InvalidArgument
-from janglab.geometry import (constraint_fields, dataset_from_json,
+from janglab.geometry import (RadialFrame, constraint_fields, dataset_from_json,
                               dataset_from_samples, dq_frame_norm,
                               geodesic_distance, make_dataset,
                               radius_at_distance, ricci_eigenvalues,
                               scalar_curvature, validate_dataset)
 from janglab.grids import build_grid
-from janglab.profiles import AnalyticProfile
+from janglab.profiles import AnalyticProfile, constant_profile
 
 
 def sphere_dataset(n, n_intervals=512):
@@ -319,3 +321,25 @@ def test_profiles_csv_schema(dec_data, base_grid):
     assert len(lines) == base_grid.nodes.size + 1
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
+
+
+def test_shared_frame_follows_reassigned_profiles(dec_data):
+    grid = build_grid(512.0, 1024, "uniform")
+    data = copy.copy(dec_data)
+    before = constraint_fields(data, grid)
+    assert RadialFrame.on(data, grid) is RadialFrame.on(data, grid)
+    data.q_rad = constant_profile(0.01)
+    after = constraint_fields(data, grid)
+    # the same fields as a new dataset object on a grid that has no frame yet
+    fresh = constraint_fields(dataclasses.replace(data),
+                              build_grid(512.0, 1024, "uniform"))
+    for name in ("R_g", "mu", "J_rad", "margin"):
+        assert np.array_equal(getattr(after, name), getattr(fresh, name))
+    assert not np.array_equal(after.mu, before.mu)
+
+
+def test_frame_arrays_are_read_only(dec_data, base_grid):
+    frame = RadialFrame.on(dec_data, base_grid)
+    for name in ("a", "dc", "q_rad", "f2", "warp_a", "q_norm"):
+        with pytest.raises(ValueError):
+            getattr(frame, name)[1] = 1.0

@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 
 from janglab.capillary import CapillaryConfig
 from janglab.errors import (AuditInapplicable, ExhaustionNonconvergence,
-                            InvalidArgument)
+                            InvalidArgument, NewtonDivergence)
 from janglab.geometry import RadialFrame, make_dataset
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP,
@@ -143,10 +143,10 @@ def _reference_newton(data, config, domain, lam, w_init):
     w[-1] = 0.0
     res = _residual(frame, config, w, lam, grid)
     norm = float(np.max(np.abs(res)))
+    tol = TOL_NEWTON * max(
+        1.0, config.tau ** 2 * float(np.max(np.abs(w))) + q_max)
     halvings = 0
     for it in range(NEWTON_MAX_ITER):
-        tol = TOL_NEWTON * max(
-            1.0, config.tau ** 2 * float(np.max(np.abs(w))) + q_max)
         if norm < tol:
             return w, it, halvings
         ab = jang_jacobian_banded(data, config, w, lam, grid)
@@ -245,6 +245,17 @@ def test_newton_evaluates_each_iterate_once(dec_data, cap_config, base_grid,
     trials = 1 + sum(e["iterations"] + e["damping_count"] for e in trace)
     assert len(trace) == 11
     assert calls == {"deriv1": trials, "deriv2": trials, "zeta": 1}
+
+
+def test_newton_runaway_start_does_not_converge(dec_data, base_grid):
+    # the stopping tolerance is scaled by the start, so an iterate that runs
+    # off (max|w| = 2.3e29 here when the scale followed the iterate) cannot
+    # meet it
+    domain = TruncatedDomain.from_base(base_grid, 64.0)
+    start = 3.0 * np.exp(-domain.grid.nodes ** 2)
+    with pytest.raises(NewtonDivergence):
+        newton_solve(dec_data, synthetic_config(grid=base_grid), domain, 1.0,
+                     start)
 
 
 def test_newton_momentum_free_solution_is_zero():
