@@ -24,22 +24,22 @@ limit = exhaustion_solve(data, config,
                          [64.0 * r0, 128.0 * r0, 256.0 * r0], grid)
 geo = build_graph_geometry(data, config, limit, grid)
 
-identity = schoen_yau_audit(data, config, limit, geo, grid)
+identity = schoen_yau_audit(data, config, geo)
 print(f"pointwise identity: max relative error = "
       f"{identity['max_rel_err']:.2e}, refinement order = "
       f"{identity['order']:.2f}")
 
-margin = consequence_audit(data, config, limit, geo, grid)
+margin = consequence_audit(data, config, geo)
 print(f"effective-positivity margin: min = {np.nanmin(margin):.3e} "
       f"(nonnegative certifies the lower bound)")
 
-sd = build_shielding(data, config, geo, grid)
+sd = build_shielding(data, config, geo)
 report = shielding_audit(sd, config, grid)
 print(f"shielding audit: six bullets = {report['six']} "
       f"(boundary empty: {sd.boundary_empty})")
 
 fns = random_test_functions(grid, 20, seed=7, plateau_radius=0.6 * grid.r_max)
-stab = stability_audit(data, config, limit, geo, fns, grid)
+stab = stability_audit(data, config, geo, fns)
 print(f"stability quadratic form: {stab['n_tested']} test functions, "
       f"min relative value = {stab['min_relative']:.3f} (nonnegative = stable)")
 

@@ -23,10 +23,9 @@ from .jang_metric import (JangGraphGeometry, ShieldingData,
                           schoen_yau_audit, shielding_audit, stability_audit,
                           xi_norm_sq)
 from .jang_solver import (GradientAuditSpec, JangLimit, JangState,
-                          TruncatedDomain, capillary_residual,
-                          continuation_solve, estimate_audits,
-                          exhaustion_solve, jang_operator, newton_solve,
-                          solution_csv)
+                          capillary_residual, continuation_solve,
+                          estimate_audits, exhaustion_solve, jang_operator,
+                          newton_solve)
 from .mass import (DecayFit, experiment_csv, fit_alpha, fit_decay_exponent,
                    positivity_experiment)
 from .pipeline import default_grid, full_pipeline, run_pipeline_on

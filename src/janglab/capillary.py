@@ -69,9 +69,9 @@ class CapillaryConfig:
         return -smoothstep_d1((np.asarray(r, dtype=float) - 4.0 * self.r0)
                               / (4.0 * self.r0)) / (4.0 * self.r0)
 
-    def dzeta_norm_sq(self, data: RadialInitialData, r):
-        """|d zeta|_g^2 = zeta'^2 / a."""
-        return self.zeta_d1(r) ** 2 / data.a(r)
+    def dzeta_norm_sq(self, frame: RadialFrame):
+        """|d zeta|_g^2 = zeta'^2 / a at the frame's radii."""
+        return self.zeta_d1(frame.r) ** 2 / frame.a
 
 
 def _collar_mask(data, grid, r_in, width):
@@ -100,12 +100,13 @@ def select_capillary_config(data: RadialInitialData, r0: float,
     cfg = CapillaryConfig(r0=r0, kappa0=1.0, kappa1=1.0, Q=None,
                           s0=r0 / 4.0, s1=0.0, tau=1.0, n=n, delta=data.delta)
 
-    dz2 = cfg.dzeta_norm_sq(data, r)
+    frame = RadialFrame.on(data, grid)
+    dz2 = cfg.dzeta_norm_sq(frame)
     zeta = cfg.zeta(r)
     supp = dz2 > 0.0
     cfg.kappa0 = float(np.sqrt(np.min(margin[supp] / (4.0 * dz2[supp]))))
 
-    qn = RadialFrame.on(data, grid).q_norm
+    qn = frame.q_norm
     act = (zeta > 0.0) & (qn > 0.0)
     if np.any(act):
         cfg.kappa1 = float(np.min(margin[act] / (4.0 * zeta[act] ** 2 * n * qn[act])))
@@ -158,8 +159,9 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     q_vals = cfg.Q(r)
     if np.any(q_vals <= 0.0):
         problems.append("Q must be strictly positive")
-    lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(data, r)
-           - cfg.kappa1 * zeta ** 2 * n * RadialFrame.on(data, grid).q_norm)
+    frame = RadialFrame.on(data, grid)
+    lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(frame)
+           - cfg.kappa1 * zeta ** 2 * n * frame.q_norm)
     if np.any(lhs < q_vals):
         problems.append("margin - kappa terms >= Q fails at some node")
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -148,13 +149,8 @@ def main(argv=None) -> int:
 
         if args.command == "mass":
             alpha, fit = fit_alpha(data, grid)
-            write_artifact(out, "mass.json", {
-                "alpha": alpha,
-                "fit": {"exponent": fit.exponent,
-                        "amplitude": fit.amplitude,
-                        "fit_window": list(fit.fit_window),
-                        "rms_residual": fit.rms_residual,
-                        "n_points": fit.n_points}})
+            write_artifact(out, "mass.json", {"alpha": alpha,
+                                              "fit": asdict(fit)})
             return EXIT_OK
 
         if args.command == "solve":

@@ -35,7 +35,11 @@ PHI_POLE_THRESHOLD = -1.0e6
 
 @dataclass
 class JangGraphGeometry:
-    """Radial profiles of the graph metric, its one-form, and its curvature."""
+    """Radial profiles of the graph metric, its one-form, and its curvature.
+
+    ``effective`` is the effective curvature R_check/2 - |Xi|^2 + div Xi,
+    the left side of both the pointwise identity and the consequence bound.
+    """
 
     grid: RadialGrid
     n: int
@@ -47,19 +51,19 @@ class JangGraphGeometry:
     u: SampledProfile
     du: np.ndarray = field(repr=False, default=None)
     d2u: np.ndarray = field(repr=False, default=None)
+    effective: np.ndarray = field(repr=False, default=None)
 
 
-def _u_values(u, grid: RadialGrid) -> np.ndarray:
+def _u_profile(u, grid: RadialGrid) -> SampledProfile:
+    """u on the grid: a JangLimit on it keeps its own spline."""
     if isinstance(u, JangLimit):
         if not np.array_equal(u.grid.nodes, grid.nodes):
-            return u.profile()(grid.nodes)
-        return u.u
-    if isinstance(u, SampledProfile):
-        return u(grid.nodes)
+            raise InvalidArgument("the limit must live on the grid")
+        return u.profile()
     v = np.asarray(u, dtype=float)
     if v.shape != grid.nodes.shape:
         raise InvalidArgument("u must match the grid nodes")
-    return v
+    return SampledProfile(grid, v, label="u")
 
 
 def _u_derivs(grid: RadialGrid, uv: np.ndarray):
@@ -75,13 +79,16 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
                          u, grid: RadialGrid) -> JangGraphGeometry:
     """Assemble the graph metric, Xi, graph scalar curvature, and Theta.
 
-    Metric coefficients and their derivatives are taken from the dataset's
+    ``u`` is a JangLimit on ``grid`` or nodal values on it.  Metric
+    coefficients and their derivatives are taken from the dataset's
     (possibly analytic) profiles; only u is differentiated by finite
-    differences.
+    differences.  The audits read u, the grid and the effective curvature
+    from the returned geometry.
     """
     n = data.n
     r = grid.nodes
-    uv = _u_values(u, grid)
+    uprof = _u_profile(u, grid)
+    uv = uprof.values
     du, d2u = _u_derivs(grid, uv)
     frame = RadialFrame.on(data, grid)
     a, da = frame.a, frame.da
@@ -101,14 +108,16 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
 
     theta = config.tau ** 2 * config.zeta(r) ** 2 * uv
     mk = lambda vals, lab: SampledProfile(grid, vals, label=lab)
-    return JangGraphGeometry(
+    geo = JangGraphGeometry(
         grid=grid, n=n,
         g_check_rr=mk(a_check, "a_check"),
         g_check_tan=mk(frame.c * r ** 2, "B"),
         Xi_rad=mk(xi, "Xi_rad"),
         R_check=mk(R, "R_check"),
         Theta=mk(theta, "Theta"),
-        u=mk(uv, "u"), du=du, d2u=d2u)
+        u=uprof, du=du, d2u=d2u)
+    geo.effective = 0.5 * R - xi_norm_sq(geo) + div_xi(data, geo)
+    return geo
 
 
 def xi_norm_sq(geo: JangGraphGeometry) -> np.ndarray:
@@ -137,12 +146,13 @@ def div_xi(data: RadialInitialData, geo: JangGraphGeometry) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
-                    uv: np.ndarray, grid: RadialGrid,
+                    geo: JangGraphGeometry,
                     theta_override: SampledProfile | None = None):
     """Left and right sides of the pointwise curvature identity, nodewise."""
-    geo = build_graph_geometry(data, config, uv, grid)
+    grid = geo.grid
     n = data.n
     r = grid.nodes
+    uv = geo.u.values
     frame = RadialFrame.on(data, grid)
     a, da, c, dc = frame.a, frame.da, frame.c, frame.dc
     du, d2u = geo.du, geo.d2u
@@ -159,8 +169,6 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
         dzeta = config.zeta_d1(r)
         dtheta = config.tau ** 2 * (2.0 * zeta * dzeta * uv + zeta ** 2 * du)
 
-    lhs = 0.5 * geo.R_check.values - xi_norm_sq(geo) + div_xi(data, geo)
-
     qr, qt = frame.q_rad, frame.q_tan
     B = c * r ** 2
     dB = dc * r ** 2 + 2.0 * c * r
@@ -176,34 +184,29 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
            - P ** -0.5 * du * fields.J_rad / np.sqrt(a)
            + P ** -0.5 * du * dtheta / a
            + 0.5 * theta ** 2 + theta * tr_q_check)
-    return lhs, rhs
+    return geo.effective, rhs
 
 
 def schoen_yau_audit(data: RadialInitialData, config: CapillaryConfig,
-                     u, geo: JangGraphGeometry | None,
-                     grid: RadialGrid,
+                     geo: JangGraphGeometry,
                      theta_override: SampledProfile | None = None) -> dict:
-    """Max relative identity error on the grid plus its refinement order.
+    """Max relative identity error on the geometry's grid plus its order.
 
     The error is the max-norm of (LHS - RHS) divided by the max-norm of the
     sides; the order compares the working grid against its two-fold
-    coarsening (the finite-difference truncation scales with h^2).
+    coarsening (the finite-difference truncation scales with h^2), on which
+    the geometry is rebuilt from u's spline.
     """
-    uv = _u_values(u, grid)
-    lhs, rhs = _identity_sides(data, config, uv, grid, theta_override)
+    grid = geo.grid
+    lhs, rhs = _identity_sides(data, config, geo, theta_override)
     err_fine = _rel_err(lhs, rhs)
 
     coarse_nodes = grid.nodes[::2]
     if coarse_nodes[-1] != grid.nodes[-1]:
         coarse_nodes = np.append(coarse_nodes, grid.nodes[-1])
     cgrid = RadialGrid(coarse_nodes, policy="coarsened", stretch=grid.stretch)
-    if isinstance(u, JangLimit) and uv is u.u:
-        uprof = u.profile()     # the limit's own spline, built once
-    else:
-        uprof = SampledProfile(grid, uv)
-    ucoarse = uprof(cgrid.nodes)
-    tcoarse = theta_override
-    lhs_c, rhs_c = _identity_sides(data, config, ucoarse, cgrid, tcoarse)
+    cgeo = build_graph_geometry(data, config, geo.u(cgrid.nodes), cgrid)
+    lhs_c, rhs_c = _identity_sides(data, config, cgeo, theta_override)
     err_coarse = _rel_err(lhs_c, rhs_c)
     if err_fine <= 1e-15:
         order = None  # both sides agree to roundoff; order fit meaningless
@@ -226,25 +229,23 @@ def _rel_err(lhs, rhs):
 # ---------------------------------------------------------------------------
 
 def consequence_audit(data: RadialInitialData, config: CapillaryConfig,
-                      u, geo: JangGraphGeometry,
-                      grid: RadialGrid) -> np.ndarray:
+                      geo: JangGraphGeometry) -> np.ndarray:
     """Nodewise margin of the effective-positivity lower bound.
 
     Returns LHS - RHS where LHS = R_check/2 - |Xi|^2 + div Xi and
     RHS = Q + (kappa0^2 - tau^2 u^2)|d zeta|^2 + (kappa1 - tau^2 |u|)
     zeta^2 n |q|.  Nonnegative (within tolerance) margins certify the bound.
     """
-    r = grid.nodes
+    r = geo.grid.nodes
     uv = geo.u.values
-    lhs = 0.5 * geo.R_check.values - xi_norm_sq(geo) + div_xi(data, geo)
-    dz2 = config.dzeta_norm_sq(data, r)
+    frame = RadialFrame.on(data, geo.grid)
+    dz2 = config.dzeta_norm_sq(frame)
     zeta = config.zeta(r)
-    qn = RadialFrame.on(data, grid).q_norm
     rhs = (config.Q(r)
            + (config.kappa0 ** 2 - config.tau ** 2 * uv ** 2) * dz2
            + (config.kappa1 - config.tau ** 2 * np.abs(uv)) * zeta ** 2
-           * data.n * qn)
-    return lhs - rhs
+           * data.n * frame.q_norm)
+    return geo.effective - rhs
 
 
 def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
@@ -264,17 +265,14 @@ def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
 
 
 def neighborhood_audit(data: RadialInitialData, config: CapillaryConfig,
-                       u, grid: RadialGrid,
-                       geo: JangGraphGeometry | None = None) -> dict:
+                       geo: JangGraphGeometry) -> dict:
     """Collar checks around the exterior region E0 = {r > 8 r0}.
 
     (i) the solution stays below half the smallness budget on the graph-metric
     collar of width s1 + 2 s0; (ii) the graph-metric 2 s0 collar is contained
     in the base-metric one and Q exceeds 128/(s1 s0) there.
     """
-    if geo is None:
-        geo = build_graph_geometry(data, config, u, grid)
-    r = grid.nodes
+    r = geo.grid.nodes
     d_check = _distance_to_exterior(data, geo, config.E0_threshold, "check")
     d_base = _distance_to_exterior(data, geo, config.E0_threshold, "base")
     width = config.collar_width_total
@@ -339,7 +337,7 @@ class ShieldingData:
 
 
 def build_shielding(data: RadialInitialData, config: CapillaryConfig,
-                    geo: JangGraphGeometry, grid: RadialGrid,
+                    geo: JangGraphGeometry,
                     width: float | None = None) -> ShieldingData:
     """Construct the shielding weight on the collar region E.
 
@@ -350,6 +348,7 @@ def build_shielding(data: RadialInitialData, config: CapillaryConfig,
     Q/2 on it.  ``width`` defaults to s1 + 2 s0 and exists for synthetic
     small-collar constructions in tests.
     """
+    grid = geo.grid
     r = grid.nodes
     L = config.collar_width_total if width is None else float(width)
     t = min(2.0 * config.s0, 0.5 * L)
@@ -502,8 +501,7 @@ def random_test_functions(grid: RadialGrid, count: int, seed: int,
 
 
 def stability_audit(data: RadialInitialData, config: CapillaryConfig,
-                    u, geo: JangGraphGeometry, test_functions,
-                    grid: RadialGrid) -> dict:
+                    geo: JangGraphGeometry, test_functions) -> dict:
     """Quadratic-form audit: the stability integral is nonnegative.
 
     For each admissible radial test function f (smooth, constant near the
@@ -514,6 +512,7 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
 
     by composite Simpson with the graph-metric volume element.
     """
+    grid = geo.grid
     r = grid.nodes
     uv = geo.u.values
     a_check = geo.g_check_rr.values

@@ -1,10 +1,11 @@
 """Damped-Newton solver for the capillary-regularized radial Jang problems.
 
-The unknown w lives on a truncated radial grid with a Dirichlet condition
-w(r_j) = 0 at the outer radius and an even-symmetry (Neumann) closure at the
-origin.  The discrete residual is the warped-product reduction of the graph
-mean-curvature operator minus lambda times the contracted momentum profile,
-minus the capillary term tau^2 zeta^2 w.  The Jacobian is tridiagonal, is
+The unknown w lives on the base grid cut at an outer radius r_j
+(``RadialGrid.truncate``), with a Dirichlet condition w(r_j) = 0 and an
+even-symmetry (Neumann) closure at the origin.  The discrete residual is the
+warped-product reduction of the graph mean-curvature operator minus lambda
+times the contracted momentum profile, minus the capillary term
+tau^2 zeta^2 w.  The Jacobian is tridiagonal, is
 assembled analytically and is solved with LAPACK's gtsv; the lambda-free
 graph terms of each Newton iterate are evaluated once and shared by its
 residual and its Jacobian.  lambda-continuation from 0 to 1 starts each
@@ -46,24 +47,8 @@ _gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
-# domain / state types
+# state types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncatedDomain:
-    """Radial grid restricted to [0, r_j] with Dirichlet data at r_j."""
-
-    r_j: float
-    grid: RadialGrid
-
-    @classmethod
-    def from_base(cls, base: RadialGrid, r_j: float) -> "TruncatedDomain":
-        return cls(r_j=float(r_j), grid=base.truncate(float(r_j)))
-
-    def frame(self, data: RadialInitialData) -> RadialFrame:
-        """The dataset's radial frame on this domain's nodes."""
-        return RadialFrame.on(data, self.grid)
-
 
 def _spline(cached, grid: RadialGrid, values, label: str) -> SampledProfile:
     """``cached`` while it still interpolates ``values`` on ``grid``."""
@@ -74,12 +59,15 @@ def _spline(cached, grid: RadialGrid, values, label: str) -> SampledProfile:
 
 @dataclass
 class JangState:
-    """Converged nodal solution of one truncated problem at a fixed lambda."""
+    """Converged nodal solution on a truncated grid at a fixed lambda.
+
+    The outer radius r_j of the problem is ``grid.r_max``.
+    """
 
     w: np.ndarray
     lam: float
     residual_norm: float
-    domain: TruncatedDomain
+    grid: RadialGrid
     iterations: int = 0
     damping_count: int = 0
     _profile: SampledProfile | None = field(default=None, init=False,
@@ -87,7 +75,7 @@ class JangState:
 
     def profile(self) -> SampledProfile:
         """w as a spline profile, built once per w array."""
-        self._profile = _spline(self._profile, self.domain.grid, self.w, "w")
+        self._profile = _spline(self._profile, self.grid, self.w, "w")
         return self._profile
 
 
@@ -223,11 +211,10 @@ class _System:
 
 
 def capillary_residual(data: RadialInitialData, config: CapillaryConfig,
-                       state: JangState, grid: RadialGrid | None = None) -> np.ndarray:
+                       state: JangState) -> np.ndarray:
     """Full discrete residual vector including the Dirichlet boundary row."""
-    frame = state.domain.frame(data) if grid is None else RadialFrame.on(data, grid)
-    grid = state.domain.grid if grid is None else grid
-    return _residual(frame, config, state.w, state.lam, grid)
+    return _residual(RadialFrame.on(data, state.grid), config, state.w,
+                     state.lam, state.grid)
 
 
 def _residual(frame, config, w, lam, grid):
@@ -263,28 +250,32 @@ def jang_jacobian_dense(data, config, w, lam, grid):
 # Newton / continuation / exhaustion
 # ---------------------------------------------------------------------------
 
-def _initial_iterate(config, domain, w_init) -> np.ndarray:
-    if domain.r_j <= 32.0 * config.r0:
+def _initial_iterate(config, grid, w_init) -> np.ndarray:
+    if grid.r_max <= 32.0 * config.r0:
         raise InvalidArgument(
-            f"outer radius {domain.r_j} must exceed 32 r0 = {32.0 * config.r0}")
+            f"outer radius {grid.r_max} must exceed 32 r0 = {32.0 * config.r0}")
     w = np.asarray(w_init, dtype=float).copy()
-    if w.shape != domain.grid.nodes.shape:
+    if w.shape != grid.nodes.shape:
         raise InvalidArgument("w_init must match the truncated grid")
     w[-1] = 0.0
     return w
 
 
 def newton_solve(data: RadialInitialData, config: CapillaryConfig,
-                 domain: TruncatedDomain, lam: float,
+                 grid: RadialGrid, lam: float,
                  w_init: np.ndarray) -> JangState:
-    """Damped Newton with Armijo backtracking on the residual max-norm."""
-    w = _initial_iterate(config, domain, w_init)
-    system = _System(domain.frame(data), config, domain.grid)
-    return _newton(system, domain, lam, w)[0]
+    """Damped Newton with Armijo backtracking on the residual max-norm.
+
+    ``grid`` is a truncated grid (``base.truncate(r_j)``); w vanishes at its
+    outer node.
+    """
+    w = _initial_iterate(config, grid, w_init)
+    system = _System(RadialFrame.on(data, grid), config, grid)
+    return _newton(system, lam, w)[0]
 
 
-def _newton(system: _System, domain: TruncatedDomain, lam: float,
-            w: np.ndarray, terms: GraphTerms | None = None):
+def _newton(system: _System, lam: float, w: np.ndarray,
+            terms: GraphTerms | None = None):
     """Newton from w; ``terms`` are w's graph terms when already evaluated.
 
     Each trial iterate is evaluated once, and the accepted trial's terms
@@ -300,8 +291,9 @@ def _newton(system: _System, domain: TruncatedDomain, lam: float,
     damping_total = 0
     for it in range(NEWTON_MAX_ITER):
         if norm < tol:
-            return JangState(w=w, lam=lam, residual_norm=norm, domain=domain,
-                             iterations=it, damping_count=damping_total), terms
+            return JangState(w=w, lam=lam, residual_norm=norm,
+                             grid=system.grid, iterations=it,
+                             damping_count=damping_total), terms
         step = system.newton_step(terms, lam, res)
         t = 1.0
         accepted = False
@@ -321,7 +313,7 @@ def _newton(system: _System, domain: TruncatedDomain, lam: float,
                 f"at lambda={lam}, residual {norm:.3e}")
         w, terms, res, norm = trial, trial_terms, trial_res, trial_norm
     if norm < tol:
-        return JangState(w=w, lam=lam, residual_norm=norm, domain=domain,
+        return JangState(w=w, lam=lam, residual_norm=norm, grid=system.grid,
                          iterations=NEWTON_MAX_ITER,
                          damping_count=damping_total), terms
     raise NewtonDivergence(
@@ -329,32 +321,30 @@ def _newton(system: _System, domain: TruncatedDomain, lam: float,
 
 
 def continuation_solve(data: RadialInitialData, config: CapillaryConfig,
-                       domain: TruncatedDomain,
+                       grid: RadialGrid,
                        w_init: np.ndarray | None = None,
-                       lam_target: float = 1.0,
                        trace: list | None = None) -> JangState:
-    """Path-follow lambda from 0 to lam_target with warm-started Newton.
+    """Path-follow lambda from 0 to 1 with warm-started Newton.
 
-    Each lambda step starts from the previous step's solution and reuses its
-    graph terms; they are dropped when the continuation returns.
+    ``grid`` is a truncated grid, as for ``newton_solve``.  Each lambda step
+    starts from the previous step's solution and reuses its graph terms;
+    they are dropped when the continuation returns.
     """
     if w_init is None:
-        w_init = np.zeros_like(domain.grid.nodes)
-    w = _initial_iterate(config, domain, w_init)
-    system = _System(domain.frame(data), config, domain.grid)
-    sign = 1.0 if lam_target >= 0.0 else -1.0
+        w_init = np.zeros_like(grid.nodes)
+    w = _initial_iterate(config, grid, w_init)
+    system = _System(RadialFrame.on(data, grid), config, grid)
     lam = 0.0
-    state, terms = _newton(system, domain, lam, w)
+    state, terms = _newton(system, lam, w)
     _record(trace, state)
     step = CONTINUATION_STEP
-    while abs(lam - lam_target) > 1e-15:
-        step = min(step, abs(lam_target - lam))
-        lam_next = lam + sign * step
-        if abs(lam_target - lam_next) < 1e-12:
-            lam_next = lam_target   # avoid accumulated rounding in lambda
+    while abs(lam - 1.0) > 1e-15:
+        step = min(step, abs(1.0 - lam))
+        lam_next = lam + step
+        if abs(1.0 - lam_next) < 1e-12:
+            lam_next = 1.0   # avoid accumulated rounding in lambda
         try:
-            nxt, nxt_terms = _newton(system, domain, lam_next, state.w.copy(),
-                                     terms)
+            nxt, nxt_terms = _newton(system, lam_next, state.w.copy(), terms)
         except NewtonDivergence:
             step *= 0.5
             if step < CONTINUATION_MIN_STEP:
@@ -388,8 +378,9 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     gaps); in the latter case the Richardson-extrapolated remaining error is
     recorded in the trace.  The outer-boundary influence decays like
     r_j^{2-n}, so for low dimensions only the contraction route is reachable
-    at practical radii.  The returned nodal u is the last iterate, extended
-    by zero beyond its outer radius.
+    at practical radii.  Each radius r_j is solved on
+    ``base_grid.truncate(r_j)``.  The returned nodal u is the last iterate,
+    extended by zero beyond its outer radius.
 
     Every radius runs the whole lambda-continuation from 0.  After the first
     radius it starts from the previous solution (``_transfer``), but because
@@ -412,21 +403,19 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     prev_state = None
     converged = False
     for r_j in schedule:
-        domain = TruncatedDomain.from_base(base_grid, r_j)
-        if prev_state is None:
-            w0 = None
-        else:
-            w0 = _transfer(prev_state, domain)
+        grid = base_grid.truncate(r_j)
+        w0 = None if prev_state is None else _transfer(prev_state, grid)
         steps = []
-        state = continuation_solve(data, config, domain, w_init=w0, trace=steps)
+        state = continuation_solve(data, config, grid, w_init=w0, trace=steps)
         prof = state.profile()
         on_compact = prof(compact)
-        dw = prof.deriv1(domain.grid.nodes)
+        dw = prof.deriv1(grid.nodes)
         entry = {
             "r_j": r_j,
             "residual_norm": state.residual_norm,
             "sup_w": float(np.max(np.abs(state.w))),
-            "sup_dw_g": float(np.max(np.abs(dw) / np.sqrt(domain.frame(data).a))),
+            "sup_dw_g": float(np.max(np.abs(dw) / np.sqrt(
+                RadialFrame.on(data, grid).a))),
             "newton_steps": steps,
             "cauchy_gap": None,
         }
@@ -451,22 +440,24 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     if not converged:
         raise ExhaustionNonconvergence(
             f"Cauchy criterion not met on [0, {R_c}]: gaps {gaps}")
+    r_out = prev_state.grid.r_max
     u = np.zeros_like(base_grid.nodes)
-    inside = base_grid.nodes <= prev_state.domain.r_j
+    inside = base_grid.nodes <= r_out
     u[inside] = prev_state.profile()(base_grid.nodes[inside])
     return JangLimit(u=u, grid=base_grid, trace=trace,
-                     converged_radius=R_c, outer_radius=prev_state.domain.r_j)
+                     converged_radius=R_c, outer_radius=r_out)
 
 
-def _transfer(state: JangState, domain: TruncatedDomain) -> np.ndarray:
-    """Previous solution interpolated onto the domain, zero beyond its radius.
+def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
+    """Previous solution interpolated onto ``grid``, zero beyond its radius.
 
     It is the lambda = 0 start of the next radius's continuation, not a warm
     start for that radius's lambda = 1 problem.
     """
     prof = state.profile()
-    r = domain.grid.nodes
-    w = np.where(r <= state.domain.r_j, prof(np.minimum(r, state.domain.r_j)), 0.0)
+    r = grid.nodes
+    r_j = state.grid.r_max
+    w = np.where(r <= r_j, prof(np.minimum(r, r_j)), 0.0)
     w[-1] = 0.0
     return w
 
@@ -476,8 +467,7 @@ def _transfer(state: JangState, domain: TruncatedDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
-                    result, bp: BarrierProfile,
-                    audit_spec: GradientAuditSpec | None = None) -> dict:
+                    result, bp: BarrierProfile) -> dict:
     """Audit the a-priori bounds satisfied by a converged solve.
 
     ``result`` is a JangState (one truncated solve) or a JangLimit
@@ -491,9 +481,9 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
         r_out = result.outer_radius
         trace = result.trace
     else:
-        grid = result.domain.grid
+        grid = result.grid
         w = result.w
-        r_out = result.domain.r_j
+        r_out = grid.r_max
         trace = None
     r = grid.nodes
     n = data.n
@@ -556,11 +546,10 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
                                   "first_violation": None}
 
     # (vi) exponential-weight gradient audit on a geodesic ball
-    if audit_spec is None:
-        audit_spec = GradientAuditSpec(sigma=4.0 * r0, center=4.0 * r0)
+    spec = GradientAuditSpec(sigma=4.0 * r0, center=4.0 * r0)
     try:
         entries["gradient_ball"] = gradient_ball_audit(data, config, wprof,
-                                                       audit_spec)
+                                                       spec)
     except AuditInapplicable as exc:
         entries["gradient_ball"] = {"passed": False,
                                     "note": f"inapplicable: {exc}",
@@ -649,8 +638,6 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     if np.count_nonzero(ball) < 8:
         return None
     w = wprof(r)
-    dwdr = wprof.deriv1(r)
-    dw_g = np.abs(dwdr) / sqrt_a
     C0 = float(np.max(np.abs(w[ball]))) / sigma
 
     # hypothesis inequalities -> smallest admissible A on the ball
@@ -682,8 +669,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
         4.0 * sigma * C0 * float(np.max(n * hess_norm[ball])),
         float(np.max(cutoff_load[ball])) / sigma,
     )
-    return {"ball": ball, "w": w, "dw_g": dw_g, "C0": C0, "d": d,
-            "required_A": required_A, "sigma": sigma,
+    return {"C0": C0, "required_A": required_A,
             "r_nodes": r, "cum": cum, "d_center": d_center,
             "r_lo": float(np.min(r[ball])), "r_hi": float(np.max(r[ball]))}
 
@@ -700,17 +686,3 @@ def _dense_supremum(data, wprof, info, A, sigma, C0):
         val = (np.exp(expo) - 1.0) * np.sqrt(1.0 + dw_g ** 2)
     return float(np.max(val))
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def solution_csv(data: RadialInitialData, config: CapillaryConfig,
-                 state: JangState) -> str:
-    """CSV export 'r,w,residual' for one converged truncated solve."""
-    grid = state.domain.grid
-    res = _residual(state.domain.frame(data), config, state.w, state.lam, grid)
-    lines = ["r,w,residual"]
-    for ri, wi, qi in zip(grid.nodes, state.w, res):
-        lines.append(f"{float(ri)!r},{float(wi)!r},{float(qi)!r}")
-    return "\n".join(lines) + "\n"

@@ -8,6 +8,8 @@ an "arrays" key for CSV emission and stripped before JSON serialization.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .barrier import (BarrierProfile, barrier_inequality_audit, find_r0,
@@ -79,37 +81,29 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     geo = build_graph_geometry(data, config, limit, grid)
 
     estimates = estimate_audits(data, config, limit, bp)
-    identity = schoen_yau_audit(data, config, limit, geo, grid)
-    cons = consequence_audit(data, config, limit, geo, grid)
+    identity = schoen_yau_audit(data, config, geo)
+    cons = consequence_audit(data, config, geo)
     cons_scale = max(1.0, float(np.nanmax(np.abs(cons))))
     cons_report = {"min_margin": float(np.nanmin(cons)),
                    "passed": bool(np.nanmin(cons) >= -1e-8 * cons_scale)}
-    neighborhoods = neighborhood_audit(data, config, limit, grid, geo)
-    shielding = shielding_audit(build_shielding(data, config, geo, grid),
+    neighborhoods = neighborhood_audit(data, config, geo)
+    shielding = shielding_audit(build_shielding(data, config, geo),
                                 config, grid)
     fns = random_test_functions(grid, stability_count, seed,
                                 plateau_radius=0.6 * grid.r_max)
-    stability = stability_audit(data, config, limit, geo, fns, grid)
+    stability = stability_audit(data, config, geo, fns)
 
     alpha, alpha_fit = fit_alpha(data, grid)
     alpha_graph, _ = fit_alpha(geo, grid)
     window = (32.0 * r0, 0.5 * limit.outer_radius)
     decay = {}
-    uprof = limit.profile()
-    try:
-        decay["u"] = _fit_dict(fit_decay_exponent(uprof, grid, window))
-    except Exception as exc:
-        decay["u"] = {"error": str(exc)}
-    xi_prof = SampledProfile(grid, np.sqrt(xi_norm_sq(geo)))
-    try:
-        decay["Xi"] = _fit_dict(fit_decay_exponent(xi_prof, grid, window))
-    except Exception as exc:
-        decay["Xi"] = {"error": str(exc)}
-    try:
-        decay["R_check"] = _fit_dict(
-            fit_decay_exponent(geo.R_check, grid, window))
-    except Exception as exc:
-        decay["R_check"] = {"error": str(exc)}
+    for name, prof in (("u", limit.profile()),
+                       ("Xi", SampledProfile(grid, np.sqrt(xi_norm_sq(geo)))),
+                       ("R_check", geo.R_check)):
+        try:
+            decay[name] = asdict(fit_decay_exponent(prof, grid, window))
+        except Exception as exc:
+            decay[name] = {"error": str(exc)}
 
     audits_passed = bool(barrier_report["passed"] and estimates["passed"]
                          and identity["max_rel_err"] < 1e-3
@@ -141,19 +135,13 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
                       "passed": stability["passed"]},
         "alpha": alpha,
         "alpha_graph": alpha_graph,
-        "alpha_fit": _fit_dict(alpha_fit),
+        "alpha_fit": asdict(alpha_fit),
         "decay": decay,
         "audits_passed": audits_passed,
         "arrays": {"u": limit.u, "grid": grid.nodes,
                    "residual_trace": limit.trace,
                    "consequence_margin": cons},
     }
-
-
-def _fit_dict(fit):
-    return {"exponent": fit.exponent, "amplitude": fit.amplitude,
-            "fit_window": list(fit.fit_window),
-            "rms_residual": fit.rms_residual, "n_points": fit.n_points}
 
 
 def _strip_steps(entry: dict) -> dict:

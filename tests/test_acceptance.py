@@ -23,9 +23,8 @@ from janglab.jang_metric import (build_graph_geometry, build_shielding,
                                  consequence_audit, random_test_functions,
                                  schoen_yau_audit, shielding_audit,
                                  stability_audit, xi_norm_sq)
-from janglab.jang_solver import (TruncatedDomain, continuation_solve,
-                                 estimate_audits, exhaustion_solve,
-                                 newton_solve)
+from janglab.jang_solver import (continuation_solve, estimate_audits,
+                                 exhaustion_solve, newton_solve)
 from janglab.mass import (fit_alpha, fit_alpha_profile, fit_decay_exponent,
                           positivity_experiment)
 from janglab.pipeline import default_grid, run_pipeline_on
@@ -116,9 +115,9 @@ def test_solver_suite(fine_setup):
     assert fine_setup["solve_seconds"] < 30.0
 
     # exactness: zero coupling and momentum-free data give the zero solution
-    domain = TruncatedDomain.from_base(grid, 64.0 * r0)
+    domain = grid.truncate(64.0 * r0)
     z = newton_solve(data, config, domain, 0.0,
-                     np.zeros_like(domain.grid.nodes))
+                     np.zeros_like(domain.nodes))
     assert z.iterations == 0 and np.all(z.w == 0.0)
     free = copy.copy(data)
     from janglab.profiles import constant_profile
@@ -164,7 +163,7 @@ def test_solver_suite(fine_setup):
     sols = {}
     for N in (1024, 2048, 4096):
         g = build_grid(512.0, N, "uniform")
-        d = TruncatedDomain.from_base(g, 64.0 * r0)
+        d = g.truncate(64.0 * r0)
         sols[N] = continuation_solve(data, config, d).w
     e1 = np.max(np.abs(sols[1024] - sols[2048][::2]))
     e2 = np.max(np.abs(sols[2048] - sols[4096][::2]))
@@ -177,8 +176,7 @@ def test_solver_suite(fine_setup):
 
 def test_pointwise_identity(fine_setup):
     report = schoen_yau_audit(fine_setup["data"], fine_setup["config"],
-                              fine_setup["limit"], fine_setup["geo"],
-                              fine_setup["grid"])
+                              fine_setup["geo"])
     assert report["max_rel_err"] < 1e-3
     assert report["order"] >= 1.9
 
@@ -187,8 +185,9 @@ def test_pointwise_identity(fine_setup):
     flat = make_dataset("flat", 4, {})
     from test_jang_solver import synthetic_config
     config = synthetic_config(grid=grid)
-    degenerate = schoen_yau_audit(flat, config,
-                                  np.zeros_like(grid.nodes), None, grid)
+    degenerate = schoen_yau_audit(
+        flat, config,
+        build_graph_geometry(flat, config, np.zeros_like(grid.nodes), grid))
     assert degenerate["max_rel_err"] < 1e-12
 
 
@@ -198,21 +197,20 @@ def test_pointwise_identity(fine_setup):
 
 def test_positivity_audits(fine_setup):
     data, config = fine_setup["data"], fine_setup["config"]
-    limit, geo, grid = fine_setup["limit"], fine_setup["geo"], \
-        fine_setup["grid"]
+    geo, grid = fine_setup["geo"], fine_setup["grid"]
 
-    margin = consequence_audit(data, config, limit, geo, grid)
+    margin = consequence_audit(data, config, geo)
     scale = max(1.0, float(np.nanmax(np.abs(margin))))
     assert float(np.nanmin(margin)) >= -1e-8 * scale
 
     fns = random_test_functions(grid, 50, seed=17,
                                 plateau_radius=0.6 * grid.r_max)
-    stability = stability_audit(data, config, limit, geo, fns, grid)
+    stability = stability_audit(data, config, geo, fns)
     assert stability["n_tested"] == 50
     for v in stability["values"]:
         assert v["value"] >= -1e-8 * v["scale"]
 
-    sd = build_shielding(data, config, geo, grid)
+    sd = build_shielding(data, config, geo)
     report = shielding_audit(sd, config, grid)
     assert report["six"] == [True] * 6
 
@@ -232,7 +230,7 @@ def test_positivity_audits(fine_setup):
     # corrupting the density by 1e4 breaks the consequence bound
     bad_cfg = copy.copy(config)
     bad_cfg.Q = SampledProfile(grid, 1e4 * config.Q(grid.nodes))
-    corrupted = consequence_audit(data, bad_cfg, limit, geo, grid)
+    corrupted = consequence_audit(data, bad_cfg, geo)
     assert float(np.nanmin(corrupted)) < -1.0
 
 

@@ -5,7 +5,7 @@ from janglab.capillary import (CapillaryConfig, check_capillary_config,
                                select_capillary_config, smoothstep,
                                smoothstep_d1)
 from janglab.errors import DecViolation, InvalidArgument
-from janglab.geometry import constraint_fields
+from janglab.geometry import RadialFrame, constraint_fields
 from janglab.grids import build_grid
 from janglab.profiles import SampledProfile
 
@@ -51,7 +51,8 @@ def test_margin_dominates_capillary_terms(dec_data, cap_config, base_grid):
     r = base_grid.nodes
     margin = constraint_fields(dec_data, base_grid).margin
     lhs = (margin
-           - cap_config.kappa0 ** 2 * cap_config.dzeta_norm_sq(dec_data, r)
+           - cap_config.kappa0 ** 2 * cap_config.dzeta_norm_sq(
+               RadialFrame.on(dec_data, base_grid))
            - cap_config.kappa1 * cap_config.zeta(r) ** 2 * dec_data.n
            * dec_data.q_frame_norm(r))
     q = cap_config.Q(r)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -65,16 +66,31 @@ def test_identity_degenerate_case_exact():
     grid = build_grid(512.0, 1024, "uniform")
     data, config = _flat_setup(grid, q_const=1.0, r0=1.0, s0=0.25, s1=1.0)
     u = np.zeros_like(grid.nodes)
-    report = schoen_yau_audit(data, config, u, None, grid)
+    geo = build_graph_geometry(data, config, u, grid)
+    report = schoen_yau_audit(data, config, geo)
     assert report["max_rel_err"] < 1e-12
 
 
 def test_identity_on_converged_solution(dec_data, cap_config, jang_limit,
                                         graph_geo, base_grid):
-    report = schoen_yau_audit(dec_data, cap_config, jang_limit, graph_geo,
-                              base_grid)
+    report = schoen_yau_audit(dec_data, cap_config, graph_geo)
     assert report["max_rel_err"] < 1e-3
     assert report["max_rel_err"] < report["max_rel_err_coarse"]
+
+
+def test_identity_audit_reads_the_given_geometry(dec_data, cap_config,
+                                                graph_geo):
+    # a copy whose graph curvature is scaled by 1.01, with its effective
+    # curvature R_check/2 - |Xi|^2 + div Xi following, no longer satisfies
+    # the identity on the working grid
+    R = graph_geo.R_check.values
+    scaled = dataclasses.replace(
+        graph_geo, R_check=SampledProfile(graph_geo.grid, 1.01 * R),
+        effective=graph_geo.effective + 0.005 * R)
+    base = schoen_yau_audit(dec_data, cap_config, graph_geo)
+    report = schoen_yau_audit(dec_data, cap_config, scaled)
+    assert report["max_rel_err"] > 10.0 * base["max_rel_err"]
+    assert report["max_rel_err_coarse"] == base["max_rel_err_coarse"]
 
 
 def test_identity_for_arbitrary_graph_with_matching_source():
@@ -89,8 +105,8 @@ def test_identity_for_arbitrary_graph_with_matching_source():
         r = grid.nodes
         u = 0.5 * np.exp(-(r / 6.0) ** 2)
         theta = SampledProfile(grid, jang_operator(data, u, 1.0, grid))
-        report = schoen_yau_audit(data, config, u, None, grid,
-                                  theta_override=theta)
+        geo = build_graph_geometry(data, config, u, grid)
+        report = schoen_yau_audit(data, config, geo, theta_override=theta)
         errs.append(report["max_rel_err"])
     assert errs[-1] < 1e-3
     assert np.log2(errs[0] / errs[1]) > 1.5
@@ -102,8 +118,8 @@ def test_identity_detects_wrong_source():
     r = grid.nodes
     u = 0.5 * np.exp(-(r / 6.0) ** 2)
     wrong = SampledProfile(grid, np.full_like(r, 0.1))
-    report = schoen_yau_audit(data, config, u, None, grid,
-                              theta_override=wrong)
+    geo = build_graph_geometry(data, config, u, grid)
+    report = schoen_yau_audit(data, config, geo, theta_override=wrong)
     assert report["max_rel_err"] > 1e-2
 
 
@@ -113,8 +129,7 @@ def test_identity_detects_wrong_source():
 
 def test_consequence_margin_nonnegative(dec_data, cap_config, jang_limit,
                                         graph_geo, base_grid):
-    margin = consequence_audit(dec_data, cap_config, jang_limit, graph_geo,
-                               base_grid)
+    margin = consequence_audit(dec_data, cap_config, graph_geo)
     scale = max(1.0, float(np.nanmax(np.abs(margin))))
     assert float(np.nanmin(margin)) >= -1e-8 * scale
 
@@ -127,15 +142,13 @@ def test_consequence_fails_for_corrupted_density(dec_data, cap_config,
     bad = copy.copy(cap_config)
     r = base_grid.nodes
     bad.Q = SampledProfile(base_grid, 1e4 * cap_config.Q(r), label="Q")
-    margin = consequence_audit(dec_data, bad, jang_limit, graph_geo,
-                               base_grid)
+    margin = consequence_audit(dec_data, bad, graph_geo)
     assert float(np.nanmin(margin)) < -1.0
 
 
 def test_neighborhood_audit_passes(dec_data, cap_config, jang_limit,
                                    base_grid, graph_geo):
-    report = neighborhood_audit(dec_data, cap_config, jang_limit, base_grid,
-                                graph_geo)
+    report = neighborhood_audit(dec_data, cap_config, graph_geo)
     assert report["passed"]
     assert report["solution_bound"]["sup"] <= report["solution_bound"]["bound"]
     assert report["collar_containment"]["passed"]
@@ -147,8 +160,7 @@ def test_neighborhood_audit_flags_thin_collar(dec_data, cap_config,
                                               graph_geo):
     bad = copy.copy(cap_config)
     bad.s1 = bad.s0     # collapses the density bound 128/(s1 s0)
-    report = neighborhood_audit(dec_data, bad, jang_limit, base_grid,
-                                graph_geo)
+    report = neighborhood_audit(dec_data, bad, graph_geo)
     assert not report["collar_density"]["passed"]
 
 
@@ -158,7 +170,7 @@ def test_neighborhood_audit_flags_thin_collar(dec_data, cap_config,
 
 def test_shielding_on_converged_solution(dec_data, cap_config, graph_geo,
                                          base_grid):
-    sd = build_shielding(dec_data, cap_config, graph_geo, base_grid)
+    sd = build_shielding(dec_data, cap_config, graph_geo)
     report = shielding_audit(sd, cap_config, base_grid)
     assert report["passed"]
     assert report["six"] == [True] * 6
@@ -183,7 +195,7 @@ def synthetic_shielding():
     grid = synthetic_shielding_grid()
     data, config = _flat_setup(grid)          # r0=2 -> E0 = {r > 16}, L = 10
     geo = build_graph_geometry(data, config, np.zeros_like(grid.nodes), grid)
-    sd = build_shielding(data, config, geo, grid, width=10.0)
+    sd = build_shielding(data, config, geo, width=10.0)
     return data, config, geo, grid, sd
 
 
@@ -224,8 +236,7 @@ def test_build_shielding_rejects_undersized_collar(dec_data, cap_config,
     # forcing the pole into the grid where Q has already decayed makes the
     # reduced-density bullet fail, and the constructor refuses the result
     with pytest.raises(ShieldingFailure):
-        build_shielding(dec_data, cap_config, graph_geo, base_grid,
-                        width=5.0)
+        build_shielding(dec_data, cap_config, graph_geo, width=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +248,7 @@ def test_stability_quadratic_form_nonnegative(dec_data, cap_config,
                                               base_grid):
     fns = random_test_functions(base_grid, 20, seed=7,
                                 plateau_radius=0.6 * base_grid.r_max)
-    report = stability_audit(dec_data, cap_config, jang_limit, graph_geo,
-                             fns, base_grid)
+    report = stability_audit(dec_data, cap_config, graph_geo, fns)
     assert report["passed"]
     assert report["n_tested"] == 20
     assert report["min_relative"] >= -1e-8
@@ -246,8 +256,8 @@ def test_stability_quadratic_form_nonnegative(dec_data, cap_config,
 
 def test_stability_constant_function(dec_data, cap_config, jang_limit,
                                      graph_geo, base_grid):
-    report = stability_audit(dec_data, cap_config, jang_limit, graph_geo,
-                             [lambda r: np.ones_like(r)], base_grid)
+    report = stability_audit(dec_data, cap_config, graph_geo,
+                             [lambda r: np.ones_like(r)])
     assert report["passed"]
     assert report["values"][0]["value"] > 0.0
 
@@ -255,8 +265,7 @@ def test_stability_constant_function(dec_data, cap_config, jang_limit,
 def test_stability_rejects_nonconstant_tail(dec_data, cap_config, jang_limit,
                                             graph_geo, base_grid):
     with pytest.raises(InadmissibleTestFunction):
-        stability_audit(dec_data, cap_config, jang_limit, graph_geo,
-                        [lambda r: r], base_grid)
+        stability_audit(dec_data, cap_config, graph_geo, [lambda r: r])
 
 
 def test_random_test_functions_deterministic(base_grid):

@@ -12,12 +12,11 @@ from janglab.grids import RadialGrid, build_grid
 from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP,
                                  NEWTON_MAX_DAMPING_FAILURES, NEWTON_MAX_ITER,
                                  TOL_NEWTON, GradientAuditSpec,
-                                 TruncatedDomain, capillary_residual,
-                                 continuation_solve, estimate_audits,
-                                 exhaustion_solve, gradient_ball_audit,
-                                 jang_jacobian_banded, jang_jacobian_dense,
-                                 jang_operator, newton_solve, solution_csv,
-                                 _residual)
+                                 capillary_residual, continuation_solve,
+                                 estimate_audits, exhaustion_solve,
+                                 gradient_ball_audit, jang_jacobian_banded,
+                                 jang_jacobian_dense, jang_operator,
+                                 newton_solve, _residual)
 from janglab.profiles import SampledProfile, constant_profile
 
 
@@ -86,9 +85,9 @@ def test_jacobian_matches_finite_differences(dec_data, cap_config):
 # ---------------------------------------------------------------------------
 
 def test_newton_zero_coupling_is_exact(dec_data, cap_config, base_grid, r0):
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    domain = base_grid.truncate(64.0 * r0)
     state = newton_solve(dec_data, cap_config, domain, 0.0,
-                         np.zeros_like(domain.grid.nodes))
+                         np.zeros_like(domain.nodes))
     assert state.iterations == 0
     assert np.all(state.w == 0.0)
     assert state.residual_norm < 1e-15
@@ -122,8 +121,8 @@ def test_newton_evaluates_profiles_once_per_domain(dec_data, cap_config,
     solved = None
     counts = []
     for _ in range(2):
-        domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
-        w_init = (np.zeros_like(domain.grid.nodes) if solved is None
+        domain = base_grid.truncate(64.0 * r0)
+        w_init = (np.zeros_like(domain.nodes) if solved is None
                   else solved.w)
         calls.clear()
         state = newton_solve(data, cap_config, domain, 1.0, w_init)
@@ -133,11 +132,10 @@ def test_newton_evaluates_profiles_once_per_domain(dec_data, cap_config,
     assert 0 < counts[0] == counts[1]
 
 
-def _reference_newton(data, config, domain, lam, w_init):
+def _reference_newton(data, config, grid, lam, w_init):
     """Newton as a separate residual, banded Jacobian and solve_banded per
     iterate: the loop the solver's shared-evaluation path must reproduce."""
-    grid = domain.grid
-    frame = domain.frame(data)
+    frame = RadialFrame.on(data, grid)
     q_max = float(np.max(np.abs(frame.q_norm)))
     w = np.asarray(w_init, dtype=float).copy()
     w[-1] = 0.0
@@ -167,15 +165,15 @@ def _reference_newton(data, config, domain, lam, w_init):
 
 
 def _bump_start(domain):
-    return 6.0 * np.exp(-(domain.grid.nodes / 3.0) ** 2)
+    return 6.0 * np.exp(-(domain.nodes / 3.0) ** 2)
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0])
 def test_newton_matches_reference_loop(dec_data, cap_config, base_grid, r0,
                                        lam):
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    domain = base_grid.truncate(64.0 * r0)
     strong = synthetic_config(grid=base_grid, tau=0.3)
-    zeros = np.zeros_like(domain.grid.nodes)
+    zeros = np.zeros_like(domain.nodes)
     halvings = 0
     for config, w_init in ((cap_config, zeros), (strong, zeros),
                            (strong, _bump_start(domain))):
@@ -190,9 +188,9 @@ def test_newton_matches_reference_loop(dec_data, cap_config, base_grid, r0,
 
 def test_continuation_matches_reference_loop(dec_data, cap_config, base_grid,
                                              r0):
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    domain = base_grid.truncate(64.0 * r0)
     strong = synthetic_config(grid=base_grid, tau=0.3)
-    zeros = np.zeros_like(domain.grid.nodes)
+    zeros = np.zeros_like(domain.nodes)
     for config, w_init in ((cap_config, zeros), (strong, _bump_start(domain))):
         trace = []
         state = continuation_solve(dec_data, config, domain, w_init=w_init,
@@ -230,7 +228,7 @@ def test_newton_evaluates_each_iterate_once(dec_data, cap_config, base_grid,
                             counted(name, getattr(RadialGrid, name)))
     config = copy.copy(synthetic_config(grid=base_grid, tau=0.3))
     config.zeta = counted("zeta", config.zeta)
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    domain = base_grid.truncate(64.0 * r0)
 
     state = newton_solve(dec_data, config, domain, 1.0, _bump_start(domain))
     trials = 1 + state.iterations + state.damping_count
@@ -251,8 +249,8 @@ def test_newton_runaway_start_does_not_converge(dec_data, base_grid):
     # the stopping tolerance is scaled by the start, so an iterate that runs
     # off (max|w| = 2.3e29 here when the scale followed the iterate) cannot
     # meet it
-    domain = TruncatedDomain.from_base(base_grid, 64.0)
-    start = 3.0 * np.exp(-domain.grid.nodes ** 2)
+    domain = base_grid.truncate(64.0)
+    start = 3.0 * np.exp(-domain.nodes ** 2)
     with pytest.raises(NewtonDivergence):
         newton_solve(dec_data, synthetic_config(grid=base_grid), domain, 1.0,
                      start)
@@ -263,31 +261,31 @@ def test_newton_momentum_free_solution_is_zero():
     grid = build_grid(512.0, 1024, "uniform")
     data = make_dataset("flat", 4, {})
     config = synthetic_config(grid=grid)
-    domain = TruncatedDomain.from_base(grid, 64.0)
+    domain = grid.truncate(64.0)
     state = newton_solve(data, config, domain, 1.0,
-                         np.zeros_like(domain.grid.nodes))
+                         np.zeros_like(domain.nodes))
     assert np.max(np.abs(state.w)) < 1e-12
 
 
 def test_newton_rejects_bad_domain(dec_data, cap_config, base_grid, r0):
     with pytest.raises(InvalidArgument):
-        domain = TruncatedDomain.from_base(base_grid, 16.0 * r0)
+        domain = base_grid.truncate(16.0 * r0)
         newton_solve(dec_data, cap_config, domain, 0.0,
-                     np.zeros_like(domain.grid.nodes))
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+                     np.zeros_like(domain.nodes))
+    domain = base_grid.truncate(64.0 * r0)
     with pytest.raises(InvalidArgument):
         newton_solve(dec_data, cap_config, domain, 0.0, np.zeros(7))
 
 
 def test_continuation_reaches_full_coupling(dec_data, cap_config, base_grid,
                                             r0):
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    domain = base_grid.truncate(64.0 * r0)
     trace = []
     state = continuation_solve(dec_data, cap_config, domain, trace=trace)
     assert state.lam == 1.0
     assert state.residual_norm < 1e-10 * max(
         1.0, float(np.max(dec_data.n * dec_data.q_frame_norm(
-            domain.grid.nodes))))
+            domain.nodes))))
     lams = [t["lambda"] for t in trace]
     assert lams[0] == 0.0 and lams[-1] == 1.0
     assert np.all(np.diff(lams) > 0.0)
@@ -316,7 +314,7 @@ def test_solution_is_odd_in_momentum_sign(dec_data, cap_config, base_grid,
             return -self.p.deriv2(r)
     flipped.q_rad = Neg(dec_data.q_rad)
     flipped.q_tan = Neg(dec_data.q_tan)
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
+    domain = base_grid.truncate(64.0 * r0)
     s_plus = continuation_solve(dec_data, cap_config, domain)
     s_minus = continuation_solve(flipped, cap_config, domain)
     assert np.max(np.abs(s_plus.w + s_minus.w)) < 2e-10
@@ -432,17 +430,3 @@ def test_gradient_ball_audit_needs_enough_nodes(dec_data, cap_config,
         gradient_ball_audit(dec_data, cap_config, prof,
                             GradientAuditSpec(sigma=1e-3, center=4.0))
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def test_solution_csv_schema(dec_data, cap_config, base_grid, r0):
-    domain = TruncatedDomain.from_base(base_grid, 64.0 * r0)
-    state = continuation_solve(dec_data, cap_config, domain)
-    text = solution_csv(dec_data, cap_config, state)
-    lines = text.strip().split("\n")
-    assert lines[0] == "r,w,residual"
-    assert len(lines) == domain.grid.nodes.size + 1
-    last = [float(v) for v in lines[-1].split(",")]
-    assert last[1] == 0.0        # Dirichlet row
