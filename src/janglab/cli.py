@@ -26,8 +26,7 @@ from .geometry import (constraint_fields, dataset_from_json, make_dataset,
                        validate_dataset)
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
-from .pipeline import (SCHEDULE_FACTORS, default_grid, full_pipeline,
-                       run_pipeline_on)
+from .pipeline import SCHEDULE_FACTORS, exhaustion_schedule, run_pipeline_on
 from .report import emit_report, write_artifact
 
 EXIT_OK = 0
@@ -157,8 +156,9 @@ def main(argv=None) -> int:
             r0 = find_r0(data, grid, cfg.get("r0_candidates")
                          or default_r0_candidates(grid))
             config = select_capillary_config(data, r0, grid)
-            factors = cfg.get("schedule_factors", list(SCHEDULE_FACTORS))
-            schedule = [f * r0 for f in factors if f * r0 <= grid.r_max]
+            schedule = exhaustion_schedule(
+                r0, grid.r_max,
+                cfg.get("schedule_factors", SCHEDULE_FACTORS))
             limit = jang_solver.exhaustion_solve(data, config, schedule, grid)
             lines = ["r,u"]
             for ri, ui in zip(grid.nodes, limit.u):

@@ -10,10 +10,10 @@ assembled analytically and is solved with LAPACK's gtsv; the lambda-free
 graph terms of each Newton iterate are evaluated once and shared by its
 residual and its Jacobian.  lambda-continuation from 0 to 1 starts each
 lambda step from the previous step's solution.  An exhaustion over
-increasing outer radii produces the entire-space limit.  Each radius restarts
-the continuation at lambda = 0 from the previous radius's solution, so that
-solution is an initial guess for lambda = 0, not a warm start for the
-lambda = 1 problem: it saves no Newton iterations.
+increasing outer radii produces the entire-space limit.  The first radius
+runs the continuation from zero; each later radius is one damped Newton
+solve at lambda = 1 started from the previous radius's solution, and falls
+back to the continuation from that solution when the warm solve fails.
 """
 
 from __future__ import annotations
@@ -275,13 +275,14 @@ def newton_solve(data: RadialInitialData, config: CapillaryConfig,
 
 
 def _newton(system: _System, lam: float, w: np.ndarray,
-            terms: GraphTerms | None = None):
+            terms: GraphTerms | None = None, min_steps: int = 0):
     """Newton from w; ``terms`` are w's graph terms when already evaluated.
 
     Each trial iterate is evaluated once, and the accepted trial's terms
     serve the next Jacobian.  The tolerance is fixed by the start, so an
-    iterate that runs off cannot raise it.  Returns the state and its
-    solution's terms.
+    iterate that runs off cannot raise it.  Convergence is tested only after
+    ``min_steps`` accepted steps.  Returns the state and its solution's
+    terms.
     """
     if terms is None:
         terms = system.terms(w)
@@ -290,7 +291,7 @@ def _newton(system: _System, lam: float, w: np.ndarray,
     tol = system.tolerance(w)
     damping_total = 0
     for it in range(NEWTON_MAX_ITER):
-        if norm < tol:
+        if norm < tol and it >= min_steps:
             return JangState(w=w, lam=lam, residual_norm=norm,
                              grid=system.grid, iterations=it,
                              damping_count=damping_total), terms
@@ -326,7 +327,8 @@ def continuation_solve(data: RadialInitialData, config: CapillaryConfig,
                        trace: list | None = None) -> JangState:
     """Path-follow lambda from 0 to 1 with warm-started Newton.
 
-    ``grid`` is a truncated grid, as for ``newton_solve``.  Each lambda step
+    ``grid`` is a truncated grid, as for ``newton_solve``.  ``w_init`` (zero
+    by default) is the start of the lambda = 0 solve.  Each lambda step
     starts from the previous step's solution and reuses its graph terms;
     they are dropped when the continuation returns.
     """
@@ -334,6 +336,10 @@ def continuation_solve(data: RadialInitialData, config: CapillaryConfig,
         w_init = np.zeros_like(grid.nodes)
     w = _initial_iterate(config, grid, w_init)
     system = _System(RadialFrame.on(data, grid), config, grid)
+    return _continuation(system, w, trace)
+
+
+def _continuation(system: _System, w: np.ndarray, trace) -> JangState:
     lam = 0.0
     state, terms = _newton(system, lam, w)
     _record(trace, state)
@@ -356,6 +362,26 @@ def continuation_solve(data: RadialInitialData, config: CapillaryConfig,
         state, terms = nxt, nxt_terms
         _record(trace, state)
         step = min(2.0 * step, CONTINUATION_STEP)
+    return state
+
+
+def _warm_solve(data, config, grid: RadialGrid, w_init: np.ndarray,
+                trace: list) -> JangState:
+    """One damped Newton solve at lambda = 1 from ``w_init``.
+
+    The solve takes at least one Newton step, so a start that already meets
+    the tolerance still moves and its Cauchy gap is evidence.  If it
+    diverges or meets a singular Jacobian, the lambda-continuation from
+    ``w_init`` solves the radius instead, exactly as ``continuation_solve``
+    does, and ``trace`` holds its steps.
+    """
+    w = _initial_iterate(config, grid, w_init)
+    system = _System(RadialFrame.on(data, grid), config, grid)
+    try:
+        state, _ = _newton(system, 1.0, w, min_steps=1)
+    except (NewtonDivergence, SingularJacobian):
+        return _continuation(system, w, trace)
+    _record(trace, state)
     return state
 
 
@@ -382,11 +408,15 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     ``base_grid.truncate(r_j)``.  The returned nodal u is the last iterate,
     extended by zero beyond its outer radius.
 
-    Every radius runs the whole lambda-continuation from 0.  After the first
-    radius it starts from the previous solution (``_transfer``), but because
-    the path restarts at lambda = 0 that start does not shorten it: for
-    perturbed-dec data at n = 4 each later radius takes 22 Newton iterations
-    against 20 for the first, which starts from zero.
+    The first radius runs the lambda-continuation from zero.  Each later
+    radius differs from the previous one only near its new outer boundary,
+    so it is one damped Newton solve at lambda = 1 from the previous
+    solution (``_transfer``): for perturbed-dec data at n = 4 it takes 1
+    Newton iteration, against 22 for a continuation from the same start.
+    That solve always takes at least one step.  If it fails, the radius
+    falls back to the continuation from the transferred solution.  Each
+    trace entry's ``newton_steps`` holds the one lambda = 1 solve, or the
+    continuation's steps.
     """
     schedule = sorted(float(r) for r in r_j_schedule)
     if not schedule:
@@ -404,9 +434,12 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     converged = False
     for r_j in schedule:
         grid = base_grid.truncate(r_j)
-        w0 = None if prev_state is None else _transfer(prev_state, grid)
         steps = []
-        state = continuation_solve(data, config, grid, w_init=w0, trace=steps)
+        if prev_state is None:
+            state = continuation_solve(data, config, grid, trace=steps)
+        else:
+            state = _warm_solve(data, config, grid,
+                                _transfer(prev_state, grid), steps)
         prof = state.profile()
         on_compact = prof(compact)
         dw = prof.deriv1(grid.nodes)
@@ -451,8 +484,8 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
 def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
     """Previous solution interpolated onto ``grid``, zero beyond its radius.
 
-    It is the lambda = 0 start of the next radius's continuation, not a warm
-    start for that radius's lambda = 1 problem.
+    It is the start of the next radius's lambda = 1 Newton solve, and of its
+    continuation if that solve fails.
     """
     prof = state.profile()
     r = grid.nodes

@@ -41,6 +41,23 @@ def default_grid(r_max: float = DEFAULT_R_MAX,
     return build_grid(r_max, n_intervals, "uniform")
 
 
+def exhaustion_schedule(r0: float, r_max: float,
+                        factors=SCHEDULE_FACTORS) -> list:
+    """Exhaustion radii f * r0 for the factors f, kept inside r_max.
+
+    A schedule that r_max cuts to fewer than three radii leaves at most one
+    Cauchy gap, which cannot show contraction.  It is refilled with the
+    half-doublings r_max * 2^(-k/2), k = 3, 2, 1, 0, that exceed 32 r0 (for
+    r0 = 4 and r_max = 512: 181, 256, 362, 512).  A schedule that r_max does
+    not cut stays as given.
+    """
+    schedule = [f * r0 for f in factors if f * r0 <= r_max]
+    if len(schedule) < len(factors) and len(schedule) < 3:
+        schedule = [r_max * 2.0 ** (-k / 2.0) for k in (3, 2, 1, 0)]
+        schedule = [r for r in schedule if r > 32.0 * r0]
+    return schedule
+
+
 def full_pipeline(family: str, n: int, params: dict, grid: RadialGrid,
                   seed: int, stability_count: int = 10,
                   schedule_factors=SCHEDULE_FACTORS,
@@ -76,7 +93,7 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     }
 
     config = select_capillary_config(data, r0, grid)
-    schedule = [f * r0 for f in schedule_factors if f * r0 <= grid.r_max]
+    schedule = exhaustion_schedule(r0, grid.r_max, schedule_factors)
     limit = exhaustion_solve(data, config, schedule, grid)
     geo = build_graph_geometry(data, config, limit, grid)
 

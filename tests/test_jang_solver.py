@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from janglab.capillary import CapillaryConfig
+import janglab.jang_solver
+from janglab.barrier import find_r0
+from janglab.capillary import CapillaryConfig, select_capillary_config
 from janglab.errors import (AuditInapplicable, ExhaustionNonconvergence,
-                            InvalidArgument, NewtonDivergence)
+                            InvalidArgument, NewtonDivergence,
+                            SingularJacobian)
 from janglab.geometry import RadialFrame, make_dataset
 from janglab.grids import RadialGrid, build_grid
-from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP,
+from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP, EXHAUSTION_TOL,
                                  NEWTON_MAX_DAMPING_FAILURES, NEWTON_MAX_ITER,
                                  TOL_NEWTON, GradientAuditSpec,
                                  capillary_residual, continuation_solve,
                                  estimate_audits, exhaustion_solve,
                                  gradient_ball_audit, jang_jacobian_banded,
                                  jang_jacobian_dense, jang_operator,
-                                 newton_solve, _residual)
+                                 newton_solve, _residual, _transfer)
+from janglab.mass import fit_decay_exponent
+from janglab.pipeline import exhaustion_schedule
 from janglab.profiles import SampledProfile, constant_profile
 
 
@@ -338,6 +343,85 @@ def test_exhaustion_limit_structure(jang_limit, base_grid, r0):
     for e in jang_limit.trace:
         assert e["residual_norm"] < 1e-9
         assert e["sup_w"] > 0.0 and e["sup_dw_g"] > 0.0
+
+
+def _continuation_exhaustion(data, config, schedule, base_grid):
+    """The lambda-continuation at every radius, each later radius started
+    from the previous solution: the exhaustion the warm starts replace.
+    Returns u on the base grid and each radius's continuation steps."""
+    state, steps = None, []
+    for r_j in schedule:
+        grid = base_grid.truncate(r_j)
+        w0 = None if state is None else _transfer(state, grid)
+        steps.append([])
+        state = continuation_solve(data, config, grid, w_init=w0,
+                                   trace=steps[-1])
+    u = np.zeros_like(base_grid.nodes)
+    inside = base_grid.nodes <= state.grid.r_max
+    u[inside] = state.profile()(base_grid.nodes[inside])
+    return u, steps
+
+
+def test_warm_exhaustion_matches_continuation_reference(
+        dec_data, cap_config, jang_limit, base_grid, r0):
+    schedule = [64.0 * r0, 128.0 * r0, 256.0 * r0]
+    u_ref, steps_ref = _continuation_exhaustion(dec_data, cap_config,
+                                                schedule, base_grid)
+    assert len(jang_limit.trace) == len(steps_ref)
+    assert np.max(np.abs(jang_limit.u - u_ref)) < EXHAUSTION_TOL
+    assert jang_limit.trace[0]["newton_steps"] == steps_ref[0]
+    its = []
+    for e in jang_limit.trace[1:]:
+        [step] = e["newton_steps"]       # one solve at lambda = 1
+        assert step["lambda"] == 1.0
+        assert 1 <= step["iterations"] <= 2
+        its.append(step["iterations"])
+    total = sum(s["iterations"] for s in steps_ref[0]) + sum(its)
+    assert total <= 30
+    assert sum(s["iterations"] for steps in steps_ref for s in steps) == 64
+
+
+@pytest.mark.parametrize("error", [NewtonDivergence, SingularJacobian])
+def test_failed_warm_start_falls_back_to_continuation(
+        dec_data, cap_config, base_grid, r0, monkeypatch, error):
+    newton = janglab.jang_solver._newton
+    warm = []
+
+    def failing(*args, **kwargs):
+        if kwargs.get("min_steps"):
+            warm.append(args[1])
+            raise error("forced")
+        return newton(*args, **kwargs)
+    monkeypatch.setattr(janglab.jang_solver, "_newton", failing)
+    schedule = [64.0 * r0, 128.0 * r0, 256.0 * r0]
+    limit = exhaustion_solve(dec_data, cap_config, schedule, base_grid)
+    u_ref, steps_ref = _continuation_exhaustion(dec_data, cap_config,
+                                                schedule, base_grid)
+    assert warm == [1.0, 1.0]
+    assert np.array_equal(limit.u, u_ref)
+    assert [e["newton_steps"] for e in limit.trace] == steps_ref
+
+
+def test_warm_radius_moves_before_it_converges():
+    # at n = 5 the transferred start of the third radius already meets the
+    # Newton tolerance; without a step its gap would be exactly 0 and the
+    # decay exponent of u would move from -3.09 to -4.44
+    grid = build_grid(512.0, 2048, "uniform")
+    data = make_dataset("perturbed-dec", 5, {"m": 1.0, "amplitude": 0.05},
+                        grid=grid, seed=7)
+    r0 = find_r0(data, grid, [1.0, 2.0, 4.0, 8.0])
+    config = select_capillary_config(data, r0, grid)
+    schedule = exhaustion_schedule(r0, grid.r_max)
+    limit = exhaustion_solve(data, config, schedule, grid)
+    for e in limit.trace[1:]:
+        assert e["newton_steps"][-1]["iterations"] >= 1
+        assert e["cauchy_gap"] > 0.0
+    u_ref, _ = _continuation_exhaustion(data, config, schedule, grid)
+    window = (32.0 * r0, 0.5 * limit.outer_radius)
+    exponent = fit_decay_exponent(limit.profile(), grid, window).exponent
+    reference = fit_decay_exponent(SampledProfile(grid, u_ref), grid,
+                                   window).exponent
+    assert abs(exponent - reference) < 1e-6
 
 
 def test_exhaustion_schedule_validation(dec_data, cap_config, base_grid, r0):

@@ -5,8 +5,30 @@ import janglab.jang_metric
 import janglab.pipeline
 import janglab.profiles
 from janglab.grids import build_grid
-from janglab.pipeline import run_pipeline_on
+from janglab.mass import positivity_experiment
+from janglab.pipeline import exhaustion_schedule, run_pipeline_on
 from janglab.profiles import AnalyticProfile
+
+
+def test_exhaustion_schedule_fills_a_cut_schedule():
+    assert exhaustion_schedule(1.0, 512.0) == [64.0, 128.0, 256.0]
+    assert exhaustion_schedule(2.0, 512.0) == [128.0, 256.0, 512.0]
+    # r_max = 512 cuts 1024 for r0 = 4: half-doublings below r_max instead
+    assert exhaustion_schedule(4.0, 512.0) == [
+        512.0 * 2.0 ** -1.5, 256.0, 512.0 * 2.0 ** -0.5, 512.0]
+    # only radii beyond 32 r0 are admissible
+    assert exhaustion_schedule(8.0, 512.0) == [512.0 * 2.0 ** -0.5, 512.0]
+    # a schedule that r_max does not cut stays as given
+    assert exhaustion_schedule(1.0, 512.0, [64, 66]) == [64, 66]
+
+
+def test_barrier_radius_four_dataset_passes(base_grid):
+    # seed 501 of the n = 4 batch has r0 = 4; its cut schedule (256, 512)
+    # left one Cauchy gap and the exhaustion did not converge
+    report = positivity_experiment(4, 1, seed=501, grid=base_grid)
+    [row] = report["rows"]
+    assert row["error"] is None
+    assert report["passed"]
 
 
 def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
