@@ -18,14 +18,12 @@ from .geometry import (ConstraintFields, RadialInitialData, constraint_fields,
 from .grids import RadialGrid, build_grid, geometric_stretch_for
 from .jang_metric import (JangGraphGeometry, ShieldingData,
                           build_graph_geometry, build_shielding,
-                          consequence_audit, divergence_balance,
-                          neighborhood_audit, random_test_functions,
-                          schoen_yau_audit, shielding_audit, stability_audit,
-                          xi_norm_sq)
+                          consequence_audit, neighborhood_audit,
+                          random_test_functions, schoen_yau_audit,
+                          shielding_audit, stability_audit, xi_norm_sq)
 from .jang_solver import (GradientAuditSpec, JangLimit, JangState,
-                          capillary_residual, continuation_solve,
-                          estimate_audits, exhaustion_solve, jang_operator,
-                          newton_solve)
+                          continuation_solve, estimate_audits,
+                          exhaustion_solve, jang_operator, newton_solve)
 from .mass import (DecayFit, experiment_csv, fit_alpha, fit_decay_exponent,
                    positivity_experiment)
 from .pipeline import default_grid, full_pipeline, run_pipeline_on

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
 from .grids import RadialGrid, build_grid
@@ -509,27 +508,37 @@ def geodesic_distance(data: RadialInitialData, r_from: float, r_to: float,
     return val
 
 
-def radius_at_distance(data: RadialInitialData, r_start: float, dist: float,
-                       inward: bool = True, a_extra=None) -> float:
-    """Radius at geodesic distance `dist` from r_start (inward by default).
+def radius_at_distance(data: RadialInitialData, r_start: float,
+                       dist: float) -> float:
+    """Radius at geodesic distance `dist` inward of r_start.
 
-    ``a_extra`` optionally replaces the metric coefficient a by a callable
-    (used for the Jang graph metric a + u'^2).  Clipped at r = 0.
+    Newton's method on L(r) = int_r^{r_start} sqrt(a) = dist, L' = -sqrt(a),
+    bisecting when a step leaves the bracket; L is carried from iterate to
+    iterate, one short quadrature at a time.  Clipped at r = 0.
     """
-    a_fn = a_extra if a_extra is not None else (lambda r: float(data.a(r)))
-
-    def dist_to(r):
-        val, _ = quad(lambda s: math.sqrt(a_fn(s)), r, r_start,
-                      epsrel=1e-10, epsabs=1e-14, limit=200)
-        return val
-
-    if not inward:
-        raise InvalidArgument("only inward collars are needed")
-    if dist_to(0.0) <= dist:
-        return 0.0
-    # dist_to falls from above dist at 0 to 0 at r_start: one sign change
-    return brentq(lambda r: dist_to(r) - dist, 0.0, r_start,
-                  xtol=1e-12 * max(1.0, r_start))
+    root_a = lambda s: math.sqrt(float(data.a(s)))
+    xtol = 1e-12 * max(1.0, r_start)
+    # L(hi) <= dist < L(lo) once lo is evaluated, and r is the end evaluated
+    # last; the origin is evaluated when a step first reaches it
+    lo, hi, r, L, origin_seen = 0.0, r_start, r_start, 0.0, False
+    for _ in range(100):
+        step = (L - dist) / root_a(r)
+        if abs(step) <= xtol:
+            return r + step
+        r_new = r + step
+        if r_new <= 0.0 and not origin_seen:
+            r_new, origin_seen = 0.0, True
+        elif not lo < r_new < hi:
+            r_new = 0.5 * (lo + hi)
+        L += quad(root_a, r_new, r, epsrel=1e-10, epsabs=1e-14, limit=200)[0]
+        r = r_new
+        if L > dist:
+            lo = r
+        elif r == 0.0:
+            return 0.0
+        else:
+            hi = r
+    raise NumericalDegeneracy(f"no radius at distance {dist} from {r_start}")
 
 
 def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):

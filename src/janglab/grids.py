@@ -45,6 +45,8 @@ class RadialGrid:
     _d2: np.ndarray = field(default=None, repr=False, compare=False)
     # the frame of the last dataset evaluated here (geometry.RadialFrame.on)
     _frame: object = field(default=None, repr=False, compare=False)
+    # the not-a-knot spline system on these nodes (profiles._SplineSystem)
+    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -119,7 +121,8 @@ class RadialGrid:
     def truncate(self, r_out: float) -> "RadialGrid":
         """Sub-grid covering [0, r_out]; appends r_out if it is not a node.
 
-        At r_out = r_max it is the grid itself, with its stencils and frame.
+        At r_out = r_max it is the grid itself, with its stencils, frame and
+        spline system.
         """
         if r_out <= self.nodes[MIN_NODES]:
             raise InvalidArgument("truncation radius leaves too few nodes")

@@ -460,16 +460,22 @@ def sphere_volume(n: int) -> float:
 
 
 def compact_bump(lo: float, hi: float):
-    """C^2 bump supported exactly on [lo, hi] (product of smoothsteps)."""
+    """C^2 bump supported exactly on [lo, hi], evaluated inside it only."""
     if hi <= lo:
         raise InvalidArgument("bump needs lo < hi")
     mid = 0.5 * (lo + hi)
 
+    def product(x):
+        return smoothstep((x - lo) / (mid - lo)) * smoothstep((hi - x) / (hi - mid))
+
     def f(r):
         r = np.asarray(r, dtype=float)
-        up = smoothstep((r - lo) / (mid - lo))
-        down = smoothstep((hi - r) / (hi - mid))
-        return up * down
+        if r.ndim == 0:
+            return product(r)
+        out = np.zeros_like(r)
+        inside = (r > lo) & (r < hi)
+        out[inside] = product(r[inside])
+        return out
     return f
 
 def random_test_functions(grid: RadialGrid, count: int, seed: int,
@@ -547,20 +553,3 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     return {"passed": bool(passed), "n_tested": len(values),
             "min_value": min((v["value"] for v in values), default=0.0),
             "min_relative": min_ratio, "values": values}
-
-
-def divergence_balance(data: RadialInitialData, geo: JangGraphGeometry,
-                       f_values: np.ndarray) -> float:
-    """Integral of div(f^2 Xi) over the grid in the graph metric.
-
-    For admissible test functions (constant near the outer end) this must be
-    small, because the divergence theorem reduces it to the outer boundary
-    flux f^2 Xi^r sqrt(a_check) area(r_max), which decays like r^{2-n}.
-    """
-    grid = geo.grid
-    r = grid.nodes
-    a_check = geo.g_check_rr.values
-    area = RadialFrame.on(data, grid).f ** (data.n - 1) * sphere_volume(data.n)
-    flux = f_values ** 2 * geo.Xi_rad.values / np.sqrt(a_check) * area
-    dflux = grid.deriv1(flux)
-    return float(simpson(dflux, x=r))

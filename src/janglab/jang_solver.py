@@ -210,42 +210,6 @@ class _System:
         return step
 
 
-def capillary_residual(data: RadialInitialData, config: CapillaryConfig,
-                       state: JangState) -> np.ndarray:
-    """Full discrete residual vector including the Dirichlet boundary row."""
-    return _residual(RadialFrame.on(data, state.grid), config, state.w,
-                     state.lam, state.grid)
-
-
-def _residual(frame, config, w, lam, grid):
-    system = _System(frame, config, grid)
-    w = np.asarray(w, dtype=float)
-    return system.residual(w, system.terms(w), lam)
-
-
-def jang_jacobian_banded(data: RadialInitialData, config: CapillaryConfig,
-                         w: np.ndarray, lam: float, grid: RadialGrid) -> np.ndarray:
-    """Tridiagonal Jacobian of the discrete residual in solve_banded layout."""
-    system = _System(RadialFrame.on(data, grid), config, grid)
-    t = system.terms(np.asarray(w, dtype=float))
-    sub, diag, sup = system.tridiagonal(t, lam)
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-    return ab
-
-
-def jang_jacobian_dense(data, config, w, lam, grid):
-    """Dense Jacobian (for finite-difference cross-checks in audits)."""
-    ab = jang_jacobian_banded(data, config, w, lam, grid)
-    m = w.size
-    J = np.zeros((m, m))
-    idx = np.arange(m)
-    J[idx, idx] = ab[1]
-    J[idx[:-1], idx[:-1] + 1] = ab[0, 1:]
-    J[idx[1:], idx[1:] - 1] = ab[2, :-1]
-    return J
-
-
 # ---------------------------------------------------------------------------
 # Newton / continuation / exhaustion
 # ---------------------------------------------------------------------------
@@ -508,16 +472,11 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
     and an overall pass flag.  An inapplicable gradient-ball audit becomes a
     failed entry with a note, so the other estimates are still reported.
     """
+    grid = result.grid
     if isinstance(result, JangLimit):
-        grid = result.grid
-        w = result.u
-        r_out = result.outer_radius
-        trace = result.trace
+        w, r_out, trace = result.u, result.outer_radius, result.trace
     else:
-        grid = result.grid
-        w = result.w
-        r_out = grid.r_max
-        trace = None
+        w, r_out, trace = result.w, grid.r_max, None
     r = grid.nodes
     n = data.n
     r0 = config.r0

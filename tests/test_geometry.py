@@ -256,6 +256,36 @@ def test_radius_at_distance_matches_bisection(dec_data, r_start, dist):
     assert abs(got - _bisected_radius(dec_data, r_start, dist)) <= 2e-11
 
 
+def test_collar_search_is_cheap(dec_data, r0):
+    # the shielding collar's inner edge, r0/2 inward of 8 r0: a few Newton
+    # steps, each one short quadrature
+    calls = []
+
+    class Counted:
+        def __call__(self, r):
+            calls.append(r)
+            return dec_data.a(r)
+
+    data = copy.copy(dec_data)
+    data.a = Counted()
+    got = radius_at_distance(data, 8.0 * r0, 0.5 * r0)
+    assert len(calls) <= 120
+    assert abs(got - _bisected_radius(dec_data, 8.0 * r0, 0.5 * r0)) <= 2e-11
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.999, 1.001])
+def test_radius_at_distance_near_the_origin(fraction):
+    # a decreasing a makes the first Newton step from r_start overshoot the
+    # origin when dist is close to L(0); the search then brackets from 0
+    data = make_dataset("conformal", 4, {"alpha": 0.4})
+    dist = fraction * geodesic_distance(data, 0.0, 2.0)
+    got = radius_at_distance(data, 2.0, dist)
+    if fraction > 1.0:
+        assert got == 0.0
+    else:
+        assert abs(got - _bisected_radius(data, 2.0, dist)) <= 2e-11
+
+
 def test_radius_at_distance_clips_at_origin():
     data = make_dataset("flat", 4, {})
     assert radius_at_distance(data, 2.0, 100.0) == 0.0

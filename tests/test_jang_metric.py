@@ -3,17 +3,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
-from janglab.capillary import CapillaryConfig
+from janglab.capillary import CapillaryConfig, smoothstep
 from janglab.errors import InadmissibleTestFunction, ShieldingFailure
-from janglab.geometry import make_dataset, scalar_curvature
+from janglab.geometry import RadialFrame, make_dataset, scalar_curvature
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_metric import (PHI_POLE_THRESHOLD, build_graph_geometry,
                                  build_shielding, compact_bump,
-                                 consequence_audit, divergence_balance,
-                                 neighborhood_audit, random_test_functions,
-                                 schoen_yau_audit, shielding_audit,
-                                 sphere_volume, stability_audit, xi_norm_sq)
+                                 consequence_audit, neighborhood_audit,
+                                 random_test_functions, schoen_yau_audit,
+                                 shielding_audit, sphere_volume,
+                                 stability_audit, xi_norm_sq)
 from janglab.jang_solver import jang_operator
 from janglab.profiles import SampledProfile
 
@@ -283,6 +284,42 @@ def test_compact_bump_support():
     v = bump(r)
     assert np.all(v[(r <= 2.0) | (r >= 5.0)] == 0.0)
     assert np.max(v) > 0.99
+
+
+def test_compact_bump_equals_the_full_grid_product():
+    # the bump evaluates its smoothsteps on (lo, hi) only; every input,
+    # sorted or not, array or scalar, gets the bits of the full product
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        lo = float(rng.uniform(0.0, 50.0))
+        hi = lo + float(rng.uniform(1e-3, 50.0))
+        mid = 0.5 * (lo + hi)
+        r = np.concatenate([rng.uniform(-5.0, 120.0, rng.integers(1, 400)),
+                            [lo, hi, mid, np.nextafter(lo, hi),
+                             np.nextafter(hi, lo)]])
+        rng.shuffle(r)
+        bump = compact_bump(lo, hi)
+        for x in (r, np.sort(r), np.stack([r, r[::-1]]), r[0], float(r[1])):
+            full = (smoothstep((np.asarray(x) - lo) / (mid - lo))
+                    * smoothstep((hi - np.asarray(x)) / (hi - mid)))
+            got = bump(x)
+            assert type(got) is type(full)
+            assert np.shape(got) == np.shape(full)
+            assert np.asarray(got).tobytes() == np.asarray(full).tobytes()
+
+
+def divergence_balance(data, geo, f_values):
+    """Integral of div(f^2 Xi) over the grid in the graph metric.
+
+    For admissible test functions (constant near the outer end) this must be
+    small, because the divergence theorem reduces it to the outer boundary
+    flux f^2 Xi^r sqrt(a_check) area(r_max), which decays like r^{2-n}.
+    """
+    grid = geo.grid
+    a_check = geo.g_check_rr.values
+    area = RadialFrame.on(data, grid).f ** (data.n - 1) * sphere_volume(data.n)
+    flux = f_values ** 2 * geo.Xi_rad.values / np.sqrt(a_check) * area
+    return float(simpson(grid.deriv1(flux), x=grid.nodes))
 
 
 def test_divergence_balance_small(dec_data, graph_geo, base_grid):

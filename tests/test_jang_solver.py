@@ -15,14 +15,47 @@ from janglab.grids import RadialGrid, build_grid
 from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP, EXHAUSTION_TOL,
                                  NEWTON_MAX_DAMPING_FAILURES, NEWTON_MAX_ITER,
                                  TOL_NEWTON, GradientAuditSpec,
-                                 capillary_residual, continuation_solve,
-                                 estimate_audits, exhaustion_solve,
-                                 gradient_ball_audit, jang_jacobian_banded,
-                                 jang_jacobian_dense, jang_operator,
-                                 newton_solve, _residual, _transfer)
+                                 continuation_solve, estimate_audits,
+                                 exhaustion_solve, gradient_ball_audit,
+                                 jang_operator, newton_solve, _System,
+                                 _transfer)
 from janglab.mass import fit_decay_exponent
 from janglab.pipeline import exhaustion_schedule
 from janglab.profiles import SampledProfile, constant_profile
+
+
+def capillary_residual(data, config, state):
+    """Full discrete residual vector including the Dirichlet boundary row."""
+    return _residual(RadialFrame.on(data, state.grid), config, state.w,
+                     state.lam, state.grid)
+
+
+def _residual(frame, config, w, lam, grid):
+    system = _System(frame, config, grid)
+    w = np.asarray(w, dtype=float)
+    return system.residual(w, system.terms(w), lam)
+
+
+def jang_jacobian_banded(data, config, w, lam, grid):
+    """Tridiagonal Jacobian of the discrete residual in solve_banded layout."""
+    system = _System(RadialFrame.on(data, grid), config, grid)
+    t = system.terms(np.asarray(w, dtype=float))
+    sub, diag, sup = system.tridiagonal(t, lam)
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    return ab
+
+
+def jang_jacobian_dense(data, config, w, lam, grid):
+    """Dense Jacobian, for finite-difference cross-checks."""
+    ab = jang_jacobian_banded(data, config, w, lam, grid)
+    m = w.size
+    J = np.zeros((m, m))
+    idx = np.arange(m)
+    J[idx, idx] = ab[1]
+    J[idx[:-1], idx[:-1] + 1] = ab[0, 1:]
+    J[idx[1:], idx[1:] - 1] = ab[2, :-1]
+    return J
 
 
 def synthetic_config(n=4, r0=1.0, grid=None, q_const=1.0, tau=1e-6):

@@ -1,5 +1,4 @@
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 import janglab.jang_metric
 import janglab.pipeline
@@ -7,7 +6,7 @@ import janglab.profiles
 from janglab.grids import build_grid
 from janglab.mass import positivity_experiment
 from janglab.pipeline import exhaustion_schedule, run_pipeline_on
-from janglab.profiles import AnalyticProfile
+from janglab.profiles import AnalyticProfile, SampledProfile
 
 
 def test_exhaustion_schedule_fills_a_cut_schedule():
@@ -40,12 +39,25 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
                 calls.append(self)
             return fn(self, r)
         monkeypatch.setattr(AnalyticProfile, name, counted)
-    built = []
+    # every spline is built from its grid's system: count the splines, the
+    # systems, and the grids that any spline was read on
+    system = janglab.profiles._SplineSystem
+    built, systems, splined = [], [], []
 
-    def spline(x, y, *args, **kwargs):
+    def counted_init(self, x, init=system.__init__):
+        systems.append(x)
+        init(self, x)
+
+    def counted_spline(self, y, spline=system.spline):
         built.append(y)
-        return CubicSpline(x, y, *args, **kwargs)
-    monkeypatch.setattr(janglab.profiles, "CubicSpline", spline)
+        return spline(self, y)
+
+    def counted_get(self, get=SampledProfile._get_spline):
+        splined.append(self.grid)
+        return get(self)
+    monkeypatch.setattr(system, "__init__", counted_init)
+    monkeypatch.setattr(system, "spline", counted_spline)
+    monkeypatch.setattr(SampledProfile, "_get_spline", counted_get)
     geometries, divergences = [], []
     build = janglab.jang_metric.build_graph_geometry
     div_xi = janglab.jang_metric.div_xi
@@ -65,6 +77,10 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     # the nine frame coefficients, read by every stage including |d zeta|^2
     assert len(calls) <= 9
     assert sum(y is results["arrays"]["u"] for y in built) == 1
+    # one spline system per distinct grid, built from that grid's nodes
+    grids = list({id(g): g for g in splined}.values())
+    assert len(systems) == len(grids) > 1
+    assert all(any(x is g.nodes for g in grids) for x in systems)
     # one graph geometry on the base grid, one on the identity audit's
     # coarse grid, and the effective curvature once per geometry
     assert [g.grid.nodes.size for g in geometries] == [2049, 1025]

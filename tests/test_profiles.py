@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from janglab.grids import build_grid
-from janglab.profiles import SampledProfile
+from janglab.profiles import SampledProfile, _SplineSystem
 
 GRIDS = [
     build_grid(512.0, 2048, "uniform"),
@@ -37,3 +37,64 @@ def test_node_reads_match_spline_bit_for_bit(grid, order):
         if name == "signed zeros" and grid.policy == "geometric":
             coef = spline.c[3 - order]
             assert np.any((coef == 0.0) & np.signbit(coef))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _spline_values(r):
+    rng = np.random.default_rng(5)
+    return {**_node_values(r),
+            "all zero": np.zeros_like(r),
+            "1e-300 scale": 1e-300 * rng.standard_normal(r.size),
+            "1e-300 decay": 1e-300 * np.exp(-r / 30.0)}
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["uniform", "geometric", "truncated"])
+def test_spline_equals_cubic_spline_bit_for_bit(grid):
+    # the grid's spline system repeats CubicSpline's arithmetic, so the
+    # coefficients and every evaluation agree with scipy's to the last bit
+    r = grid.nodes
+    rng = np.random.default_rng(9)
+    off = rng.uniform(0.0, grid.r_max, 300)          # unsorted, off the nodes
+    points = {"nodes": r, "off nodes": off,
+              "midpoints": 0.5 * (r[:-1] + r[1:]), "last node": r[-1:]}
+    for name, values in _spline_values(r).items():
+        prof = SampledProfile(grid, values)
+        ours, ref = prof._get_spline(), CubicSpline(r, values)
+        assert np.array_equal(_bits(ours.c), _bits(ref.c)), name
+        assert np.array_equal(ours.x, ref.x)
+        for order, read in enumerate((prof, prof.deriv1, prof.deriv2)):
+            for where, x in points.items():
+                want = _bits(ref(x, order))
+                assert np.array_equal(_bits(ours(x, order)), want), (name, where)
+                assert np.array_equal(_bits(read(x)), want), (name, where)
+
+
+def test_each_grid_builds_one_spline_system(monkeypatch):
+    built = []
+
+    def counted(self, x, init=_SplineSystem.__init__):
+        built.append(x)
+        init(self, x)
+    monkeypatch.setattr(_SplineSystem, "__init__", counted)
+    base = build_grid(64.0, 128, "uniform")
+    grids = [base, build_grid(64.0, 128, "geometric", stretch=1.01),
+             base.truncate(30.5)]
+    for grid in grids + [base.truncate(base.r_max)]:   # the base grid again
+        for values in _spline_values(grid.nodes).values():
+            prof = SampledProfile(grid, values)
+            prof.deriv2(grid.nodes)
+            prof(0.5 * grid.r_max)
+    assert len(built) == len(grids)
+    assert all(x is grid.nodes for x, grid in zip(built, grids))
+    assert all(isinstance(grid._spline, _SplineSystem) for grid in grids)
+
+
+def test_spline_rejects_non_finite_values():
+    grid = build_grid(64.0, 128, "uniform")
+    values = np.ones_like(grid.nodes)
+    values[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        SampledProfile(grid, values)(1.0)
