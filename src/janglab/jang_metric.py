@@ -460,7 +460,10 @@ def sphere_volume(n: int) -> float:
 
 
 def compact_bump(lo: float, hi: float):
-    """C^2 bump supported exactly on [lo, hi], evaluated inside it only."""
+    """C^2 bump supported exactly on [lo, hi] (product of smoothsteps).
+
+    An array input is evaluated on (lo, hi) only; elsewhere it gets 0.0.
+    """
     if hi <= lo:
         raise InvalidArgument("bump needs lo < hi")
     mid = 0.5 * (lo + hi)
