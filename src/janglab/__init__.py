@@ -5,8 +5,7 @@ rotationally symmetric asymptotically flat initial data.
 
 from .barrier import (BarrierProfile, barrier_audit_passes, barrier_csv,
                       barrier_inequality_audit, default_r0_candidates,
-                      eval_barrier, find_r0, graph_operator_at_barrier,
-                      ode_residual, ode_residual_audit)
+                      find_r0, ode_residual, ode_residual_audit)
 from .capillary import (CapillaryConfig, check_capillary_config,
                         select_capillary_config)
 from .errors import JanglabError

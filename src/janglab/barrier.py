@@ -72,11 +72,6 @@ class BarrierProfile:
                 f"barrier needs s > r0 (s={np.min(s)}, r0={self.r0})")
 
 
-def eval_barrier(bp: BarrierProfile, s: float):
-    """(b, b', b'') at radius s > r0."""
-    return bp.b(s), float(bp.bprime(s)), float(bp.bsecond(s))
-
-
 def ode_residual(bp: BarrierProfile, s):
     """Pointwise residual of s b'' + (n-1)(1+b'^2) b' + (1+b'^2)^{3/2} r0^{n-2} s^{2-n}."""
     s = np.asarray(s, dtype=float)
@@ -97,22 +92,12 @@ def ode_residual_audit(bp: BarrierProfile, samples) -> float:
     return float(np.max(np.abs(ode_residual(bp, samples))))
 
 
-def graph_operator_at_barrier(data: RadialInitialData, bp: BarrierProfile,
-                              r: np.ndarray, q_sign: float) -> np.ndarray:
-    """LHS of the barrier inequality with Upsilon = b o r and +/- q.
-
-    This is the capillary Jang operator evaluated at the radial graph of the
-    barrier, reduced to the warped-product frame.
-    """
-    frame = RadialFrame(data, r)
-    # the operator carries (... - lambda q); +q corresponds to lambda = -1
-    return graph_operator(frame, bp.bprime(frame.r), bp.bsecond(frame.r), -q_sign)
-
-
 def barrier_inequality_audit(data: RadialInitialData, bp: BarrierProfile, r):
     """Both strict-inequality left-hand sides (-q and +q) at radii r > r0.
 
-    The audit passes when both profiles are strictly negative at every radius.
+    Each is the capillary Jang operator at the radial graph of the barrier,
+    Upsilon = b o r, reduced to the warped-product frame.  The audit passes
+    when both profiles are strictly negative at every radius.
     """
     frame = RadialFrame(data, r)
     if np.any(frame.r <= bp.r0):

@@ -16,7 +16,6 @@ from .errors import ConfigFailure, DecViolation, InvalidArgument
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
                        radius_at_distance)
 from .grids import RadialGrid
-from .profiles import SampledProfile
 
 
 def smoothstep(x):
@@ -34,12 +33,16 @@ def smoothstep_d1(x):
 
 @dataclass
 class CapillaryConfig:
-    """Fixed parameters of the capillary term and the shielding collar."""
+    """Fixed parameters of the capillary term and the shielding collar.
+
+    ``Q`` holds the density's values at the nodes of the grid it was
+    selected on.
+    """
 
     r0: float
     kappa0: float
     kappa1: float
-    Q: SampledProfile
+    Q: np.ndarray
     s0: float
     s1: float
     tau: float
@@ -121,7 +124,7 @@ def select_capillary_config(data: RadialInitialData, r0: float,
     q_vals[1:-1] = 0.25 * q_raw[:-2] + 0.5 * q_raw[1:-1] + 0.25 * q_raw[2:]
     # smoothing must not eat into the Eq.(2.2) slack
     q_vals = np.minimum(q_vals, 0.45 * margin)
-    cfg.Q = SampledProfile(grid, q_vals, label="Q")
+    cfg.Q = q_vals
 
     collar = _collar_mask(data, grid, 8.0 * r0, 2.0 * cfg.s0)
     q_collar_min = float(np.min(q_vals[collar])) if np.any(collar) else float(np.min(q_vals))
@@ -155,8 +158,11 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     if np.any(zeta[r <= 4.0 * cfg.r0] != 1.0):
         problems.append("zeta must be 1 on r <= 4 r0")
 
+    q_vals = cfg.Q
+    if np.shape(q_vals) != r.shape:
+        problems.append("Q must have one value per grid node")
+        return problems
     margin = constraint_fields(data, grid).margin
-    q_vals = cfg.Q(r)
     if np.any(q_vals <= 0.0):
         problems.append("Q must be strictly positive")
     frame = RadialFrame.on(data, grid)

@@ -20,10 +20,11 @@ from . import jang_solver
 from .barrier import (BarrierProfile, barrier_csv, find_r0,
                       default_r0_candidates)
 from .capillary import select_capillary_config
-from .errors import (ConfigFailure, DecViolation, GenerationFailure,
-                     InvalidArgument, JanglabError, NoAdmissibleR0)
-from .geometry import (constraint_fields, dataset_from_json, make_dataset,
-                       validate_dataset)
+from .errors import (ConfigFailure, ContinuationFailure, DecViolation,
+                     ExhaustionNonconvergence, GenerationFailure,
+                     InvalidArgument, JanglabError, NewtonDivergence,
+                     NoAdmissibleR0, NumericalDegeneracy, SingularJacobian)
+from .geometry import dataset_from_json, make_dataset, validate_dataset
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
 from .pipeline import SCHEDULE_FACTORS, exhaustion_schedule, run_pipeline_on
@@ -35,13 +36,9 @@ EXIT_DEC = 3
 EXIT_SOLVER = 4
 EXIT_AUDIT = 5
 
-def _solver_error_types():
-    from .errors import (ContinuationFailure, ExhaustionNonconvergence,
-                         NewtonDivergence, SingularJacobian,
-                         NumericalDegeneracy)
-    return (ContinuationFailure, ExhaustionNonconvergence, NewtonDivergence,
-            NoAdmissibleR0, SingularJacobian, GenerationFailure,
-            NumericalDegeneracy, ConfigFailure)
+SOLVER_ERRORS = (ContinuationFailure, ExhaustionNonconvergence,
+                 NewtonDivergence, NoAdmissibleR0, SingularJacobian,
+                 GenerationFailure, NumericalDegeneracy, ConfigFailure)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +121,7 @@ def main(argv=None) -> int:
     except DecViolation as exc:
         print(f"energy-condition violation: {exc}", file=sys.stderr)
         return EXIT_DEC
-    except _solver_error_types() as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -188,7 +185,7 @@ def main(argv=None) -> int:
         print(f"energy-condition violation: {exc}", file=sys.stderr)
         emit_report({"error": str(exc), "config_echo": cfg}, out)
         return EXIT_DEC
-    except _solver_error_types() as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         emit_report({"error": str(exc), "config_echo": cfg}, out)
         return EXIT_SOLVER

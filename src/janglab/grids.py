@@ -135,6 +135,13 @@ class RadialGrid:
             keep[-1] = r_out
         return RadialGrid(keep, policy="truncated", stretch=self.stretch)
 
+    def coarsen(self) -> "RadialGrid":
+        """Every other node, plus r_max when N is odd."""
+        nodes = self.nodes[::2]
+        if self.n_intervals % 2:
+            nodes = np.append(nodes, self.nodes[-1])
+        return RadialGrid(nodes, policy="coarsened", stretch=self.stretch)
+
     def outer_third_mask(self) -> np.ndarray:
         """Boolean mask selecting radii in the outer third of [0, r_max]."""
         return self.nodes >= (2.0 / 3.0) * self.r_max

@@ -35,19 +35,19 @@ PHI_POLE_THRESHOLD = -1.0e6
 
 @dataclass
 class JangGraphGeometry:
-    """Radial profiles of the graph metric, its one-form, and its curvature.
+    """The graph metric, its one-form, and its curvature at the grid nodes.
 
-    ``effective`` is the effective curvature R_check/2 - |Xi|^2 + div Xi,
-    the left side of both the pointwise identity and the consequence bound.
+    Only u is a spline profile: the audits interpolate it.  ``effective`` is
+    the effective curvature R_check/2 - |Xi|^2 + div Xi, the left side of
+    both the pointwise identity and the consequence bound.
     """
 
     grid: RadialGrid
     n: int
-    g_check_rr: SampledProfile      # a + u'^2
-    g_check_tan: SampledProfile     # c r^2 (unchanged by the graph)
-    Xi_rad: SampledProfile
-    R_check: SampledProfile
-    Theta: SampledProfile
+    g_check_rr: np.ndarray          # a + u'^2
+    Xi_rad: np.ndarray
+    R_check: np.ndarray
+    Theta: np.ndarray
     u: SampledProfile
     du: np.ndarray = field(repr=False, default=None)
     d2u: np.ndarray = field(repr=False, default=None)
@@ -107,22 +107,15 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
                                 frame.origin_d2[0] + 2.0 * d2u[0] ** 2)
 
     theta = config.tau ** 2 * config.zeta(r) ** 2 * uv
-    mk = lambda vals, lab: SampledProfile(grid, vals, label=lab)
-    geo = JangGraphGeometry(
-        grid=grid, n=n,
-        g_check_rr=mk(a_check, "a_check"),
-        g_check_tan=mk(frame.c * r ** 2, "B"),
-        Xi_rad=mk(xi, "Xi_rad"),
-        R_check=mk(R, "R_check"),
-        Theta=mk(theta, "Theta"),
-        u=uprof, du=du, d2u=d2u)
+    geo = JangGraphGeometry(grid=grid, n=n, g_check_rr=a_check, Xi_rad=xi,
+                            R_check=R, Theta=theta, u=uprof, du=du, d2u=d2u)
     geo.effective = 0.5 * R - xi_norm_sq(geo) + div_xi(data, geo)
     return geo
 
 
 def xi_norm_sq(geo: JangGraphGeometry) -> np.ndarray:
     """|Xi|^2 in the graph metric: Xi_r^2 / a_check."""
-    return geo.Xi_rad.values ** 2 / geo.g_check_rr.values
+    return geo.Xi_rad ** 2 / geo.g_check_rr
 
 
 def div_xi(data: RadialInitialData, geo: JangGraphGeometry) -> np.ndarray:
@@ -131,9 +124,9 @@ def div_xi(data: RadialInitialData, geo: JangGraphGeometry) -> np.ndarray:
     r = grid.nodes
     n = data.n
     frame = RadialFrame.on(data, grid)
-    a_check = geo.g_check_rr.values
+    a_check = geo.g_check_rr
     da_check = frame.da + 2.0 * geo.du * geo.d2u
-    up = geo.Xi_rad.values / a_check          # raised radial component
+    up = geo.Xi_rad / a_check                 # raised radial component
     dup = grid.deriv1(up)
     with np.errstate(invalid="ignore"):
         out = dup + up * (da_check / (2.0 * a_check) + (n - 1) * frame.warp)
@@ -156,7 +149,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
     frame = RadialFrame.on(data, grid)
     a, da, c, dc = frame.a, frame.da, frame.c, frame.dc
     du, d2u = geo.du, geo.d2u
-    a_check = geo.g_check_rr.values
+    a_check = geo.g_check_rr
     P = a_check / a
     fields = constraint_fields(data, grid)
 
@@ -164,7 +157,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
         theta = theta_override(r)
         dtheta = theta_override.deriv1(r)
     else:
-        theta = geo.Theta.values
+        theta = geo.Theta
         zeta = config.zeta(r)
         dzeta = config.zeta_d1(r)
         dtheta = config.tau ** 2 * (2.0 * zeta * dzeta * uv + zeta ** 2 * du)
@@ -201,10 +194,7 @@ def schoen_yau_audit(data: RadialInitialData, config: CapillaryConfig,
     lhs, rhs = _identity_sides(data, config, geo, theta_override)
     err_fine = _rel_err(lhs, rhs)
 
-    coarse_nodes = grid.nodes[::2]
-    if coarse_nodes[-1] != grid.nodes[-1]:
-        coarse_nodes = np.append(coarse_nodes, grid.nodes[-1])
-    cgrid = RadialGrid(coarse_nodes, policy="coarsened", stretch=grid.stretch)
+    cgrid = grid.coarsen()
     cgeo = build_graph_geometry(data, config, geo.u(cgrid.nodes), cgrid)
     lhs_c, rhs_c = _identity_sides(data, config, cgeo, theta_override)
     err_coarse = _rel_err(lhs_c, rhs_c)
@@ -241,7 +231,7 @@ def consequence_audit(data: RadialInitialData, config: CapillaryConfig,
     frame = RadialFrame.on(data, geo.grid)
     dz2 = config.dzeta_norm_sq(frame)
     zeta = config.zeta(r)
-    rhs = (config.Q(r)
+    rhs = (config.Q
            + (config.kappa0 ** 2 - config.tau ** 2 * uv ** 2) * dz2
            + (config.kappa1 - config.tau ** 2 * np.abs(uv)) * zeta ** 2
            * data.n * frame.q_norm)
@@ -257,7 +247,7 @@ def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
     """
     grid = geo.grid
     r = grid.nodes
-    coeff = (geo.g_check_rr.values if metric == "check"
+    coeff = (geo.g_check_rr if metric == "check"
              else RadialFrame.on(data, grid).a)
     cum = np.concatenate(([0.0], cumulative_trapezoid(np.sqrt(coeff), r)))
     c_thr = float(np.interp(threshold, r, cum))
@@ -272,7 +262,6 @@ def neighborhood_audit(data: RadialInitialData, config: CapillaryConfig,
     collar of width s1 + 2 s0; (ii) the graph-metric 2 s0 collar is contained
     in the base-metric one and Q exceeds 128/(s1 s0) there.
     """
-    r = geo.grid.nodes
     d_check = _distance_to_exterior(data, geo, config.E0_threshold, "check")
     d_base = _distance_to_exterior(data, geo, config.E0_threshold, "base")
     width = config.collar_width_total
@@ -285,7 +274,7 @@ def neighborhood_audit(data: RadialInitialData, config: CapillaryConfig,
     inner = (d_check > 0.0) & (d_check < 2.0 * config.s0)
     # containment: graph distance dominates base distance node by node
     ok_contain = bool(np.all(d_check >= d_base * (1.0 - 1e-12)))
-    qmin = float(np.min(config.Q(r)[inner])) if np.any(inner) else math.inf
+    qmin = float(np.min(config.Q[inner])) if np.any(inner) else math.inf
     ok_q = qmin > 128.0 / (config.s1 * config.s0)
 
     return {"passed": bool(ok_i and ok_contain and ok_q),
@@ -302,18 +291,19 @@ def neighborhood_audit(data: RadialInitialData, config: CapillaryConfig,
 
 @dataclass
 class ShieldingData:
-    """Shielding weight Phi and reduced density Q_hat on the region E.
+    """Shielding weight Phi, reduced density Q_hat and collar depth d.
 
-    E is the graph-metric collar of the exterior region of total width
+    All three are nodal values on the grid of the construction.  E is the
+    graph-metric collar of the exterior region of total width
     ``width``; ``E_outer_radius`` is the radius where E ends (0 when E covers
     the whole grid, in which case ``boundary_empty`` is set and the weight
     never reaches its pole).
     """
 
     E_outer_radius: float
-    Phi: SampledProfile
-    Q_hat: SampledProfile
-    d_profile: SampledProfile
+    Phi: np.ndarray
+    Q_hat: np.ndarray
+    d_profile: np.ndarray
     width: float
     transition: float
     boundary_empty: bool
@@ -354,18 +344,16 @@ def build_shielding(data: RadialInitialData, config: CapillaryConfig,
     t = min(2.0 * config.s0, 0.5 * L)
     d = _distance_to_exterior(data, geo, config.E0_threshold, "check")
     sd = ShieldingData(
-        E_outer_radius=0.0, Phi=None, Q_hat=None,
-        d_profile=SampledProfile(grid, d, label="d"),
-        width=L, transition=t, boundary_empty=bool(d[0] < L),
+        E_outer_radius=0.0, Phi=None, Q_hat=None, d_profile=d, width=L,
+        transition=t, boundary_empty=bool(d[0] < L),
         E0_threshold=config.E0_threshold)
     in_E = d < L
     phi = np.where(in_E, sd.phi_of_d(np.minimum(d, L * (1.0 - 1e-15))), -np.inf)
     dphi = np.where(in_E, sd.dphi_of_d(np.minimum(d, L * (1.0 - 1e-15))), 0.0)
-    q = config.Q(r)
+    q = config.Q
     x = q + 0.5 * phi ** 2 - 2.0 * np.abs(dphi)
-    q_hat = np.where(d > 0.0, 0.5 * x, 0.5 * q)
-    sd.Phi = SampledProfile(grid, np.where(in_E, phi, 0.0), label="Phi")
-    sd.Q_hat = SampledProfile(grid, q_hat, label="Q_hat")
+    sd.Phi = np.where(in_E, phi, 0.0)
+    sd.Q_hat = np.where(d > 0.0, 0.5 * x, 0.5 * q)
     if not sd.boundary_empty:
         outside = r[~in_E]
         sd.E_outer_radius = float(np.max(outside)) if outside.size else 0.0
@@ -380,7 +368,7 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
                     grid: RadialGrid) -> dict:
     """Re-check the six defining properties of the shielding construction.
 
-    Works from the stored nodal profiles (so tampered inputs are caught):
+    Works from the stored nodal values (so tampered inputs are caught):
     1. E contains the closure of the exterior region E0;
     2. E lies inside the graph-metric collar of width s1 + 2 s0 (or the
        construction width for synthetic data);
@@ -391,10 +379,10 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     6. Q + Phi^2/2 - 2|dPhi| >= 2 Q_hat everywhere on E, strictly positive.
     """
     r = grid.nodes
-    d = sd.d_profile.values
-    phi = sd.Phi.values
-    q_hat = sd.Q_hat.values
-    q = config.Q(r)
+    d = sd.d_profile
+    phi = sd.Phi
+    q_hat = sd.Q_hat
+    q = config.Q
     in_E = r > sd.E_outer_radius
     on_E0 = r > sd.E0_threshold
     bullets = {}
@@ -524,11 +512,11 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     grid = geo.grid
     r = grid.nodes
     uv = geo.u.values
-    a_check = geo.g_check_rr.values
+    a_check = geo.g_check_rr
     f = RadialFrame.on(data, grid).f
     vol = np.sqrt(a_check) * f ** (data.n - 1) * sphere_volume(data.n)
-    half_R = 0.5 * geo.R_check.values
-    q = config.Q(r)
+    half_R = 0.5 * geo.R_check
+    q = config.Q
     budget = 2.0 * config.smallness_budget   # min(kappa0/tau, kappa1/tau^2)
 
     admissible_region = np.abs(uv) < budget

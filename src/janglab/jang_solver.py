@@ -464,19 +464,15 @@ def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
-                    result, bp: BarrierProfile) -> dict:
-    """Audit the a-priori bounds satisfied by a converged solve.
+                    result: JangLimit, bp: BarrierProfile) -> dict:
+    """Audit the a-priori bounds satisfied by an exhaustion limit.
 
-    ``result`` is a JangState (one truncated solve) or a JangLimit
-    (exhaustion).  Returns a report dictionary with one entry per estimate
-    and an overall pass flag.  An inapplicable gradient-ball audit becomes a
-    failed entry with a note, so the other estimates are still reported.
+    Returns a report dictionary with one entry per estimate and an overall
+    pass flag.  An inapplicable gradient-ball audit becomes a failed entry
+    with a note, so the other estimates are still reported.
     """
     grid = result.grid
-    if isinstance(result, JangLimit):
-        w, r_out, trace = result.u, result.outer_radius, result.trace
-    else:
-        w, r_out, trace = result.w, grid.r_max, None
+    w, r_out, trace = result.u, result.outer_radius, result.trace
     r = grid.nodes
     n = data.n
     r0 = config.r0
@@ -505,7 +501,7 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
         "sup": float(np.max(absw)), "bound": cap, "first_violation": None}
 
     # (iv) uniform gradient bound across the exhaustion trace
-    if trace is not None and len(trace) > 1:
+    if len(trace) > 1:
         sups = np.array([e["sup_dw_g"] for e in trace])
         med = float(np.median(sups))
         ok = bool(np.max(sups) <= 1.05 * med + tol)
@@ -604,8 +600,7 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
     # evaluate the weighted supremum on a shared dense radius set, with w
     # represented on the working grid and on its two-fold coarsening; C0,
     # A, and psi are fixed, so the comparison isolates the grid resolution
-    coarse_grid = RadialGrid(grid.nodes[::2], policy="coarsened",
-                             stretch=grid.stretch)
+    coarse_grid = grid.coarsen()
     wc = SampledProfile(coarse_grid, wprof(coarse_grid.nodes))
     sup_fine = _dense_supremum(data, wprof, fine, A, sigma, C0)
     sup_coarse = _dense_supremum(data, wc, fine, A, sigma, C0)

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import FitFailure, InsufficientData, InvalidArgument
 from .geometry import RadialInitialData
 from .grids import RadialGrid
-from .profiles import SampledProfile
 
 RMS_ACCEPT = 0.1
 
@@ -46,24 +45,28 @@ def fit_alpha(obj, grid: RadialGrid, window=None):
 
     Least-squares fit of (a(r) - 1) against r^{2-n} on the window (default
     [r_max/4, r_max/2]).  ``obj`` is a dataset (fits the base metric) or a
-    graph geometry (fits the graph coefficient a + u'^2).  Returns
+    graph geometry on ``grid`` (fits the graph coefficient a + u'^2 at the
+    window nodes).  Returns
     (alpha, DecayFit); raises FitFailure when the relative rms residual
     exceeds 0.1, i.e. when the profile is not of the modeled form.
     """
     if isinstance(obj, RadialInitialData):
         return fit_alpha_profile(obj.a, obj.n, grid, window)
     if hasattr(obj, "g_check_rr"):  # graph geometry
+        if not np.array_equal(obj.grid.nodes, grid.nodes):
+            raise InvalidArgument("the graph geometry must live on the grid")
         return fit_alpha_profile(obj.g_check_rr, obj.n, grid, window)
     raise InvalidArgument("fit_alpha needs a dataset or a graph geometry")
 
 
 def fit_alpha_profile(profile, n: int, grid: RadialGrid, window=None):
-    """fit_alpha on an explicit radial coefficient profile."""
+    """fit_alpha on an explicit radial coefficient: a profile, or its
+    values at the grid nodes."""
     mask, win = _window_mask(grid, window or _default_window(grid))
     r = grid.nodes[mask]
     if r.size < 8:
         raise InsufficientData(f"only {r.size} nodes in fit window {win}")
-    y = np.asarray(profile(r), dtype=float) - 1.0
+    y = _window_values(profile, r, mask) - 1.0
     x = r ** (2.0 - n)
     if float(np.max(np.abs(y))) < 1e-13:
         fit = DecayFit(exponent=2.0 - n, amplitude=0.0, fit_window=win,
@@ -81,14 +84,21 @@ def fit_alpha_profile(profile, n: int, grid: RadialGrid, window=None):
     return alpha, fit
 
 
+def _window_values(profile, r, mask) -> np.ndarray:
+    """A profile at the window radii r, or nodal values at the window."""
+    if callable(profile):
+        return np.asarray(profile(r), dtype=float)
+    return np.asarray(profile, dtype=float)[mask]
+
+
 def fit_decay_exponent(profile, grid: RadialGrid, window) -> DecayFit:
-    """Log-log regression of |profile| on the window; zeros are masked."""
+    """Log-log regression of |profile| on the window; zeros are masked.
+
+    ``profile`` is a profile or its values at the grid nodes.
+    """
     mask, win = _window_mask(grid, window)
     r = grid.nodes[mask]
-    if isinstance(profile, SampledProfile) or callable(profile):
-        v = np.abs(np.asarray(profile(r), dtype=float))
-    else:
-        v = np.abs(np.asarray(profile, dtype=float)[mask])
+    v = np.abs(_window_values(profile, r, mask))
     keep = v > 1e-280
     if np.count_nonzero(keep) < 8:
         raise InsufficientData(

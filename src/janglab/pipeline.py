@@ -23,7 +23,6 @@ from .jang_metric import (build_graph_geometry, build_shielding,
                           shielding_audit, stability_audit, xi_norm_sq)
 from .jang_solver import estimate_audits, exhaustion_solve
 from .mass import fit_alpha, fit_decay_exponent
-from .profiles import SampledProfile
 
 DEFAULT_R_MAX = 512.0
 DEFAULT_N_INTERVALS = 2048
@@ -114,11 +113,10 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     alpha_graph, _ = fit_alpha(geo, grid)
     window = (32.0 * r0, 0.5 * limit.outer_radius)
     decay = {}
-    for name, prof in (("u", limit.profile()),
-                       ("Xi", SampledProfile(grid, np.sqrt(xi_norm_sq(geo)))),
-                       ("R_check", geo.R_check)):
+    for name, values in (("u", limit.u), ("Xi", np.sqrt(xi_norm_sq(geo))),
+                         ("R_check", geo.R_check)):
         try:
-            decay[name] = asdict(fit_decay_exponent(prof, grid, window))
+            decay[name] = asdict(fit_decay_exponent(values, grid, window))
         except Exception as exc:
             decay[name] = {"error": str(exc)}
 

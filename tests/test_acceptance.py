@@ -28,7 +28,7 @@ from janglab.jang_solver import (continuation_solve, estimate_audits,
 from janglab.mass import (fit_alpha, fit_alpha_profile, fit_decay_exponent,
                           positivity_experiment)
 from janglab.pipeline import default_grid, run_pipeline_on
-from janglab.profiles import AnalyticProfile, SampledProfile
+from janglab.profiles import AnalyticProfile
 from janglab.report import emit_report
 
 from test_geometry import sphere_dataset
@@ -217,7 +217,7 @@ def test_positivity_audits(fine_setup):
     # constructed violations land on the predicted bullet and node
     _, s_config, _, s_grid, s_sd = synthetic_shielding()
     zeroed = copy.copy(s_sd)
-    zeroed.Phi = SampledProfile(s_grid, np.zeros_like(s_grid.nodes))
+    zeroed.Phi = np.zeros_like(s_grid.nodes)
     bad = shielding_audit(zeroed, s_config, s_grid)
     assert not bad["bullets"]["pole_at_boundary"]["passed"]
     loc = bad["bullets"]["reduced_density_bound"]["first_violation"]
@@ -229,7 +229,7 @@ def test_positivity_audits(fine_setup):
 
     # corrupting the density by 1e4 breaks the consequence bound
     bad_cfg = copy.copy(config)
-    bad_cfg.Q = SampledProfile(grid, 1e4 * config.Q(grid.nodes))
+    bad_cfg.Q = 1e4 * config.Q
     corrupted = consequence_audit(data, bad_cfg, geo)
     assert float(np.nanmin(corrupted)) < -1.0
 
@@ -248,7 +248,7 @@ def test_decay_exponents(fine_setup):
     slope_u = fit_decay_exponent(limit.profile(), grid, window).exponent
     assert slope_u <= -0.8                      # r^{3-n} with 0.2 slack
 
-    xi = SampledProfile(grid, np.sqrt(xi_norm_sq(geo)))
+    xi = np.sqrt(xi_norm_sq(geo))
     slope_xi = fit_decay_exponent(xi, grid, window).exponent
     assert slope_xi <= -(2 * n - 3) + 0.3
 

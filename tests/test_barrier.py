@@ -4,8 +4,7 @@ from scipy.integrate import quad
 
 from janglab.barrier import (BarrierProfile, barrier_audit_passes,
                              barrier_csv, barrier_inequality_audit,
-                             default_r0_candidates, eval_barrier, find_r0,
-                             graph_operator_at_barrier, ode_residual,
+                             default_r0_candidates, find_r0, ode_residual,
                              ode_residual_audit)
 from janglab.errors import DomainError, NoAdmissibleR0
 from janglab.geometry import make_dataset
@@ -116,19 +115,12 @@ def test_ode_audit_rejects_samples_at_r0():
         ode_residual_audit(bp, np.array([1.0, 2.0]))
 
 
-def test_eval_barrier_domain():
-    bp = BarrierProfile(r0=1.0, n=4)
-    with pytest.raises(DomainError):
-        eval_barrier(bp, 0.5)
-    b, b1, b2 = eval_barrier(bp, 2.0)
-    assert b > 0.0 and b1 < 0.0 and b2 > 0.0
-
-
 def test_barrier_decreasing_and_vanishing_at_infinity():
     bp = BarrierProfile(r0=1.0, n=4)
     s = np.array([1.5, 2.0, 4.0, 16.0, 128.0, 1024.0])
     b = np.array([bp.b(float(x)) for x in s])
-    assert np.all(np.diff(b) < 0.0)
+    assert np.all(b > 0.0) and np.all(np.diff(b) < 0.0)
+    assert np.all(bp.bprime(s) < 0.0) and np.all(bp.bsecond(s) > 0.0)
     # b ~ r0^2 / s for n = 4 at large s
     assert abs(b[-1] - 1.0 / 1024.0) < 1e-5
 
@@ -139,7 +131,7 @@ def test_flat_graph_operator_closed_form():
     data = make_dataset("flat", 4, {})
     bp = BarrierProfile(r0=1.0, n=4)
     r = np.geomspace(1.5, 100.0, 50)
-    got = graph_operator_at_barrier(data, bp, r, q_sign=-1.0)
+    got = barrier_inequality_audit(data, bp, r)[0]
     want = -(1.0 / r) ** 3
     assert np.max(np.abs(got - want)) < 1e-13
 

@@ -7,7 +7,6 @@ from janglab.capillary import (CapillaryConfig, check_capillary_config,
 from janglab.errors import DecViolation, InvalidArgument
 from janglab.geometry import RadialFrame, constraint_fields
 from janglab.grids import build_grid
-from janglab.profiles import SampledProfile
 
 
 def test_smoothstep_endpoints_and_flatness():
@@ -55,7 +54,7 @@ def test_margin_dominates_capillary_terms(dec_data, cap_config, base_grid):
                RadialFrame.on(dec_data, base_grid))
            - cap_config.kappa1 * cap_config.zeta(r) ** 2 * dec_data.n
            * dec_data.q_frame_norm(r))
-    q = cap_config.Q(r)
+    q = cap_config.Q
     assert np.all(q > 0.0)
     assert np.all(lhs >= q)
 
@@ -63,7 +62,7 @@ def test_margin_dominates_capillary_terms(dec_data, cap_config, base_grid):
 def test_q_respects_decay_tail(cap_config, base_grid):
     r = base_grid.nodes
     outer = base_grid.outer_third_mask()
-    ratio = cap_config.Q(r)[outer] * (1.0 + r[outer]) ** (
+    ratio = cap_config.Q[outer] * (1.0 + r[outer]) ** (
         cap_config.n + 2.0 * cap_config.delta)
     assert np.max(ratio) <= 2.0 * ratio[0] + 1e-300
 
@@ -101,11 +100,10 @@ def test_checker_flags_tampered_parameters(dec_data, cap_config, base_grid):
     assert any("s1" in p for p in problems2)
 
     bad3 = copy.copy(cap_config)
-    r = base_grid.nodes
     # flatten Q's tail: violates the (1+r)^{-n-2 delta} envelope
-    qv = cap_config.Q(r).copy()
+    qv = cap_config.Q.copy()
     qv[base_grid.outer_third_mask()] = qv[base_grid.outer_third_mask()][0]
-    bad3.Q = SampledProfile(base_grid, qv, label="Q")
+    bad3.Q = qv
     problems3 = check_capillary_config(bad3, dec_data, base_grid)
     assert any("tail" in p for p in problems3)
 
@@ -113,6 +111,11 @@ def test_checker_flags_tampered_parameters(dec_data, cap_config, base_grid):
     bad4.tau = 1.0     # far too large for the collar width
     problems4 = check_capillary_config(bad4, dec_data, base_grid)
     assert any("smallness" in p for p in problems4)
+
+    bad5 = copy.copy(cap_config)
+    bad5.Q = cap_config.Q[:-1]     # not one value per grid node
+    problems5 = check_capillary_config(bad5, dec_data, base_grid)
+    assert any("one value per grid node" in p for p in problems5)
 
 
 def test_config_derived_properties(cap_config):

@@ -91,6 +91,16 @@ def test_truncate_on_existing_node():
     assert t.nodes.size == np.count_nonzero(g.nodes <= 8.0)
 
 
+def test_coarsen_keeps_every_other_node_and_r_max():
+    even = build_grid(64.0, 32, "uniform")
+    assert np.array_equal(even.coarsen().nodes, even.nodes[::2])
+    odd = build_grid(64.0, 33, "geometric", 1.01)
+    coarse = odd.coarsen()
+    assert np.array_equal(coarse.nodes[:-1], odd.nodes[::2])
+    assert coarse.nodes[-1] == odd.r_max and coarse.n_intervals == 17
+    assert coarse.policy == "coarsened" and coarse.stretch == odd.stretch
+
+
 def test_outer_third_mask():
     g = build_grid(9.0, 18, "uniform")
     mask = g.outer_third_mask()

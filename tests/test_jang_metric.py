@@ -21,7 +21,7 @@ from janglab.profiles import SampledProfile
 
 def _flat_setup(grid, q_const=1000.0, r0=2.0, s0=1.0, s1=8.0):
     data = make_dataset("flat", 4, {})
-    q = SampledProfile(grid, np.full_like(grid.nodes, q_const), label="Q")
+    q = np.full_like(grid.nodes, q_const)
     config = CapillaryConfig(r0=r0, kappa0=1.0, kappa1=1.0, Q=q, s0=s0,
                              s1=s1, tau=1e-8, n=4, delta=0.5)
     return data, config
@@ -35,10 +35,10 @@ def test_zero_solution_reproduces_base_geometry(dec_data, cap_config,
                                                 base_grid):
     u = np.zeros_like(base_grid.nodes)
     geo = build_graph_geometry(dec_data, cap_config, u, base_grid)
-    assert np.array_equal(geo.g_check_rr.values, dec_data.a(base_grid.nodes))
-    assert np.max(np.abs(geo.Xi_rad.values)) == 0.0
+    assert np.array_equal(geo.g_check_rr, dec_data.a(base_grid.nodes))
+    assert np.max(np.abs(geo.Xi_rad)) == 0.0
     R_base = scalar_curvature(dec_data, base_grid)
-    assert np.array_equal(geo.R_check.values, R_base)
+    assert np.array_equal(geo.R_check, R_base)
     assert np.max(np.abs(xi_norm_sq(geo))) == 0.0
 
 
@@ -46,11 +46,11 @@ def test_graph_metric_coefficient_and_theta(dec_data, cap_config, jang_limit,
                                             graph_geo, base_grid):
     r = base_grid.nodes
     a = dec_data.a(r)
-    assert np.all(graph_geo.g_check_rr.values >= a)   # a + u'^2 >= a
-    assert np.allclose(graph_geo.g_check_rr.values,
+    assert np.all(graph_geo.g_check_rr >= a)   # a + u'^2 >= a
+    assert np.allclose(graph_geo.g_check_rr,
                        a + graph_geo.du ** 2)
     theta = cap_config.tau ** 2 * cap_config.zeta(r) ** 2 * jang_limit.u
-    assert np.array_equal(graph_geo.Theta.values, theta)
+    assert np.array_equal(graph_geo.Theta, theta)
     assert graph_geo.du[0] == 0.0     # even origin closure
 
 
@@ -84,9 +84,9 @@ def test_identity_audit_reads_the_given_geometry(dec_data, cap_config,
     # a copy whose graph curvature is scaled by 1.01, with its effective
     # curvature R_check/2 - |Xi|^2 + div Xi following, no longer satisfies
     # the identity on the working grid
-    R = graph_geo.R_check.values
+    R = graph_geo.R_check
     scaled = dataclasses.replace(
-        graph_geo, R_check=SampledProfile(graph_geo.grid, 1.01 * R),
+        graph_geo, R_check=1.01 * R,
         effective=graph_geo.effective + 0.005 * R)
     base = schoen_yau_audit(dec_data, cap_config, graph_geo)
     report = schoen_yau_audit(dec_data, cap_config, scaled)
@@ -141,8 +141,7 @@ def test_consequence_fails_for_corrupted_density(dec_data, cap_config,
     # the identity's quadratic slack absorbs moderate corruption of Q, so
     # the constructed violation scales it by 1e4, which provably overshoots
     bad = copy.copy(cap_config)
-    r = base_grid.nodes
-    bad.Q = SampledProfile(base_grid, 1e4 * cap_config.Q(r), label="Q")
+    bad.Q = 1e4 * cap_config.Q
     margin = consequence_audit(dec_data, bad, graph_geo)
     assert float(np.nanmin(margin)) < -1.0
 
@@ -181,9 +180,8 @@ def test_shielding_on_converged_solution(dec_data, cap_config, graph_geo,
     assert report["bullets"]["pole_at_boundary"]["vacuous"]
     r = base_grid.nodes
     on_E0 = r > cap_config.E0_threshold
-    assert np.all(sd.Phi.values[on_E0] == 0.0)
-    assert np.allclose(sd.Q_hat.values[on_E0],
-                       0.5 * cap_config.Q(r)[on_E0])
+    assert np.all(sd.Phi[on_E0] == 0.0)
+    assert np.allclose(sd.Q_hat[on_E0], 0.5 * cap_config.Q[on_E0])
 
 
 def synthetic_shielding_grid():
@@ -208,14 +206,14 @@ def test_synthetic_shielding_pole_in_grid():
     assert sd.E_outer_radius == 6.0
     # the node at depth width - 1e-9 sits against the pole
     i = int(np.argmin(np.abs(grid.nodes - (6.0 + 1e-9))))
-    assert sd.Phi.values[i] < PHI_POLE_THRESHOLD
+    assert sd.Phi[i] < PHI_POLE_THRESHOLD
     assert not report["bullets"]["pole_at_boundary"]["vacuous"]
 
 
 def test_synthetic_shielding_zeroed_weight_is_caught():
     _, config, _, grid, sd = synthetic_shielding()
     bad = copy.copy(sd)
-    bad.Phi = SampledProfile(grid, np.zeros_like(grid.nodes), label="Phi")
+    bad.Phi = np.zeros_like(grid.nodes)
     report = shielding_audit(bad, config, grid)
     assert not report["passed"]
     assert not report["bullets"]["pole_at_boundary"]["passed"]
@@ -316,14 +314,14 @@ def divergence_balance(data, geo, f_values):
     flux f^2 Xi^r sqrt(a_check) area(r_max), which decays like r^{2-n}.
     """
     grid = geo.grid
-    a_check = geo.g_check_rr.values
+    a_check = geo.g_check_rr
     area = RadialFrame.on(data, grid).f ** (data.n - 1) * sphere_volume(data.n)
-    flux = f_values ** 2 * geo.Xi_rad.values / np.sqrt(a_check) * area
+    flux = f_values ** 2 * geo.Xi_rad / np.sqrt(a_check) * area
     return float(simpson(grid.deriv1(flux), x=grid.nodes))
 
 
 def test_divergence_balance_small(dec_data, graph_geo, base_grid):
     f = np.ones_like(base_grid.nodes)
     total = divergence_balance(dec_data, graph_geo, f)
-    xi_sup = float(np.max(np.abs(graph_geo.Xi_rad.values)))
+    xi_sup = float(np.max(np.abs(graph_geo.Xi_rad)))
     assert abs(total) < 0.1 * max(xi_sup, 1e-300)

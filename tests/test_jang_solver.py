@@ -21,7 +21,7 @@ from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP, EXHAUSTION_TOL,
                                  _transfer)
 from janglab.mass import fit_decay_exponent
 from janglab.pipeline import exhaustion_schedule
-from janglab.profiles import SampledProfile, constant_profile
+from janglab.profiles import SampledProfile
 
 
 def capillary_residual(data, config, state):
@@ -58,11 +58,10 @@ def jang_jacobian_dense(data, config, w, lam, grid):
     return J
 
 
-def synthetic_config(n=4, r0=1.0, grid=None, q_const=1.0, tau=1e-6):
+def synthetic_config(grid, n=4, r0=1.0, q_const=1.0, tau=1e-6):
     """Hand-built capillary configuration for solver-only tests."""
-    q = (SampledProfile(grid, np.full_like(grid.nodes, q_const), label="Q")
-         if grid is not None else constant_profile(q_const))
-    return CapillaryConfig(r0=r0, kappa0=1.0, kappa1=1.0, Q=q,
+    return CapillaryConfig(r0=r0, kappa0=1.0, kappa1=1.0,
+                           Q=np.full_like(grid.nodes, q_const),
                            s0=r0 / 4.0, s1=r0, tau=tau, n=n, delta=0.5)
 
 

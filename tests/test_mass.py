@@ -55,6 +55,9 @@ def test_fit_alpha_on_graph_geometry(dec_data, cap_config, jang_limit,
     alpha_graph, _ = fit_alpha(graph_geo, base_grid)
     # u' decays too fast to move the fitted mass at this tolerance
     assert abs(alpha_graph - alpha_base) < 1e-6 * max(1.0, abs(alpha_base))
+    # the graph coefficient is read at the nodes of its own grid only
+    with pytest.raises(InvalidArgument):
+        fit_alpha(graph_geo, build_grid(512.0, 1024, "uniform"))
 
 
 def test_fit_alpha_rejects_wrong_model():

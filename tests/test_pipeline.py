@@ -3,7 +3,9 @@ import numpy as np
 import janglab.jang_metric
 import janglab.pipeline
 import janglab.profiles
-from janglab.grids import build_grid
+from janglab.geometry import make_dataset
+from janglab.grids import RadialGrid, build_grid
+from janglab.jang_metric import xi_norm_sq
 from janglab.mass import positivity_experiment
 from janglab.pipeline import exhaustion_schedule, run_pipeline_on
 from janglab.profiles import AnalyticProfile, SampledProfile
@@ -72,11 +74,29 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     for module in (janglab.jang_metric, janglab.pipeline):
         monkeypatch.setattr(module, "build_graph_geometry", counted_build)
     monkeypatch.setattr(janglab.jang_metric, "div_xi", counted_div)
+    configs = []
+    select = janglab.pipeline.select_capillary_config
 
-    results = run_pipeline_on(dec_data, grid, seed=7, stability_count=2)
+    def counted_select(*args):
+        configs.append(select(*args))
+        return configs[-1]
+    monkeypatch.setattr(janglab.pipeline, "select_capillary_config",
+                        counted_select)
+
+    stability_count = 2
+    results = run_pipeline_on(dec_data, grid, seed=7,
+                              stability_count=stability_count)
     # the nine frame coefficients, read by every stage including |d zeta|^2
     assert len(calls) <= 9
     assert sum(y is results["arrays"]["u"] for y in built) == 1
+    # fields read only at the nodes stay arrays: no spline of them is built
+    geo = geometries[0]
+    nodal = (configs[0].Q, geo.g_check_rr, geo.R_check,
+             np.sqrt(xi_norm_sq(geo)))
+    assert not any(np.array_equal(y, v) for y in built for v in nodal)
+    # splines of w at the three exhaustion radii, of u, of the gradient-ball
+    # audit's coarse copy of u, and of each stability test function
+    assert len(built) == 3 + 1 + 1 + stability_count
     # one spline system per distinct grid, built from that grid's nodes
     grids = list({id(g): g for g in splined}.values())
     assert len(systems) == len(grids) > 1
@@ -87,3 +107,22 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     assert geometries[0].grid is grid
     assert len(divergences) == 2
     assert all(d is g for d, g in zip(divergences, geometries))
+
+
+def test_both_coarse_copies_end_at_r_max_on_odd_grids(monkeypatch):
+    grid = build_grid(512.0, 2047, "uniform")
+    data = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
+                        grid=grid, seed=7)
+    coarse = []
+    coarsen = RadialGrid.coarsen
+
+    def recorded(self):
+        coarse.append(coarsen(self))
+        return coarse[-1]
+    monkeypatch.setattr(RadialGrid, "coarsen", recorded)
+    results = run_pipeline_on(data, grid, seed=7, stability_count=2)
+    # the identity audit's and the gradient-ball audit's coarse grids
+    assert len(coarse) == 2
+    assert all(c.r_max == grid.r_max and c.n_intervals == 1024
+               for c in coarse)
+    assert results["audits_passed"]
