@@ -10,9 +10,8 @@ import numpy as np
 
 from janglab import (build_graph_geometry, build_shielding, consequence_audit,
                      exhaustion_solve, find_r0, fit_alpha, make_dataset,
-                     random_test_functions, schoen_yau_audit,
-                     select_capillary_config, shielding_audit,
-                     stability_audit)
+                     schoen_yau_audit, select_capillary_config,
+                     shielding_audit, stability_audit)
 from janglab.pipeline import default_grid
 
 grid = default_grid()
@@ -38,10 +37,10 @@ report = shielding_audit(sd, config, grid)
 print(f"shielding audit: six bullets = {report['six']} "
       f"(boundary empty: {sd.boundary_empty})")
 
-fns = random_test_functions(grid, 20, seed=7, plateau_radius=0.6 * grid.r_max)
-stab = stability_audit(data, config, geo, fns)
-print(f"stability quadratic form: {stab['n_tested']} test functions, "
-      f"min relative value = {stab['min_relative']:.3f} (nonnegative = stable)")
+stab = stability_audit(data, config, geo)
+print(f"stability quadratic form: lowest eigenvalue = "
+      f"{stab['lambda_min']:.3e}, bound = {stab['bound']:.3e}, "
+      f"vacuous: {stab['vacuous']} (passed: {stab['passed']})")
 
 alpha, _ = fit_alpha(data, grid)
 alpha_graph, _ = fit_alpha(geo, grid)

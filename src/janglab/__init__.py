@@ -18,8 +18,8 @@ from .grids import RadialGrid, build_grid, geometric_stretch_for
 from .jang_metric import (JangGraphGeometry, ShieldingData,
                           build_graph_geometry, build_shielding,
                           consequence_audit, neighborhood_audit,
-                          random_test_functions, schoen_yau_audit,
-                          shielding_audit, stability_audit, xi_norm_sq)
+                          schoen_yau_audit, shielding_audit, stability_audit,
+                          xi_norm_sq)
 from .jang_solver import (GradientAuditSpec, JangLimit, JangState,
                           continuation_solve, estimate_audits,
                           exhaustion_solve, jang_operator, newton_solve)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigFailure, DecViolation, InvalidArgument
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
-                       radius_at_distance)
+                       evaluate_constraint_fields, radius_at_distance)
 from .grids import RadialGrid
 
 
@@ -162,10 +162,10 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     if np.shape(q_vals) != r.shape:
         problems.append("Q must have one value per grid node")
         return problems
-    margin = constraint_fields(data, grid).margin
+    frame = RadialFrame.on(data, grid)
+    margin = evaluate_constraint_fields(frame).margin
     if np.any(q_vals <= 0.0):
         problems.append("Q must be strictly positive")
-    frame = RadialFrame.on(data, grid)
     lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(frame)
            - cfg.kappa1 * zeta ** 2 * n * frame.q_norm)
     if np.any(lhs < q_vals):

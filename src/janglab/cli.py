@@ -109,8 +109,7 @@ def main(argv=None) -> int:
             report = positivity_experiment(
                 int(exp.get("n", 4)), int(exp.get("count", 20)),
                 int(exp.get("seed", cfg.get("dataset", {}).get("seed", 1))),
-                grid=grid,
-                stability_count=int(exp.get("stability_count", 10)))
+                grid=grid)
             write_artifact(out, "experiment.csv", experiment_csv(report))
             write_artifact(out, "experiment.json", report)
             return EXIT_OK if report["passed"] else EXIT_AUDIT
@@ -169,7 +168,6 @@ def main(argv=None) -> int:
         # audit report, pipeline emits everything
         results = run_pipeline_on(
             data, grid, seed=seed,
-            stability_count=int(cfg.get("stability_count", 10)),
             schedule_factors=cfg.get("schedule_factors", SCHEDULE_FACTORS),
             r0_candidates=cfg.get("r0_candidates"))
         results["config_echo"] = cfg

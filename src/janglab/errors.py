@@ -53,14 +53,6 @@ class AuditInapplicable(JanglabError):
     """Hypotheses of the requested audit fail for the given parameters."""
 
 
-class ShieldingFailure(JanglabError):
-    """Shielding construction did not pass its six-property audit."""
-
-
-class InadmissibleTestFunction(JanglabError, ValueError):
-    """Test function violates support or constancy requirements."""
-
-
 class FitFailure(JanglabError):
     """Asymptotic fit residual too large; decay hypotheses violated numerically."""
 

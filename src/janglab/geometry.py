@@ -80,7 +80,7 @@ class RadialInitialData:
         return buf.getvalue()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintFields:
     """Energy/momentum constraint quantities on a grid."""
 
@@ -390,6 +390,14 @@ class RadialFrame:
         return np.sqrt(self.q_rad ** 2 + (self.n - 1) * self.q_tan ** 2)
 
     @cached_property
+    def constraints(self) -> ConstraintFields:
+        """mu, J_rad and the strict-DEC margin: evaluated once, read-only."""
+        fields = evaluate_constraint_fields(self)
+        for values in vars(fields).values():
+            values.flags.writeable = False
+        return fields
+
+    @cached_property
     def origin_d2(self):
         """(a''(0), c''(0)) at a smooth center; NaN for origin-singular data."""
         if not self.data.origin_regular:
@@ -480,9 +488,16 @@ def _scalar_curvature(frame: RadialFrame) -> np.ndarray:
 
 
 def constraint_fields(data: RadialInitialData, grid: RadialGrid) -> ConstraintFields:
-    """Energy density mu, radial momentum J_rad, and the strict-DEC margin."""
-    n = data.n
-    frame = RadialFrame.on(data, grid)
+    """Energy density mu, radial momentum J_rad, and the strict-DEC margin.
+
+    Kept on the grid's frame: evaluated once per dataset and grid.
+    """
+    return RadialFrame.on(data, grid).constraints
+
+
+def evaluate_constraint_fields(frame: RadialFrame) -> ConstraintFields:
+    """A fresh evaluation of the constraint fields from the frame coefficients."""
+    n, data = frame.n, frame.data
     R = _scalar_curvature(frame)
     qr, qt = frame.q_rad, frame.q_tan
     q2 = qr ** 2 + (n - 1) * qt ** 2

@@ -115,8 +115,7 @@ def fit_decay_exponent(profile, grid: RadialGrid, window) -> DecayFit:
 
 
 def positivity_experiment(n: int, count: int, seed: int,
-                          grid: RadialGrid | None = None,
-                          stability_count: int = 10) -> dict:
+                          grid: RadialGrid | None = None) -> dict:
     """Generate strict-DEC datasets and verify the mass parameter is positive.
 
     Each dataset runs the full pipeline (inner-radius search, capillary
@@ -136,8 +135,7 @@ def positivity_experiment(n: int, count: int, seed: int,
         params = {"m": float(rng.uniform(0.5, 2.0)),
                   "amplitude": float(rng.uniform(0.01, 0.08))}
         try:
-            res = full_pipeline("perturbed-dec", n, params, grid, seed=sk,
-                                stability_count=stability_count)
+            res = full_pipeline("perturbed-dec", n, params, grid, seed=sk)
             return {"seed": sk, "n": n,
                     "min_margin": res["min_margin"],
                     "alpha": res["alpha"],

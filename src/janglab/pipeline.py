@@ -19,8 +19,8 @@ from .geometry import constraint_fields, make_dataset, validate_dataset
 from .grids import RadialGrid, build_grid
 from .jang_metric import (build_graph_geometry, build_shielding,
                           consequence_audit, neighborhood_audit,
-                          random_test_functions, schoen_yau_audit,
-                          shielding_audit, stability_audit, xi_norm_sq)
+                          schoen_yau_audit, shielding_audit, stability_audit,
+                          xi_norm_sq)
 from .jang_solver import estimate_audits, exhaustion_solve
 from .mass import fit_alpha, fit_decay_exponent
 
@@ -58,19 +58,16 @@ def exhaustion_schedule(r0: float, r_max: float,
 
 
 def full_pipeline(family: str, n: int, params: dict, grid: RadialGrid,
-                  seed: int, stability_count: int = 10,
-                  schedule_factors=SCHEDULE_FACTORS,
+                  seed: int, schedule_factors=SCHEDULE_FACTORS,
                   r0_candidates=None) -> dict:
     """Run every stage on one generated dataset and collect all audits."""
     data = make_dataset(family, n, params, grid=grid, seed=seed)
     return run_pipeline_on(data, grid, seed=seed,
-                           stability_count=stability_count,
                            schedule_factors=schedule_factors,
                            r0_candidates=r0_candidates)
 
 
 def run_pipeline_on(data, grid: RadialGrid, seed: int,
-                    stability_count: int = 10,
                     schedule_factors=SCHEDULE_FACTORS,
                     r0_candidates=None) -> dict:
     fields = constraint_fields(data, grid)
@@ -105,9 +102,7 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     neighborhoods = neighborhood_audit(data, config, geo)
     shielding = shielding_audit(build_shielding(data, config, geo),
                                 config, grid)
-    fns = random_test_functions(grid, stability_count, seed,
-                                plateau_radius=0.6 * grid.r_max)
-    stability = stability_audit(data, config, geo, fns)
+    stability = stability_audit(data, config, geo)
 
     alpha, alpha_fit = fit_alpha(data, grid)
     alpha_graph, _ = fit_alpha(geo, grid)
@@ -144,10 +139,7 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
         "neighborhoods": neighborhoods,
         "shielding": {"six": shielding["six"],
                       "passed": shielding["passed"]},
-        "stability": {"n_tested": stability["n_tested"],
-                      "min_value": stability["min_value"],
-                      "min_relative": stability["min_relative"],
-                      "passed": stability["passed"]},
+        "stability": stability,
         "alpha": alpha,
         "alpha_graph": alpha_graph,
         "alpha_fit": asdict(alpha_fit),

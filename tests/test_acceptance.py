@@ -20,9 +20,8 @@ from janglab.capillary import select_capillary_config
 from janglab.geometry import make_dataset, scalar_curvature
 from janglab.grids import build_grid
 from janglab.jang_metric import (build_graph_geometry, build_shielding,
-                                 consequence_audit, random_test_functions,
-                                 schoen_yau_audit, shielding_audit,
-                                 stability_audit, xi_norm_sq)
+                                 consequence_audit, schoen_yau_audit,
+                                 shielding_audit, stability_audit, xi_norm_sq)
 from janglab.jang_solver import (continuation_solve, estimate_audits,
                                  exhaustion_solve, newton_solve)
 from janglab.mass import (fit_alpha, fit_alpha_profile, fit_decay_exponent,
@@ -32,7 +31,7 @@ from janglab.profiles import AnalyticProfile
 from janglab.report import emit_report
 
 from test_geometry import sphere_dataset
-from test_jang_metric import synthetic_shielding
+from test_jang_metric import potential_well, synthetic_shielding
 
 DEC_PARAMS = {"m": 1.0, "amplitude": 0.05}
 
@@ -203,12 +202,10 @@ def test_positivity_audits(fine_setup):
     scale = max(1.0, float(np.nanmax(np.abs(margin))))
     assert float(np.nanmin(margin)) >= -1e-8 * scale
 
-    fns = random_test_functions(grid, 50, seed=17,
-                                plateau_radius=0.6 * grid.r_max)
-    stability = stability_audit(data, config, geo, fns)
-    assert stability["n_tested"] == 50
-    for v in stability["values"]:
-        assert v["value"] >= -1e-8 * v["scale"]
+    stability = stability_audit(data, config, geo)
+    assert stability["passed"]
+    assert stability["lambda_min"] >= stability["bound"]
+    assert stability["cross_check_gap"] <= stability["cross_check_bound"]
 
     sd = build_shielding(data, config, geo)
     report = shielding_audit(sd, config, grid)
@@ -232,6 +229,11 @@ def test_positivity_audits(fine_setup):
     bad_cfg.Q = 1e4 * config.Q
     corrupted = consequence_audit(data, bad_cfg, geo)
     assert float(np.nanmin(corrupted)) < -1.0
+
+    # a potential well of depth 0.01 on (5, 40) is an instability
+    unstable = stability_audit(data, potential_well(config, geo, 0.01), geo)
+    assert not unstable["passed"]
+    assert unstable["lambda_min"] < -4e-3
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def test_deterministic_artifacts(tmp_path):
             ("four", shared)]
     names = []
     for name, data in runs:
-        results = run_pipeline_on(data, grid, seed=7, stability_count=5)
+        results = run_pipeline_on(data, grid, seed=7)
         if name is None:
             continue
         results["config_echo"] = {"seed": 7}

@@ -88,10 +88,16 @@ def test_audit_emits_report_only(tmp_path):
     assert audits["audits_passed"]
     assert audits["consequence"]["passed"]
     assert audits["shielding"]["six"] == [True] * 6
+    assert set(audits["stability"]) == {
+        "lambda_min", "bound", "cross_check_gap", "cross_check_bound",
+        "support", "vacuous", "passed"}
+    assert audits["stability"]["passed"] and audits["stability"]["vacuous"]
 
 
 def test_pipeline_full_artifacts(tmp_path):
-    code, out = run(tmp_path, "pipeline", extra=("--grid-n", "1024"))
+    # an older config may still set stability_count; the key is ignored
+    cfg = dict(GOOD, stability_count=10)
+    code, out = run(tmp_path, "pipeline", cfg=cfg, extra=("--grid-n", "1024"))
     assert code == EXIT_OK
     names = set(os.listdir(out))
     assert {"audits.json", "mass.json", "solution.csv", "config.json",

@@ -95,8 +95,7 @@ def test_decay_exponent_needs_nonzero_data(base_grid):
 
 
 def test_positivity_experiment_small_batch(base_grid):
-    report = positivity_experiment(4, 3, seed=1, grid=base_grid,
-                                   stability_count=5)
+    report = positivity_experiment(4, 3, seed=1, grid=base_grid)
     assert report["passed"]
     assert report["n_positive"] == 3
     assert [row["seed"] for row in report["rows"]] == [1, 2, 3]
@@ -113,8 +112,7 @@ def test_positivity_experiment_validates_count(base_grid):
 
 
 def test_experiment_csv_schema(base_grid):
-    report = positivity_experiment(4, 2, seed=4, grid=base_grid,
-                                   stability_count=3)
+    report = positivity_experiment(4, 2, seed=4, grid=base_grid)
     text = experiment_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "seed,n,min_margin,alpha,identity_err,audits_passed"

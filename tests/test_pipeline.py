@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 
+import janglab.capillary
+import janglab.geometry
 import janglab.jang_metric
 import janglab.pipeline
 import janglab.profiles
@@ -83,9 +87,7 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     monkeypatch.setattr(janglab.pipeline, "select_capillary_config",
                         counted_select)
 
-    stability_count = 2
-    results = run_pipeline_on(dec_data, grid, seed=7,
-                              stability_count=stability_count)
+    results = run_pipeline_on(dec_data, grid, seed=7)
     # the nine frame coefficients, read by every stage including |d zeta|^2
     assert len(calls) <= 9
     assert sum(y is results["arrays"]["u"] for y in built) == 1
@@ -95,8 +97,8 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
              np.sqrt(xi_norm_sq(geo)))
     assert not any(np.array_equal(y, v) for y in built for v in nodal)
     # splines of w at the three exhaustion radii, of u, of the gradient-ball
-    # audit's coarse copy of u, and of each stability test function
-    assert len(built) == 3 + 1 + 1 + stability_count
+    # audit's coarse copy of u, and of the stability eigenvector
+    assert len(built) == 3 + 1 + 1 + 1
     # one spline system per distinct grid, built from that grid's nodes
     grids = list({id(g): g for g in splined}.values())
     assert len(systems) == len(grids) > 1
@@ -107,6 +109,37 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     assert geometries[0].grid is grid
     assert len(divergences) == 2
     assert all(d is g for d, g in zip(divergences, geometries))
+
+
+def test_certification_evaluates_the_constraint_fields_three_times(
+        dec_data, monkeypatch):
+    grid = build_grid(512.0, 2048, "uniform")   # no frame on it yet
+    evaluated = []
+    evaluate = janglab.geometry.evaluate_constraint_fields
+
+    def counted(frame):
+        evaluated.append(frame.r.size)
+        return evaluate(frame)
+    for module in (janglab.geometry, janglab.capillary):
+        monkeypatch.setattr(module, "evaluate_constraint_fields", counted)
+    run_pipeline_on(dec_data, grid, seed=7)
+    # the base grid's frame, the capillary checker's own evaluation, and the
+    # identity audit's coarse grid
+    assert evaluated == [2049, 2049, 1025]
+
+
+def test_failed_shielding_is_recorded_not_raised(dec_data, base_grid,
+                                                 monkeypatch):
+    # an undersized collar fails the reduced-density bound; the run keeps
+    # every other result and reports the failure
+    monkeypatch.setattr(
+        janglab.pipeline, "build_shielding",
+        functools.partial(janglab.jang_metric.build_shielding, width=5.0))
+    results = run_pipeline_on(dec_data, base_grid, seed=7)
+    assert results["shielding"]["passed"] is False
+    assert results["shielding"]["six"][5] is False
+    assert results["audits_passed"] is False
+    assert results["stability"]["passed"] and results["consequence"]["passed"]
 
 
 def test_both_coarse_copies_end_at_r_max_on_odd_grids(monkeypatch):
@@ -120,7 +153,7 @@ def test_both_coarse_copies_end_at_r_max_on_odd_grids(monkeypatch):
         coarse.append(coarsen(self))
         return coarse[-1]
     monkeypatch.setattr(RadialGrid, "coarsen", recorded)
-    results = run_pipeline_on(data, grid, seed=7, stability_count=2)
+    results = run_pipeline_on(data, grid, seed=7)
     # the identity audit's and the gradient-ball audit's coarse grids
     assert len(coarse) == 2
     assert all(c.r_max == grid.r_max and c.n_intervals == 1024
