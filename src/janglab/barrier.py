@@ -21,6 +21,7 @@ from scipy.special import beta, betainc
 from .errors import DomainError, NoAdmissibleR0
 from .geometry import RadialFrame, RadialInitialData, graph_operator
 from .grids import RadialGrid
+from .report import _float_csv
 
 _REL_EDGE = 1e-9
 
@@ -97,11 +98,15 @@ def barrier_inequality_audit(data: RadialInitialData, bp: BarrierProfile, r):
 
     Each is the capillary Jang operator at the radial graph of the barrier,
     Upsilon = b o r, reduced to the warped-product frame.  The audit passes
-    when both profiles are strictly negative at every radius.
+    when both profiles are strictly negative at every radius.  On a grid
+    ``r``, the grid's frame is read at the nodes in (r0 (1 + 1e-9), r_max].
     """
-    frame = RadialFrame(data, r)
-    if np.any(frame.r <= bp.r0):
-        raise DomainError("audit radii must all satisfy r > r0")
+    if isinstance(r, RadialGrid):
+        frame = RadialFrame.on(data, r).beyond(bp.r0 * (1.0 + _REL_EDGE))
+    else:
+        frame = RadialFrame(data, r)
+        if np.any(frame.r <= bp.r0):
+            raise DomainError("audit radii must all satisfy r > r0")
     b1, b2 = bp.bprime(frame.r), bp.bsecond(frame.r)
     # -q is lambda = 1, +q is lambda = -1
     return graph_operator(frame, b1, b2, 1.0), graph_operator(frame, b1, b2, -1.0)
@@ -120,15 +125,10 @@ def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
     candidates = sorted(float(c) for c in candidates)
     if not candidates:
         raise NoAdmissibleR0("empty candidate list")
-    r = grid.nodes
     for r0 in candidates:
-        if r0 <= 0.0 or r0 >= grid.r_max:
-            continue
-        bp = BarrierProfile(r0=r0, n=data.n)
-        sel = r > r0 * (1.0 + _REL_EDGE)
-        if np.count_nonzero(sel) < 8:
-            continue
-        if barrier_audit_passes(data, bp, r[sel]):
+        if (0.0 < r0 < grid.r_max
+                and np.count_nonzero(grid.nodes > r0 * (1.0 + _REL_EDGE)) >= 8
+                and barrier_audit_passes(data, BarrierProfile(r0, data.n), grid)):
             return r0
     raise NoAdmissibleR0(
         "no candidate passes the barrier inequalities; decay hypotheses "
@@ -148,8 +148,5 @@ def default_r0_candidates(grid: RadialGrid, scale: float = 1.0):
 def barrier_csv(bp: BarrierProfile, samples) -> str:
     """CSV export 's,b,bprime,bsecond,ode_residual' for plotting."""
     s = np.asarray(samples, dtype=float)
-    cols = (s, bp.b(s), bp.bprime(s), bp.bsecond(s), ode_residual(bp, s))
-    lines = ["s,b,bprime,bsecond,ode_residual"]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return _float_csv(("s", "b", "bprime", "bsecond", "ode_residual"),
+                      (s, bp.b(s), bp.bprime(s), bp.bsecond(s), ode_residual(bp, s)))

@@ -28,7 +28,7 @@ from .geometry import dataset_from_json, make_dataset, validate_dataset
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
 from .pipeline import SCHEDULE_FACTORS, exhaustion_schedule, run_pipeline_on
-from .report import emit_report, write_artifact
+from .report import _float_csv, emit_report, write_artifact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,12 +117,8 @@ def main(argv=None) -> int:
     except (InvalidArgument, KeyError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DecViolation as exc:
-        print(f"energy-condition violation: {exc}", file=sys.stderr)
-        return EXIT_DEC
-    except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except (DecViolation, *SOLVER_ERRORS) as exc:
+        return _failed(exc, cfg, out)
 
     seed = int(cfg.get("dataset", {}).get("seed", 0))
     try:
@@ -156,10 +152,8 @@ def main(argv=None) -> int:
                 r0, grid.r_max,
                 cfg.get("schedule_factors", SCHEDULE_FACTORS))
             limit = jang_solver.exhaustion_solve(data, config, schedule, grid)
-            lines = ["r,u"]
-            for ri, ui in zip(grid.nodes, limit.u):
-                lines.append(f"{float(ri)!r},{float(ui)!r}")
-            write_artifact(out, "solution.csv", "\n".join(lines) + "\n")
+            write_artifact(out, "solution.csv",
+                           _float_csv(("r", "u"), (grid.nodes, limit.u)))
             write_artifact(out, "trace.json", {"trace": limit.trace,
                                                "schedule": schedule})
             return EXIT_OK
@@ -179,18 +173,21 @@ def main(argv=None) -> int:
             emit_report(results, out)
         return EXIT_OK if results["audits_passed"] else EXIT_AUDIT
 
-    except DecViolation as exc:
-        print(f"energy-condition violation: {exc}", file=sys.stderr)
-        emit_report({"error": str(exc), "config_echo": cfg}, out)
-        return EXIT_DEC
-    except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        emit_report({"error": str(exc), "config_echo": cfg}, out)
-        return EXIT_SOLVER
     except JanglabError as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        emit_report({"error": str(exc), "config_echo": cfg}, out)
-        return EXIT_AUDIT
+        return _failed(exc, cfg, out)
+
+
+def _failed(exc: JanglabError, cfg: dict, out: str) -> int:
+    """Report a failed run on stderr and in error.json; return its exit code."""
+    if isinstance(exc, DecViolation):
+        label, code = "energy-condition violation", EXIT_DEC
+    elif isinstance(exc, SOLVER_ERRORS):
+        label, code = "solver failure", EXIT_SOLVER
+    else:
+        label, code = "audit failure", EXIT_AUDIT
+    print(f"{label}: {exc}", file=sys.stderr)
+    emit_report({"error": str(exc), "config_echo": cfg}, out)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ to closed-form radial expressions:
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,6 +22,7 @@ from scipy.integrate import quad
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
 from .grids import RadialGrid, build_grid
 from .profiles import AnalyticProfile, SampledProfile, constant_profile
+from .report import _float_csv
 
 FAMILIES = ("flat", "schwarzschild", "conformal", "perturbed-dec", "sampled")
 
@@ -50,13 +49,6 @@ class RadialInitialData:
         if self.delta <= 0.0:
             raise InvalidArgument("decay exponent delta must be positive")
 
-    def q_frame_norm(self, r) -> np.ndarray:
-        """|q|_g at the given radii."""
-        return RadialFrame(self, r).q_norm
-
-    def q_trace(self, r) -> np.ndarray:
-        return self.q_rad(r) + (self.n - 1) * self.q_tan(r)
-
     # -- serialization -----------------------------------------------------
 
     def spec_dict(self, grid: RadialGrid) -> dict:
@@ -70,14 +62,9 @@ class RadialInitialData:
         }
 
     def profiles_csv(self, grid: RadialGrid) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "a", "c", "q_rad", "q_tan"])
         r = grid.nodes
-        cols = [r, self.a(r), self.c(r), self.q_rad(r), self.q_tan(r)]
-        for row in zip(*cols):
-            writer.writerow([repr(float(v)) for v in row])
-        return buf.getvalue()
+        return _float_csv(("r", "a", "c", "q_rad", "q_tan"),
+                          (r, self.a(r), self.c(r), self.q_rad(r), self.q_tan(r)))
 
 
 @dataclass(frozen=True)
@@ -183,8 +170,8 @@ def make_dataset(family: str, n: int, params: dict | None = None,
     """Generate a radial initial data set from a named family.
 
     Families: flat, schwarzschild(m), conformal(alpha, delta, beta),
-    perturbed-dec(m, amplitude).  perturbed-dec data are rescaled (q halved)
-    until the strict DEC margin is positive, verified by constraint_fields.
+    perturbed-dec(m, amplitude).  perturbed-dec q is halved, at most 40 times,
+    until the strict DEC margin is positive (else GenerationFailure).
     """
     params = dict(params or {})
     one = constant_profile(1.0)
@@ -230,19 +217,30 @@ def make_dataset(family: str, n: int, params: dict | None = None,
         a0 = float(rng.uniform(-1.0, 1.0))
         a2r = float(rng.uniform(-1.0, 1.0))
         a2t = float(rng.uniform(-1.0, 1.0))
-        eps = amplitude
-        for _ in range(40):
-            data = RadialInitialData(
+
+        def dataset(eps):
+            return RadialInitialData(
                 n=n, a=base, c=base,
                 q_rad=_even_gaussian(eps * a0, eps * a2r, width),
                 q_tan=_even_gaussian(eps * a0, eps * a2t, width),
                 alpha_decl=2.0 * m / (n - 2), family="perturbed-dec",
                 params={"m": m, "amplitude": amplitude}, seed=seed)
-            fields = constraint_fields(data, grid)
-            if np.min(fields.margin) > 0.0:
-                return data
-            eps *= 0.5
-        raise GenerationFailure("could not reach a positive DEC margin in 40 rescales")
+
+        # Trial k's q_rad, q_tan and q_tan' are exactly 2^-k times those at
+        # eps = amplitude; where all three vanish the margin is R/2 for any k.
+        full = RadialFrame.on(dataset(amplitude), grid)
+        idle = (full.q_rad == 0.0) & (full.q_tan == 0.0) & (full.dq_tan == 0.0)
+        for k in range(40):
+            margin = evaluate_constraint_fields(full._rescaled_q(0.5 ** k)).margin
+            if np.min(margin) > 0.0:
+                return full.data if k == 0 else dataset(amplitude * 0.5 ** k)
+            stuck = np.flatnonzero(idle & (margin <= 0.0))
+            if stuck.size:
+                break
+        i = stuck[0] if stuck.size else int(np.argmin(margin))
+        why = ", where q vanishes" if stuck.size else " after 40 rescales of q"
+        raise GenerationFailure(
+            f"DEC margin {margin[i]:.3g} at r = {grid.nodes[i]:.2f}{why}")
 
     raise InvalidArgument(f"unknown family {family!r}")
 
@@ -282,13 +280,23 @@ def _profiles(data: RadialInitialData) -> dict:
 
 
 def _coefficient(fn):
-    """A frame coefficient: evaluated on first use, kept, and read-only."""
+    """A frame coefficient: evaluated on first use, kept, and read-only; a
+    frame cut by ``beyond`` reads a slice of its whole frame's."""
     def get(self):
-        out = np.asarray(fn(self)).view()
-        out.flags.writeable = False
+        if self._whole is not None:
+            return getattr(self._whole[0], prop.attrname)[self._whole[1]]
+        out = np.asarray(fn(self))
+        if out.flags.writeable:     # a read-only one is another coefficient
+            out = out.view()
+            out.flags.writeable = False
         return out
     get.__doc__ = fn.__doc__
-    return cached_property(get)
+    prop = cached_property(get)
+    return prop
+
+
+_METRIC = ("a", "da", "c", "dc", "d2c", "_sc", "f", "f1", "f2", "warp",
+           "warp_a", "origin_d2")    # the coefficients of a, c, origin_regular
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +306,10 @@ class RadialFrame:
     Profiles are read through ``profile(r)``, ``.deriv1(r)`` and ``.deriv2(r)``;
     every coefficient is evaluated on first use, kept and read-only, so one
     frame can serve many operator evaluations on the same radii.  The
-    profiles are taken from the dataset when the frame is built.  ``f = r
-    sqrt(c)`` is the warping radius and ``warp = f'/f = c'/(2c) + 1/r``
-    (infinite at r = 0, where every caller substitutes its own origin
-    closure).
+    profiles are taken from the dataset when the frame is built; when c is
+    a, the arrays c and c' are a and a'.  ``f = r sqrt(c)`` is the warping
+    radius and ``warp = f'/f = c'/(2c) + 1/r`` (infinite at r = 0, where
+    every caller substitutes its own origin closure).
     """
 
     data: RadialInitialData
@@ -310,6 +318,8 @@ class RadialFrame:
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         object.__setattr__(self, "_profiles", _profiles(self.data))
+        object.__setattr__(self, "_whole", None)
+        object.__setattr__(self, "_c_is_a", self.data.c is self.data.a)
 
     @classmethod
     def on(cls, data: RadialInitialData, grid: RadialGrid) -> "RadialFrame":
@@ -317,18 +327,40 @@ class RadialFrame:
 
         The grid holds the frame of the last dataset evaluated on it.  It is
         reused while ``data`` and its a, c, q_rad, q_tan are the same
-        objects, and replaced otherwise.
+        objects, and replaced otherwise, keeping the metric coefficients
+        evaluated so far when a, c and ``origin_regular`` are unchanged.
         """
-        frame = grid._frame
-        if frame is None or not frame._reads(data):
-            frame = cls(data, grid.nodes)
-            object.__setattr__(grid, "_frame", frame)
+        old = grid._frame
+        if old is not None and old._reads(data):
+            return old
+        frame = cls(data, grid.nodes)
+        if (old is not None and old.data.origin_regular == data.origin_regular
+                and old._profiles["a"] is data.a and old._profiles["c"] is data.c):
+            vars(frame).update((k, vars(old)[k]) for k in _METRIC if k in vars(old))
+        object.__setattr__(grid, "_frame", frame)
         return frame
 
     def _reads(self, data: RadialInitialData) -> bool:
         mine = self._profiles
         return self.data is data and all(
             mine[name] is prof for name, prof in _profiles(data).items())
+
+    def beyond(self, r_min: float) -> "RadialFrame":
+        """This frame at its radii above ``r_min``, as read-only slices."""
+        part = slice(int(np.searchsorted(self.r, r_min, "right")), None)
+        frame = RadialFrame(self.data, self.r[part])
+        object.__setattr__(frame, "_whole", (self, part))
+        return frame
+
+    def _rescaled_q(self, scale: float) -> "RadialFrame":
+        """This frame's metric, with q_rad, q_tan and their slopes times
+        ``scale``; its ``data`` still names the unscaled q profiles."""
+        frame = RadialFrame(self.data, self.r)
+        vars(frame).update((name, getattr(self, name)) for name in _METRIC)
+        for name in ("q_rad", "q_tan", "dq_rad", "dq_tan"):
+            vars(frame)[name] = values = getattr(self, name) * scale
+            values.flags.writeable = False
+        return frame
 
     @property
     def n(self) -> int:
@@ -340,8 +372,10 @@ class RadialFrame:
 
     a = _coefficient(lambda self: self._eval(self._profiles["a"]))
     da = _coefficient(lambda self: self._eval(self._profiles["a"].deriv1))
-    c = _coefficient(lambda self: self._eval(self._profiles["c"]))
-    dc = _coefficient(lambda self: self._eval(self._profiles["c"].deriv1))
+    c = _coefficient(lambda self: self.a if self._c_is_a
+                     else self._eval(self._profiles["c"]))
+    dc = _coefficient(lambda self: self.da if self._c_is_a
+                      else self._eval(self._profiles["c"].deriv1))
     d2c = _coefficient(lambda self: self._eval(self._profiles["c"].deriv2))
     q_rad = _coefficient(lambda self: self._eval(self._profiles["q_rad"]))
     q_tan = _coefficient(lambda self: self._eval(self._profiles["q_tan"]))

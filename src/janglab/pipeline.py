@@ -74,12 +74,10 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     min_margin = float(np.nanmin(fields.margin))
     validation = validate_dataset(data, grid)
 
-    cands = r0_candidates or default_r0_candidates(grid)
-    r0 = find_r0(data, grid, cands)
+    r0 = find_r0(data, grid, r0_candidates or default_r0_candidates(grid))
     bp = BarrierProfile(r0=r0, n=data.n)
     ode_samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
-    exterior = grid.nodes[grid.nodes > r0 * (1.0 + 1e-9)]
-    minus, plus = barrier_inequality_audit(data, bp, exterior)
+    minus, plus = barrier_inequality_audit(data, bp, grid)
     barrier_report = {
         "r0": r0,
         "ode_max_residual": ode_residual_audit(bp, ode_samples),

@@ -51,15 +51,18 @@ def write_artifact(out_dir: str, name: str, payload) -> dict:
             "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def _float_csv(header, columns) -> str:
+    """CSV of float columns under a header: each value is the ``repr`` of
+    its Python float, which reads back to the same bits.  Private, so that a
+    trace of the public functions counts its time in the caller's span."""
+    text = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n"
+
+
 def solution_csv_from_results(results: dict) -> str:
     arrays = results["arrays"]
-    r = arrays["grid"]
-    u = arrays["u"]
-    margin = arrays["consequence_margin"]
-    lines = ["r,u,consequence_margin"]
-    for ri, ui, mi in zip(r, u, margin):
-        lines.append(f"{float(ri)!r},{float(ui)!r},{float(mi)!r}")
-    return "\n".join(lines) + "\n"
+    return _float_csv(("r", "u", "consequence_margin"),
+                      (arrays["grid"], arrays["u"], arrays["consequence_margin"]))
 
 
 def emit_report(results: dict, out_dir: str) -> dict:

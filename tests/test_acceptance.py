@@ -17,7 +17,7 @@ import pytest
 from janglab.barrier import (BarrierProfile, barrier_inequality_audit,
                              find_r0, ode_residual_audit)
 from janglab.capillary import select_capillary_config
-from janglab.geometry import make_dataset, scalar_curvature
+from janglab.geometry import RadialFrame, make_dataset, scalar_curvature
 from janglab.grids import build_grid
 from janglab.jang_metric import (build_graph_geometry, build_shielding,
                                  consequence_audit, schoen_yau_audit,
@@ -125,7 +125,7 @@ def test_solver_suite(fine_setup):
     assert np.max(np.abs(zf.w)) < 1e-12
 
     # every converged residual on the exhaustion trace is below tolerance
-    qscale = max(1.0, float(np.max(4.0 * data.q_frame_norm(grid.nodes))))
+    qscale = max(1.0, float(np.max(4.0 * RadialFrame(data, grid.nodes).q_norm)))
     for entry in limit.trace:
         assert entry["residual_norm"] < 1e-10 * qscale
 

@@ -145,6 +145,9 @@ def test_barrier_inequality_strict_on_vacuum_data():
     assert np.max(minus) < 0.0
     assert np.max(plus) < 0.0
     assert barrier_audit_passes(data, bp, exterior)
+    # on the grid the audit reads the grid's frame, sliced: the same bits
+    on_grid = barrier_inequality_audit(data, bp, grid)
+    assert all(np.array_equal(x, y) for x, y in zip(on_grid, (minus, plus)))
 
 
 def test_barrier_inequality_rejects_interior_nodes(flat_data, base_grid):

@@ -53,7 +53,7 @@ def test_margin_dominates_capillary_terms(dec_data, cap_config, base_grid):
            - cap_config.kappa0 ** 2 * cap_config.dzeta_norm_sq(
                RadialFrame.on(dec_data, base_grid))
            - cap_config.kappa1 * cap_config.zeta(r) ** 2 * dec_data.n
-           * dec_data.q_frame_norm(r))
+           * RadialFrame(dec_data, r).q_norm)
     q = cap_config.Q
     assert np.all(q > 0.0)
     assert np.all(lhs >= q)

@@ -156,6 +156,19 @@ def test_flat_data_is_energy_condition_error(tmp_path):
     assert "margin" in err["error"]
 
 
+@pytest.mark.parametrize("command", ["gen", "pipeline"])
+def test_generation_failure_is_solver_error(tmp_path, command):
+    # n = 7 data cannot be generated: the margin rounds below 0 at r = 222.06
+    cfg = {"grid": {"r_max": 512.0, "n_intervals": 8192},
+           "dataset": {"family": "perturbed-dec", "n": 7, "seed": 7,
+                       "params": {"m": 1.0, "amplitude": 0.05}}}
+    code, out = run(tmp_path, command, cfg=cfg)
+    assert code == EXIT_SOLVER
+    assert set(os.listdir(out)) == {"error.json", "manifest.json"}
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert "at r = 222.06" in err["error"]
+
+
 def test_stalled_schedule_is_solver_error(tmp_path):
     cfg = dict(GOOD)
     cfg["schedule_factors"] = [64, 66]

@@ -8,9 +8,13 @@ from scipy.integrate import quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from janglab.errors import DecViolation, InvalidArgument
-from janglab.geometry import (RadialFrame, constraint_fields, dataset_from_json,
-                              dataset_from_samples, dq_frame_norm,
+import janglab.geometry
+from janglab.barrier import BarrierProfile, barrier_inequality_audit, find_r0
+from janglab.errors import DecViolation, GenerationFailure, InvalidArgument
+from janglab.geometry import (RadialFrame, RadialInitialData, _conformal_power,
+                              _even_gaussian, constraint_fields,
+                              dataset_from_json, dataset_from_samples,
+                              dq_frame_norm, evaluate_constraint_fields,
                               geodesic_distance, make_dataset,
                               radius_at_distance, ricci_eigenvalues,
                               scalar_curvature, validate_dataset)
@@ -174,9 +178,8 @@ def test_frame_norm_and_trace():
                         grid=grid, seed=2)
     r = grid.nodes
     qr, qt = data.q_rad(r), data.q_tan(r)
-    assert np.allclose(data.q_frame_norm(r),
+    assert np.allclose(RadialFrame(data, r).q_norm,
                        np.sqrt(qr ** 2 + 4.0 * qt ** 2))
-    assert np.allclose(data.q_trace(r), qr + 4.0 * qt)
 
 
 def test_dq_norm_pure_trace_oracle():
@@ -301,6 +304,103 @@ def test_perturbed_dec_has_positive_margin(dec_data, base_grid):
     assert np.all(np.isfinite(fields.margin))
 
 
+def halving_reference(n, params, grid, seed):
+    """The perturbed-dec rescale loop with a fresh frame per trial: every
+    coefficient, the metric's and q's, evaluated from the trial's profiles.
+    Returns the accepted dataset and its constraint fields."""
+    m, amplitude = params["m"], params["amplitude"]
+    rng = np.random.default_rng(seed)
+    base = _conformal_power(m, n, regularized=True)
+    width = float(rng.uniform(1.5, 3.5))
+    a0 = float(rng.uniform(-1.0, 1.0))
+    a2r = float(rng.uniform(-1.0, 1.0))
+    a2t = float(rng.uniform(-1.0, 1.0))
+    eps = amplitude
+    for _ in range(40):
+        data = RadialInitialData(
+            n=n, a=base, c=base,
+            q_rad=_even_gaussian(eps * a0, eps * a2r, width),
+            q_tan=_even_gaussian(eps * a0, eps * a2t, width),
+            alpha_decl=2.0 * m / (n - 2), family="perturbed-dec",
+            params={"m": m, "amplitude": amplitude}, seed=seed)
+        fields = evaluate_constraint_fields(RadialFrame(data, grid.nodes))
+        if np.min(fields.margin) > 0.0:
+            return data, fields
+        eps *= 0.5
+    raise GenerationFailure("no positive DEC margin in 40 rescales")
+
+
+# (n, N, seed): 3, 0, 4, 8 and 11 rescales
+@pytest.mark.parametrize("n,N,seed", [(4, 2048, 7), (5, 8192, 3),
+                                      (5, 2048, 11), (6, 2048, 7),
+                                      (6, 8192, 98)])
+def test_generation_matches_the_halving_reference(n, N, seed):
+    grid = build_grid(512.0, N, "uniform")
+    params = {"m": 1.0, "amplitude": 0.05}
+    want, want_fields = halving_reference(n, params, grid, seed)
+    data = make_dataset("perturbed-dec", n, params, grid=grid, seed=seed)
+    got = constraint_fields(data, grid)
+    r = grid.nodes
+    # the same accepted eps, and the same bits in every constraint field
+    for name in ("q_rad", "q_tan"):
+        assert (getattr(data, name)(r).tobytes()
+                == getattr(want, name)(r).tobytes())
+    for name in ("R_g", "mu", "J_rad", "margin"):
+        assert (getattr(got, name).tobytes()
+                == getattr(want_fields, name).tobytes())
+
+
+def test_generation_evaluates_the_metric_once(monkeypatch):
+    grid = build_grid(512.0, 8192, "uniform")
+    calls = []
+    for name in ("__call__", "deriv1", "deriv2"):
+        def counted(self, r, fn=getattr(AnalyticProfile, name), name=name):
+            calls.append((self, name, np.size(r)))
+            return fn(self, r)
+        monkeypatch.setattr(AnalyticProfile, name, counted)
+    # seed 98 takes 11 rescales
+    data = make_dataset("perturbed-dec", 6, {"m": 1.0, "amplitude": 0.05},
+                        grid=grid, seed=98)
+    metric = [name for prof, name, size in calls
+              if prof is data.a and size == grid.nodes.size]
+    assert sorted(metric) == ["__call__", "deriv1", "deriv2"]
+    frame = RadialFrame.on(data, grid)
+    assert frame.c is frame.a and frame.dc is frame.da
+    # the dataset returned evaluates its own q, on the metric kept
+    calls.clear()
+    assert np.min(constraint_fields(data, grid).margin) > 0.0
+    assert {prof for prof, _, _ in calls} == {data.q_rad, data.q_tan}
+    # the barrier stage reads the grid's frame and evaluates no profile
+    calls.clear()
+    r0 = find_r0(data, grid, [1.0, 2.0, 4.0, 8.0])
+    barrier_inequality_audit(data, BarrierProfile(r0=r0, n=6), grid)
+    assert calls == []
+
+
+def test_generation_fails_fast_where_q_vanishes():
+    # n = 7: beyond r ~ 75 q is exactly 0, and R/2 rounds below 0 at 222.06
+    grid = build_grid(512.0, 8192, "uniform")
+    with pytest.raises(GenerationFailure,
+                       match=r"at r = 222\.06, where q vanishes"):
+        make_dataset("perturbed-dec", 7, {"m": 1.0, "amplitude": 0.05},
+                     grid=grid, seed=7)
+
+
+def test_generation_failure_names_the_smallest_margin(monkeypatch):
+    fresh = janglab.geometry.evaluate_constraint_fields
+
+    def lowered(frame):
+        fields = fresh(frame)
+        margin = fields.margin.copy()
+        margin[40] = -1.0       # r = 10, where q does not vanish
+        return dataclasses.replace(fields, margin=margin)
+    monkeypatch.setattr(janglab.geometry, "evaluate_constraint_fields", lowered)
+    with pytest.raises(GenerationFailure,
+                       match=r"margin -1 at r = 10\.00 after 40 rescales"):
+        make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
+                     grid=build_grid(512.0, 2048, "uniform"), seed=7)
+
+
 def test_make_dataset_rejects_bad_inputs(base_grid):
     with pytest.raises(InvalidArgument):
         make_dataset("no-such-family", 4, {})
@@ -357,9 +457,14 @@ def test_shared_frame_follows_reassigned_profiles(dec_data):
     grid = build_grid(512.0, 1024, "uniform")
     data = copy.copy(dec_data)
     before = constraint_fields(data, grid)
-    assert RadialFrame.on(data, grid) is RadialFrame.on(data, grid)
+    frame = RadialFrame.on(data, grid)
+    assert frame is RadialFrame.on(data, grid)
     data.q_rad = constant_profile(0.01)
     after = constraint_fields(data, grid)
+    # the replacement keeps the metric, whose a and c are unchanged
+    kept = RadialFrame.on(data, grid)
+    assert kept is not frame and kept.a is frame.a and kept.f2 is frame.f2
+    assert kept.q_tan is not frame.q_tan
     # the same fields as a new dataset object on a grid that has no frame yet
     fresh = constraint_fields(dataclasses.replace(data),
                               build_grid(512.0, 1024, "uniform"))

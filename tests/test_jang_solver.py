@@ -321,8 +321,8 @@ def test_continuation_reaches_full_coupling(dec_data, cap_config, base_grid,
     state = continuation_solve(dec_data, cap_config, domain, trace=trace)
     assert state.lam == 1.0
     assert state.residual_norm < 1e-10 * max(
-        1.0, float(np.max(dec_data.n * dec_data.q_frame_norm(
-            domain.nodes))))
+        1.0, float(np.max(dec_data.n * RadialFrame(
+            dec_data, domain.nodes).q_norm)))
     lams = [t["lambda"] for t in trace]
     assert lams[0] == 0.0 and lams[-1] == 1.0
     assert np.all(np.diff(lams) > 0.0)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from janglab.errors import IOFailure
-from janglab.report import emit_report, solution_csv_from_results, write_artifact
+from janglab.report import (_float_csv, emit_report, solution_csv_from_results,
+                            write_artifact)
 
 
 def test_write_artifact_hashes_content(tmp_path):
@@ -41,6 +42,15 @@ def test_solution_csv_roundtrip():
     lines = text.strip().split("\n")
     assert lines[0] == "r,u,consequence_margin"
     assert [float(v) for v in lines[1].split(",")] == [0.0, 0.5, 0.1]
+
+
+def test_float_csv_writes_the_repr_of_each_float():
+    cols = (np.array([0.0, -0.0, 1e-310, 2.0 ** 0.5]),
+            np.array([np.nan, np.inf, -np.inf, 1e300]))
+    want = "x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                             for a, b in zip(*cols))
+    assert _float_csv(("x", "y"), cols) == want
+    assert want.splitlines()[1:3] == ["0.0,nan", "-0.0,inf"]
 
 
 def test_emit_report_error_record(tmp_path):
