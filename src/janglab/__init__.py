@@ -20,9 +20,9 @@ from .jang_metric import (JangGraphGeometry, ShieldingData,
                           consequence_audit, neighborhood_audit,
                           schoen_yau_audit, shielding_audit, stability_audit,
                           xi_norm_sq)
-from .jang_solver import (GradientAuditSpec, JangLimit, JangState,
-                          continuation_solve, estimate_audits,
-                          exhaustion_solve, jang_operator, newton_solve)
+from .jang_solver import (JangLimit, JangState, continuation_solve,
+                          estimate_audits, exhaustion_solve, jang_operator,
+                          newton_solve)
 from .mass import (DecayFit, experiment_csv, fit_alpha, fit_decay_exponent,
                    positivity_experiment)
 from .pipeline import default_grid, full_pipeline, run_pipeline_on

@@ -135,10 +135,10 @@ def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
         "may fail or the grid may be too short")
 
 
-def default_r0_candidates(grid: RadialGrid, scale: float = 1.0):
-    """Powers of two times a characteristic radius, inside the grid."""
+def default_r0_candidates(grid: RadialGrid):
+    """Powers of two below r_max / 8."""
     cands = []
-    r0 = scale
+    r0 = 1.0
     while r0 < grid.r_max / 8.0:
         cands.append(r0)
         r0 *= 2.0

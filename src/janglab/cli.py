@@ -24,7 +24,7 @@ from .errors import (ConfigFailure, ContinuationFailure, DecViolation,
                      ExhaustionNonconvergence, GenerationFailure,
                      InvalidArgument, JanglabError, NewtonDivergence,
                      NoAdmissibleR0, NumericalDegeneracy, SingularJacobian)
-from .geometry import dataset_from_json, make_dataset, validate_dataset
+from .geometry import make_dataset, validate_dataset
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
 from .pipeline import SCHEDULE_FACTORS, exhaustion_schedule, run_pipeline_on
@@ -64,6 +64,9 @@ def load_config(args) -> dict:
             cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InvalidArgument("config root must be a JSON object")
+    for key in ("grid", "dataset", "experiment"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise InvalidArgument(f"config {key!r} must be a JSON object")
     if args.seed is not None:
         cfg.setdefault("dataset", {})["seed"] = args.seed
     if args.grid_n is not None:
@@ -85,8 +88,6 @@ def _grid_from_config(cfg):
 
 def _dataset_from_config(cfg, grid):
     ds = cfg.get("dataset", {})
-    if "samples" in ds:
-        return dataset_from_json(ds)[0]
     family = ds.get("family", "perturbed-dec")
     n = int(ds.get("n", 4))
     return make_dataset(family, n, ds.get("params", {}), grid=grid,
@@ -106,9 +107,10 @@ def main(argv=None) -> int:
         grid = _grid_from_config(cfg)
         if args.command == "experiment":
             exp = cfg.get("experiment", {})
+            seed = args.seed if args.seed is not None else exp.get(
+                "seed", cfg.get("dataset", {}).get("seed", 1))
             report = positivity_experiment(
-                int(exp.get("n", 4)), int(exp.get("count", 20)),
-                int(exp.get("seed", cfg.get("dataset", {}).get("seed", 1))),
+                int(exp.get("n", 4)), int(exp.get("count", 20)), int(seed),
                 grid=grid)
             write_artifact(out, "experiment.csv", experiment_csv(report))
             write_artifact(out, "experiment.json", report)

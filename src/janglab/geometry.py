@@ -24,9 +24,6 @@ from .grids import RadialGrid, build_grid
 from .profiles import AnalyticProfile, SampledProfile, constant_profile
 from .report import _float_csv
 
-FAMILIES = ("flat", "schwarzschild", "conformal", "perturbed-dec", "sampled")
-
-
 @dataclass
 class RadialInitialData:
     """Rotationally symmetric initial data set (M, g, q)."""
@@ -108,7 +105,7 @@ def _conformal_power(m, n, regularized):
         return (p * (p - 1.0) * phi ** (p - 2.0) * dphi ** 2
                 + p * phi ** (p - 1.0) * d2phi)
 
-    return AnalyticProfile(f, d1, d2, label=f"conformal(m={m})")
+    return AnalyticProfile(f, d1, d2)
 
 
 def _tail_sum_profile(terms):
@@ -136,7 +133,7 @@ def _tail_sum_profile(terms):
                                    + (e - 2.0) * r ** 2 * w ** (0.5 * e - 2.0))
         return out
 
-    return AnalyticProfile(f, d1, d2, label="tail-sum")
+    return AnalyticProfile(f, d1, d2)
 
 
 def _even_gaussian(amp0, amp2, width):
@@ -161,7 +158,7 @@ def _even_gaussian(amp0, amp2, width):
         _, fu, fuu, _ = parts(r)
         return fuu * (2.0 * r / width ** 2) ** 2 + fu * 2.0 / width ** 2
 
-    return AnalyticProfile(f, d1, d2, label="even-gaussian")
+    return AnalyticProfile(f, d1, d2)
 
 
 def make_dataset(family: str, n: int, params: dict | None = None,
@@ -250,10 +247,10 @@ def dataset_from_samples(grid: RadialGrid, a, c, q_rad, q_tan, n: int,
     """Wrap sampled nodal profiles as a dataset (cubic-spline interpolation)."""
     return RadialInitialData(
         n=n,
-        a=SampledProfile(grid, a, "a"),
-        c=SampledProfile(grid, c, "c"),
-        q_rad=SampledProfile(grid, q_rad, "q_rad"),
-        q_tan=SampledProfile(grid, q_tan, "q_tan"),
+        a=SampledProfile(grid, a),
+        c=SampledProfile(grid, c),
+        q_rad=SampledProfile(grid, q_rad),
+        q_tan=SampledProfile(grid, q_tan),
         alpha_decl=alpha_decl, delta=delta, family="sampled")
 
 
@@ -545,15 +542,15 @@ def evaluate_constraint_fields(frame: RadialFrame) -> ConstraintFields:
     return ConstraintFields(R_g=R, mu=mu, J_rad=J, margin=margin)
 
 
-def geodesic_distance(data: RadialInitialData, r_from: float, r_to: float,
-                      rtol: float = 1e-11) -> float:
+def geodesic_distance(data: RadialInitialData, r_from: float,
+                      r_to: float) -> float:
     """g-geodesic length of the radial segment [r_from, r_to]."""
     if r_from < 0 or r_to < r_from:
         raise InvalidArgument(f"need 0 <= r_from <= r_to, got ({r_from}, {r_to})")
     if r_to == r_from:
         return 0.0
     val, _ = quad(lambda r: math.sqrt(float(data.a(r))), r_from, r_to,
-                  epsrel=rtol, epsabs=0.0, limit=200)
+                  epsrel=1e-11, epsabs=0.0, limit=200)
     return val
 
 

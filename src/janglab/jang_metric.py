@@ -63,7 +63,7 @@ def _u_profile(u, grid: RadialGrid) -> SampledProfile:
     v = np.asarray(u, dtype=float)
     if v.shape != grid.nodes.shape:
         raise InvalidArgument("u must match the grid nodes")
-    return SampledProfile(grid, v, label="u")
+    return SampledProfile(grid, v)
 
 
 def _u_derivs(grid: RadialGrid, uv: np.ndarray):
@@ -307,7 +307,6 @@ class ShieldingData:
     width: float
     transition: float
     boundary_empty: bool
-    E0_threshold: float
 
     def phi_of_d(self, d):
         """The weight as a function of collar depth d (pole at d = width)."""
@@ -346,8 +345,7 @@ def build_shielding(data: RadialInitialData, config: CapillaryConfig,
     d = _distance_to_exterior(data, geo, config.E0_threshold, "check")
     sd = ShieldingData(
         E_outer_radius=0.0, Phi=None, Q_hat=None, d_profile=d, width=L,
-        transition=t, boundary_empty=bool(d[0] < L),
-        E0_threshold=config.E0_threshold)
+        transition=t, boundary_empty=bool(d[0] < L))
     in_E = d < L
     phi = np.where(in_E, sd.phi_of_d(np.minimum(d, L * (1.0 - 1e-15))), -np.inf)
     dphi = np.where(in_E, sd.dphi_of_d(np.minimum(d, L * (1.0 - 1e-15))), 0.0)
@@ -381,11 +379,11 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     q_hat = sd.Q_hat
     q = config.Q
     in_E = r > sd.E_outer_radius
-    on_E0 = r > sd.E0_threshold
+    on_E0 = r > config.E0_threshold
     bullets = {}
 
     bullets["contains_exterior"] = {
-        "passed": bool(sd.E_outer_radius < sd.E0_threshold
+        "passed": bool(sd.E_outer_radius < config.E0_threshold
                        and np.all(in_E[on_E0]))}
     bullets["inside_collar"] = {
         "passed": bool(np.all(d[in_E] <= sd.width * (1.0 + 1e-12)))}
@@ -413,18 +411,15 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     interior = in_E & (d > 0.0) & (d < sd.width)
     x = q + 0.5 * phi ** 2 - 2.0 * dphi_dd
     scale = max(1.0, float(np.max(np.abs(q_hat[np.isfinite(q_hat)]))))
-    ok6 = bool(np.all(x[interior] >= 2.0 * q_hat[interior]
-                      - 1e-6 * np.maximum(scale, np.abs(x[interior])))
-               and np.all(x[interior] > 0.0))
+    # one mask gives the verdict and its first violation; NaN fails
+    bad = interior & ~((x >= 2.0 * q_hat - 1e-6 * np.maximum(scale, np.abs(x)))
+                       & (x > 0.0))
     first6 = None
-    bad = np.zeros_like(x, dtype=bool)
-    bad[interior] = x[interior] < 2.0 * q_hat[interior] \
-        - 1e-6 * np.maximum(scale, np.abs(x[interior]))
     if np.any(bad):
         i = int(np.argmax(bad))
         first6 = {"node_radius": float(r[i]), "x": float(x[i]),
                   "q_hat": float(q_hat[i])}
-    bullets["reduced_density_bound"] = {"passed": ok6,
+    bullets["reduced_density_bound"] = {"passed": not bool(np.any(bad)),
                                         "first_violation": first6}
 
     return {"passed": all(b["passed"] for b in bullets.values()),

@@ -50,10 +50,10 @@ _gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 # state types
 # ---------------------------------------------------------------------------
 
-def _spline(cached, grid: RadialGrid, values, label: str) -> SampledProfile:
+def _spline(cached, grid: RadialGrid, values) -> SampledProfile:
     """``cached`` while it still interpolates ``values`` on ``grid``."""
     if cached is None or cached.values is not values or cached.grid is not grid:
-        return SampledProfile(grid, values, label=label)
+        return SampledProfile(grid, values)
     return cached
 
 
@@ -75,7 +75,7 @@ class JangState:
 
     def profile(self) -> SampledProfile:
         """w as a spline profile, built once per w array."""
-        self._profile = _spline(self._profile, self.grid, self.w, "w")
+        self._profile = _spline(self._profile, self.grid, self.w)
         return self._profile
 
 
@@ -86,28 +86,14 @@ class JangLimit:
     u: np.ndarray
     grid: RadialGrid
     trace: list = field(default_factory=list)
-    converged_radius: float = 0.0
     outer_radius: float = 0.0
     _profile: SampledProfile | None = field(default=None, init=False,
                                             repr=False, compare=False)
 
     def profile(self) -> SampledProfile:
         """u as a spline profile, built once per u array."""
-        self._profile = _spline(self._profile, self.grid, self.u, "u")
+        self._profile = _spline(self._profile, self.grid, self.u)
         return self._profile
-
-
-@dataclass
-class GradientAuditSpec:
-    """Parameters of the exponential-weight gradient audit on a geodesic ball.
-
-    ``A`` may be None, in which case the smallest admissible value >= 4 is
-    computed from the hypothesis inequalities.
-    """
-
-    A: float | None = None
-    sigma: float = 1.0
-    center: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +107,7 @@ def jang_operator(data: RadialInitialData, w: np.ndarray, lam: float,
     Interior nodes use the grid's three-point stencils; the origin uses the
     even-symmetry closure w'(0) = 0, w''(0) = 2 (w_1 - w_0)/r_1^2.
     """
-    return _operator(RadialFrame.on(data, grid), w, lam, grid)
-
-
-def _operator(frame: RadialFrame, w, lam, grid):
+    frame = RadialFrame.on(data, grid)
     w = np.asarray(w, dtype=float)
     out = graph_operator(frame, grid.deriv1(w), grid.deriv2(w), lam)
     _origin_row(out, frame, w, lam, grid)
@@ -358,19 +341,18 @@ def _record(trace, state: JangState):
 
 
 def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
-                     r_j_schedule, base_grid: RadialGrid,
-                     tol: float = EXHAUSTION_TOL) -> JangLimit:
+                     r_j_schedule, base_grid: RadialGrid) -> JangLimit:
     """Solve at lambda = 1 over increasing outer radii and extract the limit.
 
     Convergence on the compact region [0, R_c] (R_c = first schedule entry)
-    is declared when either a successive-difference gap drops below ``tol``
-    or the gap sequence contracts geometrically (ratio <= 0.75, at least two
-    gaps); in the latter case the Richardson-extrapolated remaining error is
-    recorded in the trace.  The outer-boundary influence decays like
-    r_j^{2-n}, so for low dimensions only the contraction route is reachable
-    at practical radii.  Each radius r_j is solved on
-    ``base_grid.truncate(r_j)``.  The returned nodal u is the last iterate,
-    extended by zero beyond its outer radius.
+    is declared when either a successive-difference gap drops below
+    ``EXHAUSTION_TOL`` or the gap sequence contracts geometrically (ratio
+    <= 0.75, at least two gaps); in the latter case the Richardson-
+    extrapolated remaining error is recorded in the trace.  The
+    outer-boundary influence decays like r_j^{2-n}, so for low dimensions
+    only the contraction route is reachable at practical radii.  Each radius
+    r_j is solved on ``base_grid.truncate(r_j)``.  The returned nodal u is
+    the last iterate, extended by zero beyond its outer radius.
 
     The first radius runs the lambda-continuation from zero.  Each later
     radius differs from the previous one only near its new outer boundary,
@@ -419,7 +401,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
         if prev_on_compact is not None:
             gap = float(np.max(np.abs(on_compact - prev_on_compact)))
             entry["cauchy_gap"] = gap
-            if gap < tol:
+            if gap < EXHAUSTION_TOL:
                 converged = True
         trace.append(entry)
         prev_on_compact = on_compact
@@ -441,8 +423,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     u = np.zeros_like(base_grid.nodes)
     inside = base_grid.nodes <= r_out
     u[inside] = prev_state.profile()(base_grid.nodes[inside])
-    return JangLimit(u=u, grid=base_grid, trace=trace,
-                     converged_radius=R_c, outer_radius=r_out)
+    return JangLimit(u=u, grid=base_grid, trace=trace, outer_radius=r_out)
 
 
 def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
@@ -500,18 +481,14 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
         "passed": bool(np.max(absw) <= cap + tol),
         "sup": float(np.max(absw)), "bound": cap, "first_violation": None}
 
-    # (iv) uniform gradient bound across the exhaustion trace
-    if len(trace) > 1:
-        sups = np.array([e["sup_dw_g"] for e in trace])
-        med = float(np.median(sups))
-        ok = bool(np.max(sups) <= 1.05 * med + tol)
-        entries["gradient_uniformity"] = {
-            "passed": ok, "sup": float(np.max(sups)), "bound": 1.05 * med,
-            "per_radius": sups.tolist(), "first_violation": None}
-    else:
-        entries["gradient_uniformity"] = {
-            "passed": True, "sup": None, "bound": None,
-            "note": "single solve: uniformity vacuous", "first_violation": None}
+    # (iv) uniform gradient bound across the exhaustion trace, which holds
+    # at least two radii: exhaustion_solve returns only after a Cauchy gap
+    sups = np.array([e["sup_dw_g"] for e in trace])
+    med = float(np.median(sups))
+    entries["gradient_uniformity"] = {
+        "passed": bool(np.max(sups) <= 1.05 * med + tol),
+        "sup": float(np.max(sups)), "bound": 1.05 * med,
+        "per_radius": sups.tolist(), "first_violation": None}
 
     # (v) log-log decay of |u| and |u'| on the far window
     wprof = result.profile()
@@ -534,10 +511,8 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
                                   "first_violation": None}
 
     # (vi) exponential-weight gradient audit on a geodesic ball
-    spec = GradientAuditSpec(sigma=4.0 * r0, center=4.0 * r0)
     try:
-        entries["gradient_ball"] = gradient_ball_audit(data, config, wprof,
-                                                       spec)
+        entries["gradient_ball"] = gradient_ball_audit(data, config, wprof)
     except AuditInapplicable as exc:
         entries["gradient_ball"] = {"passed": False,
                                     "note": f"inapplicable: {exc}",
@@ -561,22 +536,18 @@ def _bound_entry(vals, bound, tol, radii):
 
 
 def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
-                        wprof: SampledProfile,
-                        spec: GradientAuditSpec) -> dict:
-    """Exponential-weight gradient audit on the ball of radius sigma.
+                        wprof: SampledProfile) -> dict:
+    """Exponential-weight gradient audit on the geodesic ball of radius
+    sigma = 4 r0 about the radius 4 r0.
 
     The weight is (e^{A^2 sigma^{-1}(w - psi)} - 1)(1 + |dw|^2)^{1/2} with
     psi = 2 C0 sigma^{-1} (2 d(p, .)^2 - sigma^2), C0 = sup_ball |w| / sigma.
-    A is either supplied (the hypothesis inequalities are then checked, and
-    failure raises AuditInapplicable) or chosen as the smallest value >= 4
-    making them hold.  The pass criterion is stability of the supremum within
-    10% between the working grid and its two-fold coarsening.
+    A is the smallest value >= 4 making the hypothesis inequalities hold.
+    The pass criterion is stability of the supremum within 10% between the
+    working grid and its two-fold coarsening.
     """
     grid = wprof.grid
-    sigma = float(spec.sigma)
-    center = float(spec.center)
-    if sigma <= 0.0:
-        raise InvalidArgument("audit needs sigma > 0")
+    sigma = center = 4.0 * config.r0
 
     fine = _ball_supremum_data(data, config, wprof, grid, center, sigma)
     if fine is None:
@@ -584,18 +555,12 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
 
     C0 = fine["C0"]
     if C0 < 1e-300:
-        return {"passed": True, "A": max(4.0, spec.A or 4.0), "sigma": sigma,
+        return {"passed": True, "A": 4.0, "sigma": sigma,
                 "C0": 0.0, "sup": 0.0, "sup_coarse": 0.0,
                 "note": "solution vanishes on the ball", "first_violation": None}
 
     required = fine["required_A"]
-    if spec.A is None:
-        A = max(4.0, required)
-    else:
-        A = float(spec.A)
-        if A < 4.0 or A < required * (1.0 - 1e-12):
-            raise AuditInapplicable(
-                f"hypotheses need A >= {max(4.0, required):.6g}, got {A}")
+    A = max(4.0, required)
 
     # evaluate the weighted supremum on a shared dense radius set, with w
     # represented on the working grid and on its two-fold coarsening; C0,

@@ -40,22 +40,22 @@ def _window_mask(grid: RadialGrid, window):
     return (grid.nodes >= lo) & (grid.nodes <= hi), (lo, hi)
 
 
-def fit_alpha(obj, grid: RadialGrid, window=None):
+def fit_alpha(obj, grid: RadialGrid):
     """Mass parameter from the radial metric coefficient.
 
-    Least-squares fit of (a(r) - 1) against r^{2-n} on the window (default
-    [r_max/4, r_max/2]).  ``obj`` is a dataset (fits the base metric) or a
+    Least-squares fit of (a(r) - 1) against r^{2-n} on the window
+    [r_max/4, r_max/2].  ``obj`` is a dataset (fits the base metric) or a
     graph geometry on ``grid`` (fits the graph coefficient a + u'^2 at the
     window nodes).  Returns
     (alpha, DecayFit); raises FitFailure when the relative rms residual
     exceeds 0.1, i.e. when the profile is not of the modeled form.
     """
     if isinstance(obj, RadialInitialData):
-        return fit_alpha_profile(obj.a, obj.n, grid, window)
+        return fit_alpha_profile(obj.a, obj.n, grid)
     if hasattr(obj, "g_check_rr"):  # graph geometry
         if not np.array_equal(obj.grid.nodes, grid.nodes):
             raise InvalidArgument("the graph geometry must live on the grid")
-        return fit_alpha_profile(obj.g_check_rr, obj.n, grid, window)
+        return fit_alpha_profile(obj.g_check_rr, obj.n, grid)
     raise InvalidArgument("fit_alpha needs a dataset or a graph geometry")
 
 
@@ -115,7 +115,7 @@ def fit_decay_exponent(profile, grid: RadialGrid, window) -> DecayFit:
 
 
 def positivity_experiment(n: int, count: int, seed: int,
-                          grid: RadialGrid | None = None) -> dict:
+                          grid: RadialGrid) -> dict:
     """Generate strict-DEC datasets and verify the mass parameter is positive.
 
     Each dataset runs the full pipeline (inner-radius search, capillary
@@ -123,11 +123,10 @@ def positivity_experiment(n: int, count: int, seed: int,
     failures are recorded without aborting the batch.  The experiment passes
     when every dataset with positive margin and green audits has alpha > 0.
     """
-    from .pipeline import default_grid, full_pipeline
+    from .pipeline import full_pipeline
 
     if count < 1:
         raise InvalidArgument("count must be >= 1")
-    grid = grid if grid is not None else default_grid()
 
     def run_one(k):
         sk = seed + k

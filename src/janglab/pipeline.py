@@ -58,13 +58,10 @@ def exhaustion_schedule(r0: float, r_max: float,
 
 
 def full_pipeline(family: str, n: int, params: dict, grid: RadialGrid,
-                  seed: int, schedule_factors=SCHEDULE_FACTORS,
-                  r0_candidates=None) -> dict:
+                  seed: int) -> dict:
     """Run every stage on one generated dataset and collect all audits."""
     data = make_dataset(family, n, params, grid=grid, seed=seed)
-    return run_pipeline_on(data, grid, seed=seed,
-                           schedule_factors=schedule_factors,
-                           r0_candidates=r0_candidates)
+    return run_pipeline_on(data, grid, seed=seed)
 
 
 def run_pipeline_on(data, grid: RadialGrid, seed: int,
@@ -144,7 +141,6 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
         "decay": decay,
         "audits_passed": audits_passed,
         "arrays": {"u": limit.u, "grid": grid.nodes,
-                   "residual_trace": limit.trace,
                    "consequence_margin": cons},
     }
 

@@ -17,23 +17,18 @@ from .grids import RadialGrid
 class AnalyticProfile:
     """Profile defined by callables for f, f', f''."""
 
-    def __init__(self, f, d1=None, d2=None, label=""):
+    def __init__(self, f, d1, d2):
         self._f = f
         self._d1 = d1
         self._d2 = d2
-        self.label = label
 
     def __call__(self, r):
         return self._f(np.asarray(r, dtype=float))
 
     def deriv1(self, r):
-        if self._d1 is None:
-            return _central(self._f, r, 1)
         return self._d1(np.asarray(r, dtype=float))
 
     def deriv2(self, r):
-        if self._d2 is None:
-            return _central(self._f, r, 2)
         return self._d2(np.asarray(r, dtype=float))
 
     def deriv2_origin(self) -> float:
@@ -44,12 +39,11 @@ class AnalyticProfile:
 class SampledProfile:
     """Profile given by nodal values on a grid."""
 
-    def __init__(self, grid: RadialGrid, values, label=""):
+    def __init__(self, grid: RadialGrid, values):
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != grid.nodes.shape:
             raise ValueError("values must match grid nodes")
-        self.label = label
         self._spline = None
 
     def _get_spline(self):
@@ -133,13 +127,4 @@ def constant_profile(value: float):
     c = float(value)
     return AnalyticProfile(lambda r: np.full_like(r, c),
                            lambda r: np.zeros_like(r),
-                           lambda r: np.zeros_like(r),
-                           label=f"const({c})")
-
-
-def _central(f, r, order, rel_h=1e-5):
-    r = np.asarray(r, dtype=float)
-    h = rel_h * np.maximum(np.abs(r), 1.0)
-    if order == 1:
-        return (f(r + h) - f(r - h)) / (2.0 * h)
-    return (f(r + h) - 2.0 * f(r) + f(r - h)) / h ** 2
+                           lambda r: np.zeros_like(r))

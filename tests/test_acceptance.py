@@ -27,7 +27,6 @@ from janglab.jang_solver import (continuation_solve, estimate_audits,
 from janglab.mass import (fit_alpha, fit_alpha_profile, fit_decay_exponent,
                           positivity_experiment)
 from janglab.pipeline import default_grid, run_pipeline_on
-from janglab.profiles import AnalyticProfile
 from janglab.report import emit_report
 
 from test_geometry import sphere_dataset
@@ -266,7 +265,7 @@ def test_mass_positivity_batch():
     t0 = time.perf_counter()
     grid = build_grid(512.0, 1024, "uniform")
     alpha, _ = fit_alpha_profile(
-        AnalyticProfile(lambda r: 1.0 + 0.3 * r ** -2.0), 4, grid)
+        lambda r: 1.0 + 0.3 * r ** -2.0, 4, grid)
     assert abs(alpha - 0.3) < 1e-10
 
     vac = make_dataset("schwarzschild", 4, {"m": 1.0})

@@ -122,6 +122,28 @@ def test_experiment_subcommand(tmp_path):
     assert report["passed"] and report["n_positive"] == 2
 
 
+def test_seed_option_overrides_experiment_seed(tmp_path):
+    cfg = {"experiment": {"n": 4, "count": 1, "seed": 10}}
+    code, out = run(tmp_path, "experiment", cfg=cfg,
+                    extra=("--seed", "500", "--grid-n", "1024"))
+    report = json.loads((tmp_path / "out" / "experiment.json").read_text())
+    assert report["seed"] == 500
+    assert [row["seed"] for row in report["rows"]] == [500]
+
+
+@pytest.mark.parametrize("command, cfg, extra", [
+    ("pipeline", {"dataset": []}, ()),
+    ("pipeline", {"grid": []}, ()),
+    ("pipeline", {"dataset": 5}, ("--seed", "3")),
+    ("experiment", {"experiment": []}, ()),
+], ids=["dataset-list", "grid-list", "dataset-number-seed", "experiment-list"])
+def test_non_object_config_section_is_config_error(tmp_path, capsys, command,
+                                                   cfg, extra):
+    code, _ = run(tmp_path, command, cfg=cfg, extra=extra)
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path):
     code = main(["--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out"), "pipeline"])

@@ -41,7 +41,7 @@ def sphere_dataset(n, n_intervals=512):
         return np.where(r == 0.0, -2.0 / 3.0, out)
 
     grid = build_grid(3.0, n_intervals, "uniform")
-    prof = AnalyticProfile(c, dc, d2c, label="sphere-c")
+    prof = AnalyticProfile(c, dc, d2c)
     data = dataset_from_samples(grid, np.ones_like(grid.nodes),
                                 prof(grid.nodes),
                                 np.zeros_like(grid.nodes),

@@ -229,6 +229,24 @@ def test_synthetic_shielding_shrunken_region_is_caught():
     assert not report["bullets"]["contains_exterior"]["passed"]
 
 
+def test_shielding_reports_a_nonpositive_reduced_density():
+    # Q at one interior node makes Q + Phi^2/2 - 2|dPhi| = -1e-9: bullet 6
+    # fails through its positivity alone, since Q_hat follows the new Q
+    data, config, geo, grid, sd = synthetic_shielding()
+    i = int(np.argmax((sd.d_profile > 0.0) & (sd.d_profile < sd.width)))
+    dphi = abs(float(sd.dphi_of_d(sd.d_profile[i])))
+    bad = copy.copy(config)
+    bad.Q = config.Q.copy()
+    bad.Q[i] = 2.0 * dphi - 0.5 * sd.Phi[i] ** 2 - 1e-9
+    report = shielding_audit(build_shielding(data, bad, geo, width=10.0),
+                             bad, grid)
+    bullet = report["bullets"]["reduced_density_bound"]
+    assert not bullet["passed"] and not report["six"][5]
+    loc = bullet["first_violation"]
+    assert loc["node_radius"] == grid.nodes[i]
+    assert loc["x"] <= 0.0 and loc["x"] >= 2.0 * loc["q_hat"] - 1e-6
+
+
 def test_undersized_collar_fails_the_shielding_audit(dec_data, cap_config,
                                                      graph_geo, base_grid):
     # forcing the pole into the grid where Q has already decayed makes the

@@ -14,11 +14,10 @@ from janglab.geometry import RadialFrame, make_dataset
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP, EXHAUSTION_TOL,
                                  NEWTON_MAX_DAMPING_FAILURES, NEWTON_MAX_ITER,
-                                 TOL_NEWTON, GradientAuditSpec,
-                                 continuation_solve, estimate_audits,
-                                 exhaustion_solve, gradient_ball_audit,
-                                 jang_operator, newton_solve, _System,
-                                 _transfer)
+                                 TOL_NEWTON, continuation_solve,
+                                 estimate_audits, exhaustion_solve,
+                                 gradient_ball_audit, jang_operator,
+                                 newton_solve, _System, _transfer)
 from janglab.mass import fit_decay_exponent
 from janglab.pipeline import exhaustion_schedule
 from janglab.profiles import SampledProfile
@@ -362,7 +361,7 @@ def test_solution_is_odd_in_momentum_sign(dec_data, cap_config, base_grid,
 # ---------------------------------------------------------------------------
 
 def test_exhaustion_limit_structure(jang_limit, base_grid, r0):
-    assert jang_limit.converged_radius == 64.0 * r0
+    assert jang_limit.trace[0]["r_j"] == 64.0 * r0
     assert jang_limit.outer_radius == 256.0 * r0
     r = base_grid.nodes
     assert np.all(jang_limit.u[r > jang_limit.outer_radius] == 0.0)
@@ -512,37 +511,19 @@ def test_estimates_flag_corrupted_solution(dec_data, cap_config, jang_limit,
     assert loc["value"] > loc["bound"]
 
 
-def test_gradient_ball_audit_rejects_small_A(dec_data, cap_config,
-                                             jang_limit):
-    prof = jang_limit.profile()
-    spec = GradientAuditSpec(A=4.0, sigma=4.0 * cap_config.r0,
-                             center=4.0 * cap_config.r0)
-    auto = gradient_ball_audit(dec_data, cap_config, prof,
-                               GradientAuditSpec(sigma=4.0 * cap_config.r0,
-                                                 center=4.0 * cap_config.r0))
-    required = auto["required_A"]
-    if required > 4.0:
-        with pytest.raises(AuditInapplicable):
-            gradient_ball_audit(dec_data, cap_config, prof, spec)
-    big = GradientAuditSpec(A=required + 1.0, sigma=4.0 * cap_config.r0,
-                            center=4.0 * cap_config.r0)
-    rep = gradient_ball_audit(dec_data, cap_config, prof, big)
-    assert rep["passed"]
-
-
 def test_gradient_ball_audit_trivial_solution(base_grid):
     data = make_dataset("flat", 4, {})
     config = synthetic_config(grid=base_grid)
     prof = SampledProfile(base_grid, np.zeros_like(base_grid.nodes))
-    rep = gradient_ball_audit(data, config, prof,
-                              GradientAuditSpec(sigma=4.0, center=4.0))
+    rep = gradient_ball_audit(data, config, prof)
     assert rep["passed"] and rep["C0"] == 0.0
+    assert rep["sigma"] == 4.0 * config.r0
 
 
-def test_gradient_ball_audit_needs_enough_nodes(dec_data, cap_config,
+def test_gradient_ball_audit_needs_enough_nodes(dec_data, base_grid,
                                                 jang_limit):
-    prof = jang_limit.profile()
+    # the ball of radius 4 r0 = 0.2 about r = 0.2 holds two grid nodes
+    config = synthetic_config(grid=base_grid, r0=0.05)
     with pytest.raises(AuditInapplicable):
-        gradient_ball_audit(dec_data, cap_config, prof,
-                            GradientAuditSpec(sigma=1e-3, center=4.0))
+        gradient_ball_audit(dec_data, config, jang_limit.profile())
 

@@ -8,11 +8,10 @@ from janglab.geometry import make_dataset
 from janglab.grids import build_grid
 from janglab.mass import (experiment_csv, fit_alpha, fit_alpha_profile,
                           fit_decay_exponent, positivity_experiment)
-from janglab.profiles import AnalyticProfile
 
 
 def power_profile(amp, expo):
-    return AnalyticProfile(lambda r: 1.0 + amp * r ** expo)
+    return lambda r: 1.0 + amp * r ** expo
 
 
 def test_fit_alpha_exact_model():
@@ -82,16 +81,15 @@ def test_fit_alpha_window_validation():
 @settings(max_examples=30, deadline=None)
 def test_decay_exponent_exact_power_laws(amp, expo):
     grid = build_grid(256.0, 512, "uniform")
-    fit = fit_decay_exponent(AnalyticProfile(lambda r: amp * r ** expo),
-                             grid, (32.0, 128.0))
+    fit = fit_decay_exponent(lambda r: amp * r ** expo, grid, (32.0, 128.0))
     assert abs(fit.exponent - expo) < 1e-9
     assert abs(fit.amplitude - amp) < 1e-8 * amp
 
 
 def test_decay_exponent_needs_nonzero_data(base_grid):
     with pytest.raises(InsufficientData):
-        fit_decay_exponent(AnalyticProfile(lambda r: np.zeros_like(r)),
-                           base_grid, (32.0, 128.0))
+        fit_decay_exponent(lambda r: np.zeros_like(r), base_grid,
+                           (32.0, 128.0))
 
 
 def test_positivity_experiment_small_batch(base_grid):
