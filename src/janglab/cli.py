@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -67,11 +68,21 @@ def load_config(args) -> dict:
     for key in ("grid", "dataset", "experiment"):
         if not isinstance(cfg.get(key, {}), dict):
             raise InvalidArgument(f"config {key!r} must be a JSON object")
+    for key in ("schedule_factors", "r0_candidates"):
+        if key in cfg and not _positive_numbers(cfg[key]):
+            raise InvalidArgument(f"config {key!r} must be a non-empty list "
+                                  f"of positive finite numbers")
     if args.seed is not None:
         cfg.setdefault("dataset", {})["seed"] = args.seed
     if args.grid_n is not None:
         cfg.setdefault("grid", {})["n_intervals"] = args.grid_n
     return cfg
+
+
+def _positive_numbers(value) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and 0 < v < math.inf for v in value))
 
 
 def resolve_out(args) -> str:

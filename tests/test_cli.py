@@ -144,6 +144,27 @@ def test_non_object_config_section_is_config_error(tmp_path, capsys, command,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("schedule_factors", 5),
+    ("schedule_factors", None),
+    ("schedule_factors", []),
+    ("schedule_factors", [64, -128]),
+    ("r0_candidates", "x"),
+    ("r0_candidates", [1.0, "2"]),
+    ("r0_candidates", [True]),
+    ("r0_candidates", [float("inf")]),
+], ids=["factors-number", "factors-null", "factors-empty", "factors-negative",
+        "r0-string", "r0-string-item", "r0-bool", "r0-inf"])
+def test_bad_top_level_list_is_config_error(tmp_path, capsys, key, value):
+    for command in ("barrier", "solve", "audit", "pipeline"):
+        code, out = run(tmp_path, command, cfg={**GOOD, key: value},
+                        out=command)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: config {key!r}" in err
+        assert not os.path.exists(out)
+
+
 def test_missing_config_is_config_error(tmp_path):
     code = main(["--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out"), "pipeline"])

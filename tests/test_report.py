@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from janglab.barrier import BarrierProfile, barrier_csv, ode_residual
 from janglab.errors import IOFailure
+from janglab.pipeline import run_pipeline_on
 from janglab.report import (_float_csv, emit_report, solution_csv_from_results,
                             write_artifact)
 
@@ -51,6 +54,67 @@ def test_float_csv_writes_the_repr_of_each_float():
                              for a, b in zip(*cols))
     assert _float_csv(("x", "y"), cols) == want
     assert want.splitlines()[1:3] == ["0.0,nan", "-0.0,inf"]
+
+
+def _fields(values):
+    """The formatter's text for each value, one CSV field per value."""
+    text = _float_csv(("x",), (np.asarray(values, dtype=float),))
+    return text.split("\n")[1:-1]
+
+
+def _reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+def test_float_csv_matches_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(20_240_607).integers(
+        0, 2 ** 64, 200_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert _fields(values) == _reprs(values)
+
+
+def test_float_csv_matches_repr_on_edge_values():
+    powers = 2.0 ** np.arange(-1074, 1024)
+    around_2_53 = 2.0 ** 53 + np.arange(-2000.0, 2000.0)
+    values = np.concatenate([
+        powers, -powers, [float(f"1e{k}") for k in range(-330, 311)],
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 8e-323, -8e-323,
+         1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+         2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, -1.7976931348623157e308],
+        around_2_53, -around_2_53, np.arange(-3000.0, 3000.0)])
+    assert _fields(values) == _reprs(values)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_csv_matches_repr_property(values):
+    assert _fields(values) == _reprs(values)
+
+
+def _repr_rows(header, cols):
+    """The CSV as one ``repr`` call per value writes it, as a list of lines
+    (a failed comparison of lists reports the first differing line)."""
+    text = "\n".join(map(",".join,
+                         zip(*(map(repr, c.tolist()) for c in cols))))
+    return (",".join(header) + "\n" + text + "\n").split("\n")
+
+
+def test_solution_csv_of_a_run_matches_repr_rows(dec_data, base_grid):
+    results = run_pipeline_on(dec_data, base_grid, seed=7)
+    arrays = results["arrays"]
+    cols = (arrays["grid"], arrays["u"], arrays["consequence_margin"])
+    assert np.count_nonzero(arrays["u"] == 0.0) > 1000    # zero-extended tail
+    assert solution_csv_from_results(results).split("\n") == _repr_rows(
+        ("r", "u", "consequence_margin"), cols)
+
+
+def test_barrier_csv_matches_repr_rows():
+    bp = BarrierProfile(r0=1.0, n=4)
+    s = np.geomspace(1.5, 64.0, 200)
+    cols = (s, bp.b(s), bp.bprime(s), bp.bsecond(s), ode_residual(bp, s))
+    assert np.count_nonzero(cols[-1] == 0.0) > 0           # exact residuals
+    assert barrier_csv(bp, s).split("\n") == _repr_rows(
+        ("s", "b", "bprime", "bsecond", "ode_residual"), cols)
 
 
 def test_emit_report_error_record(tmp_path):
