@@ -37,6 +37,12 @@ EXIT_DEC = 3
 EXIT_SOLVER = 4
 EXIT_AUDIT = 5
 
+# config fields read as integers: a float, string or bool is rejected, not
+# truncated or coerced into a run nobody asked for
+INTEGER_FIELDS = (("grid", "n_intervals"), ("dataset", "n"),
+                  ("dataset", "seed"), ("experiment", "n"),
+                  ("experiment", "count"), ("experiment", "seed"))
+
 SOLVER_ERRORS = (ContinuationFailure, ExhaustionNonconvergence,
                  NewtonDivergence, NoAdmissibleR0, SingularJacobian,
                  GenerationFailure, NumericalDegeneracy, ConfigFailure)
@@ -72,6 +78,11 @@ def load_config(args) -> dict:
         if key in cfg and not _positive_numbers(cfg[key]):
             raise InvalidArgument(f"config {key!r} must be a non-empty list "
                                   f"of positive finite numbers")
+    for section, key in INTEGER_FIELDS:
+        value = cfg.get(section, {}).get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidArgument(f"config '{section}.{key}' must be an "
+                                  f"integer")
     if args.seed is not None:
         cfg.setdefault("dataset", {})["seed"] = args.seed
     if args.grid_n is not None:
@@ -93,16 +104,16 @@ def _grid_from_config(cfg):
     g = cfg.get("grid", {})
     policy = g.get("policy", "uniform")
     return build_grid(float(g.get("r_max", 512.0)),
-                      int(g.get("n_intervals", 2048)),
+                      g.get("n_intervals", 2048),
                       policy, g.get("stretch"))
 
 
 def _dataset_from_config(cfg, grid):
     ds = cfg.get("dataset", {})
     family = ds.get("family", "perturbed-dec")
-    n = int(ds.get("n", 4))
+    n = ds.get("n", 4)
     return make_dataset(family, n, ds.get("params", {}), grid=grid,
-                        seed=int(ds.get("seed", 0)))
+                        seed=ds.get("seed", 0))
 
 
 def main(argv=None) -> int:
@@ -121,7 +132,7 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else exp.get(
                 "seed", cfg.get("dataset", {}).get("seed", 1))
             report = positivity_experiment(
-                int(exp.get("n", 4)), int(exp.get("count", 20)), int(seed),
+                exp.get("n", 4), exp.get("count", 20), seed,
                 grid=grid)
             write_artifact(out, "experiment.csv", experiment_csv(report))
             write_artifact(out, "experiment.json", report)
@@ -133,7 +144,7 @@ def main(argv=None) -> int:
     except (DecViolation, *SOLVER_ERRORS) as exc:
         return _failed(exc, cfg, out)
 
-    seed = int(cfg.get("dataset", {}).get("seed", 0))
+    seed = cfg.get("dataset", {}).get("seed", 0)
     try:
         if args.command == "gen":
             validation = validate_dataset(data, grid)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .capillary import CapillaryConfig, smoothstep, smoothstep_d1
 from .errors import InvalidArgument, NumericalDegeneracy
@@ -27,6 +27,8 @@ from .jang_solver import JangLimit
 from .profiles import SampledProfile
 
 PHI_POLE_THRESHOLD = -1.0e6
+
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +454,23 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     so M_0 > 0.  Admissible f vanish where |u| >= 2 smallness_budget (Dirichlet nodes)
     and are constant on r >= 0.9 r_max, whose nodes merge into one unknown
     (fixed at 0 as a whole if it holds a Dirichlet node).  With T the
-    mass-scaled tridiagonal and phi the eigenvector of its lowest eigenvalue
-    (LAPACK stebz: bisection on Sturm counts), the audit passes when
+    mass-scaled tridiagonal, lambda_min its lowest eigenvalue and phi its
+    eigenvector (see ``_lowest_pair``), the audit passes when
 
         lambda_min >= -(1e-8 sigma + 8 u ||T||)
 
     where u = 2^-53, ||T|| is the largest Gershgorin row sum and
     sigma = (sum k_i (phi_i - phi_{i+1})^2 + sum |V_i| M_i phi_i^2)
             / sum M_i phi_i^2
-    is summed from nonnegative terms.  The Simpson quadratic form on phi,
-    with a spline phi' and the graph volume element, is a second opinion:
-    its Rayleigh quotient must lie within 0.1 sigma_Simpson + 8 u ||T|| of
-    lambda_min.  ``vacuous`` means V >= 0 on every admissible node, so the
-    form is nonnegative pointwise; ``support`` is the first and last radius
-    where |phi| >= 1e-3 max |phi|.
+    is summed from nonnegative terms; a positive definite LDL^T factor of
+    T + 8 u ||T|| I proves the inequality on its own.  The Simpson quadratic
+    form on phi, with a spline phi' and the graph volume element, is a
+    second opinion: its Rayleigh quotient must lie within
+    0.1 sigma_Simpson + 8 u ||T|| of lambda_min.  ``lambda_residual`` is
+    ||T phi - lambda_min phi|| / ||phi||: an eigenvalue of T lies that close
+    to lambda_min.  ``vacuous`` means V >= 0 on every admissible node, so
+    the form is nonnegative pointwise; ``support`` is the first and last
+    radius where |phi| >= 1e-3 max |phi|.
     """
     grid = geo.grid
     r = grid.nodes
@@ -507,9 +512,8 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     rows[1:] += np.abs(off)
     roundoff = 8.0 * 2.0 ** -53 * float(np.max(rows))
 
-    lam, vec = eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
-    lam = float(lam[0])
-    phi = np.where(free, vec[owner, 0] / scale[owner], 0.0)
+    lam, vec, residual, certified = _lowest_pair(d, off, roundoff)
+    phi = np.where(free, vec[owner] / scale[owner], 0.0)
     norm = float(np.sum(mass * phi ** 2))
     sigma = float(np.sum(k * np.diff(phi) ** 2)
                   + np.sum(np.abs(pot) * mass * phi ** 2)) / norm
@@ -526,8 +530,49 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     gap_bound = 0.1 * sigma_s + roundoff
 
     big = r[np.abs(phi) >= 1e-3 * np.max(np.abs(phi))]
-    return {"lambda_min": lam, "bound": bound, "cross_check_gap": gap,
-            "cross_check_bound": gap_bound,
+    return {"lambda_min": lam, "bound": bound, "lambda_residual": residual,
+            "cross_check_gap": gap, "cross_check_bound": gap_bound,
             "support": [float(big[0]), float(big[-1])],
             "vacuous": bool(np.all(pot[free] >= 0.0)),
-            "passed": bool(lam >= bound and gap <= gap_bound)}
+            "passed": bool((certified or lam >= bound)
+                           and gap <= gap_bound)}
+
+
+def _lowest_pair(d: np.ndarray, off: np.ndarray, roundoff: float):
+    """Lowest eigenpair of the symmetric tridiagonal T = tridiag(off, d, off).
+
+    Returns (lambda, phi, residual, certified).  T - s I with s = -roundoff
+    is factored as L D L^T; by Sylvester's law of inertia, all pivots positive
+    (``certified``) means lambda_min(T) > s.  Inverse iteration on that
+    factor from the all-ones vector then finds the ground state, which is
+    nonnegative because off <= 0 (Perron-Frobenius), and lambda is its
+    Rayleigh quotient.  A nonpositive pivot, or no convergence in 30 solves,
+    falls back to LAPACK bisection (stebz) and inverse iteration (stein).
+    residual = ||T phi - lambda phi|| / ||phi|| in both cases.  Reductions use
+    np.sum/np.max, not BLAS, so the result does not depend on its threads.
+    """
+    factor_d, factor_e, info = _pttrf(d + roundoff, off)
+    certified = info == 0
+    converged = False
+    phi = np.ones((d.size, 1))
+    if certified:
+        for _ in range(30):
+            x = _pttrs(factor_d, factor_e, phi)[0]
+            x /= np.max(np.abs(x))
+            converged = float(np.max(np.abs(x - phi))) <= 1e-13
+            phi = x
+            if converged:
+                break
+    if converged:
+        phi = phi[:, 0]
+    else:
+        lam, vec = eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
+        lam, phi = float(lam[0]), vec[:, 0]
+    t_phi = d * phi
+    t_phi[:-1] += off * phi[1:]
+    t_phi[1:] += off * phi[:-1]
+    norm = float(np.sum(phi * phi))
+    if converged:
+        lam = float(np.sum(phi * t_phi)) / norm
+    residual = math.sqrt(float(np.sum((t_phi - lam * phi) ** 2)) / norm)
+    return lam, phi, residual, certified

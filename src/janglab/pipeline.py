@@ -133,6 +133,9 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
         "consequence": cons_report,
         "neighborhoods": neighborhoods,
         "shielding": {"six": shielding["six"],
+                      "vacuous": [name for name, bullet
+                                  in shielding["bullets"].items()
+                                  if bullet.get("vacuous")],
                       "passed": shielding["passed"]},
         "stability": stability,
         "alpha": alpha,

@@ -88,9 +88,11 @@ def test_audit_emits_report_only(tmp_path):
     assert audits["audits_passed"]
     assert audits["consequence"]["passed"]
     assert audits["shielding"]["six"] == [True] * 6
+    # the collar covers the grid, so E has no boundary to hold a pole
+    assert audits["shielding"]["vacuous"] == ["pole_at_boundary"]
     assert set(audits["stability"]) == {
-        "lambda_min", "bound", "cross_check_gap", "cross_check_bound",
-        "support", "vacuous", "passed"}
+        "lambda_min", "bound", "lambda_residual", "cross_check_gap",
+        "cross_check_bound", "support", "vacuous", "passed"}
     assert audits["stability"]["passed"] and audits["stability"]["vacuous"]
 
 
@@ -162,6 +164,23 @@ def test_bad_top_level_list_is_config_error(tmp_path, capsys, key, value):
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"configuration error: config {key!r}" in err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "n", 4.5),
+    ("dataset", "n", "5"),
+    ("dataset", "n", True),
+    ("grid", "n_intervals", 2048.7),
+], ids=["n-float", "n-string", "n-bool", "n-intervals-float"])
+def test_non_integer_field_is_config_error(tmp_path, capsys, section, key,
+                                           value):
+    cfg = {**GOOD, section: {**GOOD.get(section, {}), key: value}}
+    for command in ("gen", "pipeline"):
+        code, out = run(tmp_path, command, cfg=cfg, out=command)
+        assert code == EXIT_CONFIG
+        assert (f"configuration error: config '{section}.{key}' must be an "
+                f"integer") in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

@@ -4,9 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal
 
 import janglab.jang_metric
-from janglab.capillary import CapillaryConfig
+from janglab.barrier import default_r0_candidates, find_r0
+from janglab.capillary import CapillaryConfig, select_capillary_config
 from janglab.geometry import RadialFrame, make_dataset, scalar_curvature
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_metric import (PHI_POLE_THRESHOLD, build_graph_geometry,
@@ -14,7 +16,8 @@ from janglab.jang_metric import (PHI_POLE_THRESHOLD, build_graph_geometry,
                                  neighborhood_audit, schoen_yau_audit,
                                  shielding_audit, sphere_volume,
                                  stability_audit, xi_norm_sq)
-from janglab.jang_solver import jang_operator
+from janglab.jang_solver import exhaustion_solve, jang_operator
+from janglab.pipeline import exhaustion_schedule
 from janglab.profiles import SampledProfile
 
 
@@ -341,12 +344,12 @@ def test_stability_cross_check_catches_a_wrong_eigenvalue(dec_data,
                                                           cap_config,
                                                           graph_geo,
                                                           monkeypatch):
-    eigh = janglab.jang_metric.eigh_tridiagonal
+    lowest = janglab.jang_metric._lowest_pair
 
-    def shifted(*args, **kwargs):
-        lam, vec = eigh(*args, **kwargs)
-        return lam + 0.5 * np.abs(lam), vec
-    monkeypatch.setattr(janglab.jang_metric, "eigh_tridiagonal", shifted)
+    def shifted(*args):
+        lam, vec, residual, certified = lowest(*args)
+        return lam + 0.5 * abs(lam), vec, residual, certified
+    monkeypatch.setattr(janglab.jang_metric, "_lowest_pair", shifted)
     well = potential_well(cap_config, graph_geo, 0.01)
     for config in (well, cap_config):
         report = stability_audit(dec_data, config, graph_geo)
@@ -355,6 +358,84 @@ def test_stability_cross_check_catches_a_wrong_eigenvalue(dec_data,
     # on default data the shifted eigenvalue still clears the verdict bound:
     # the cross-check alone fails the audit
     assert report["lambda_min"] >= report["bound"]
+
+
+def default_chain(n, n_intervals):
+    """Data, capillary config and graph geometry of a default dataset."""
+    grid = build_grid(512.0, n_intervals, "uniform")
+    data = make_dataset("perturbed-dec", n, {"m": 1.0, "amplitude": 0.05},
+                        grid=grid, seed=7)
+    r0 = find_r0(data, grid, default_r0_candidates(grid))
+    config = select_capillary_config(data, r0, grid)
+    limit = exhaustion_solve(data, config,
+                             exhaustion_schedule(r0, grid.r_max), grid)
+    return data, config, build_graph_geometry(data, config, limit, grid)
+
+
+def audit_counting_bisections(data, config, geo, monkeypatch):
+    """stability_audit, and how many times it called eigh_tridiagonal."""
+    calls = []
+    eigh = janglab.jang_metric.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(janglab.jang_metric, "eigh_tridiagonal", counted)
+        report = stability_audit(data, config, geo)
+    return report, len(calls)
+
+
+def audit_by_bisection(data, config, geo, monkeypatch):
+    """stability_audit with its lowest pair from eigh_tridiagonal alone.
+
+    This is the reference: LAPACK bisection and inverse iteration (stebz,
+    stein) with the verdict lambda_min >= bound.  Also returns 8 u ||T||.
+    """
+    roundoffs = []
+
+    def bisection(d, off, roundoff):
+        roundoffs.append(roundoff)
+        lam, vec = eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
+        return float(lam[0]), vec[:, 0], 0.0, False
+    with monkeypatch.context() as m:
+        m.setattr(janglab.jang_metric, "_lowest_pair", bisection)
+        report = stability_audit(data, config, geo)
+    return report, roundoffs[0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n_intervals", [2048, 8192])
+def test_lowest_pair_matches_bisection_on_default_data(n, n_intervals,
+                                                       monkeypatch):
+    data, config, geo = default_chain(n, n_intervals)
+    report, bisections = audit_counting_bisections(data, config, geo,
+                                                   monkeypatch)
+    reference, roundoff = audit_by_bisection(data, config, geo, monkeypatch)
+    # the factorisation certifies the pencil, so bisection never runs
+    assert bisections == 0
+    assert report["passed"] and reference["passed"]
+    assert abs(report["lambda_min"] - reference["lambda_min"]) <= roundoff
+    assert report["lambda_residual"] <= roundoff
+    assert report["support"] == reference["support"]
+
+
+@pytest.mark.parametrize("depth, lo, hi", [(0.01, 5.0, 40.0),
+                                           (1.0, 5.0, 40.0),
+                                           (1.0, 270.0, 280.0),
+                                           (1.0, 470.0, 480.0)])
+def test_lowest_pair_falls_back_to_bisection_on_wells(dec_data, cap_config,
+                                                      graph_geo, depth, lo,
+                                                      hi, monkeypatch):
+    well = potential_well(cap_config, graph_geo, depth, lo, hi)
+    report, bisections = audit_counting_bisections(dec_data, well, graph_geo,
+                                                   monkeypatch)
+    reference, _ = audit_by_bisection(dec_data, well, graph_geo, monkeypatch)
+    assert bisections == 1
+    for key in ("lambda_min", "support", "cross_check_gap", "passed"):
+        assert report[key] == reference[key]
+    assert not report["passed"]
+    assert report["lambda_residual"] < 1e-12
 
 
 def divergence_balance(data, geo, f_values):
