@@ -63,14 +63,28 @@ class CapillaryConfig:
     def collar_width_total(self) -> float:
         return self.s1 + 2.0 * self.s0
 
+    def _collar(self, r):
+        """r as an array, 4 r0, and the flat indices of r in the collar.
+
+        The collar is 4 r0 < r < 8 r0.  Elsewhere ``np.clip`` makes the
+        quintic exactly 0 or 1, so only the collar needs it.
+        """
+        r = np.asarray(r, dtype=float)
+        lo = 4.0 * self.r0
+        return r, lo, np.flatnonzero(~((r <= lo) | (r >= 2.0 * lo)))
+
     def zeta(self, r):
         """Cutoff: 1 on r <= 4 r0, 0 on r >= 8 r0, quintic in between."""
-        return 1.0 - smoothstep((np.asarray(r, dtype=float) - 4.0 * self.r0)
-                                / (4.0 * self.r0))
+        r, lo, collar = self._collar(r)
+        out = np.where(r >= 2.0 * lo, 0.0, 1.0)
+        out.flat[collar] = 1.0 - smoothstep((r.flat[collar] - lo) / lo)
+        return out
 
     def zeta_d1(self, r):
-        return -smoothstep_d1((np.asarray(r, dtype=float) - 4.0 * self.r0)
-                              / (4.0 * self.r0)) / (4.0 * self.r0)
+        r, lo, collar = self._collar(r)
+        d1 = np.zeros(r.shape)
+        d1.flat[collar] = smoothstep_d1((r.flat[collar] - lo) / lo)
+        return -d1 / lo
 
     def dzeta_norm_sq(self, frame: RadialFrame):
         """|d zeta|_g^2 = zeta'^2 / a at the frame's radii."""

@@ -42,6 +42,8 @@ EXIT_AUDIT = 5
 INTEGER_FIELDS = (("grid", "n_intervals"), ("dataset", "n"),
                   ("dataset", "seed"), ("experiment", "n"),
                   ("experiment", "count"), ("experiment", "seed"))
+# config fields read as positive finite numbers, when present
+NUMBER_FIELDS = (("grid", "r_max"), ("grid", "stretch"))
 
 SOLVER_ERRORS = (ContinuationFailure, ExhaustionNonconvergence,
                  NewtonDivergence, NoAdmissibleR0, SingularJacobian,
@@ -83,6 +85,11 @@ def load_config(args) -> dict:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidArgument(f"config '{section}.{key}' must be an "
                                   f"integer")
+    for section, key in NUMBER_FIELDS:
+        fields = cfg.get(section, {})
+        if key in fields and not _positive_number(fields[key]):
+            raise InvalidArgument(f"config '{section}.{key}' must be a "
+                                  f"positive finite number")
     if args.seed is not None:
         cfg.setdefault("dataset", {})["seed"] = args.seed
     if args.grid_n is not None:
@@ -90,10 +97,14 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _positive_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
 def _positive_numbers(value) -> bool:
     return (isinstance(value, list) and len(value) > 0
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and 0 < v < math.inf for v in value))
+            and all(_positive_number(v) for v in value))
 
 
 def resolve_out(args) -> str:
@@ -103,7 +114,7 @@ def resolve_out(args) -> str:
 def _grid_from_config(cfg):
     g = cfg.get("grid", {})
     policy = g.get("policy", "uniform")
-    return build_grid(float(g.get("r_max", 512.0)),
+    return build_grid(g.get("r_max", 512.0),
                       g.get("n_intervals", 2048),
                       policy, g.get("stretch"))
 

@@ -278,7 +278,7 @@ def _profiles(data: RadialInitialData) -> dict:
 
 def _coefficient(fn):
     """A frame coefficient: evaluated on first use, kept, and read-only; a
-    frame cut by ``beyond`` reads a slice of its whole frame's."""
+    frame cut by ``beyond`` or ``_part`` reads a slice of its whole frame's."""
     def get(self):
         if self._whole is not None:
             return getattr(self._whole[0], prop.attrname)[self._whole[1]]
@@ -325,15 +325,24 @@ class RadialFrame:
         The grid holds the frame of the last dataset evaluated on it.  It is
         reused while ``data`` and its a, c, q_rad, q_tan are the same
         objects, and replaced otherwise, keeping the metric coefficients
-        evaluated so far when a, c and ``origin_regular`` are unchanged.
+        evaluated so far when a, c and ``origin_regular`` are unchanged.  On
+        a grid whose nodes lead another grid's (``RadialGrid.truncate`` at a
+        node), the frame reads slices of that grid's frame.
         """
         old = grid._frame
         if old is not None and old._reads(data):
             return old
-        frame = cls(data, grid.nodes)
-        if (old is not None and old.data.origin_regular == data.origin_regular
-                and old._profiles["a"] is data.a and old._profiles["c"] is data.c):
-            vars(frame).update((k, vars(old)[k]) for k in _METRIC if k in vars(old))
+        if grid._prefix_of is not None:
+            frame = cls.on(data, grid._prefix_of)._part(
+                slice(None, grid.nodes.size))
+        else:
+            frame = cls(data, grid.nodes)
+            if (old is not None
+                    and old.data.origin_regular == data.origin_regular
+                    and old._profiles["a"] is data.a
+                    and old._profiles["c"] is data.c):
+                vars(frame).update((k, vars(old)[k]) for k in _METRIC
+                                   if k in vars(old))
         object.__setattr__(grid, "_frame", frame)
         return frame
 
@@ -344,7 +353,11 @@ class RadialFrame:
 
     def beyond(self, r_min: float) -> "RadialFrame":
         """This frame at its radii above ``r_min``, as read-only slices."""
-        part = slice(int(np.searchsorted(self.r, r_min, "right")), None)
+        return self._part(slice(int(np.searchsorted(self.r, r_min, "right")),
+                                None))
+
+    def _part(self, part: slice) -> "RadialFrame":
+        """This frame at the radii ``r[part]``, as read-only slices."""
         frame = RadialFrame(self.data, self.r[part])
         object.__setattr__(frame, "_whole", (self, part))
         return frame

@@ -47,6 +47,9 @@ class RadialGrid:
     _frame: object = field(default=None, repr=False, compare=False)
     # the not-a-knot spline system on these nodes (profiles._SplineSystem)
     _spline: object = field(default=None, repr=False, compare=False)
+    # the grid whose leading nodes these are, when truncate kept them all
+    _prefix_of: "RadialGrid | None" = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -122,18 +125,23 @@ class RadialGrid:
         """Sub-grid covering [0, r_out]; appends r_out if it is not a node.
 
         At r_out = r_max it is the grid itself, with its stencils, frame and
-        spline system.
+        spline system.  When r_out is a node, the sub-grid's nodes are this
+        grid's leading nodes, and its frames read this grid's
+        (``geometry.RadialFrame.on``).  A node within a relative 1e-14 of
+        r_out is moved onto it.
         """
         if r_out <= self.nodes[MIN_NODES]:
             raise InvalidArgument("truncation radius leaves too few nodes")
         if r_out == self.nodes[-1]:
             return self
         keep = self.nodes[self.nodes <= r_out * (1.0 + 1e-14)]
+        prefix_of = self if keep[-1] == r_out else None
         if keep[-1] < r_out * (1.0 - 1e-14):
             keep = np.append(keep, r_out)
         else:
             keep[-1] = r_out
-        return RadialGrid(keep, policy="truncated", stretch=self.stretch)
+        return RadialGrid(keep, policy="truncated", stretch=self.stretch,
+                          _prefix_of=prefix_of)
 
     def coarsen(self) -> "RadialGrid":
         """Every other node, plus r_max when N is odd."""

@@ -10,10 +10,10 @@ assembled analytically and is solved with LAPACK's gtsv; the lambda-free
 graph terms of each Newton iterate are evaluated once and shared by its
 residual and its Jacobian.  lambda-continuation from 0 to 1 starts each
 lambda step from the previous step's solution.  An exhaustion over
-increasing outer radii produces the entire-space limit.  The first radius
-runs the continuation from zero; each later radius is one damped Newton
-solve at lambda = 1 started from the previous radius's solution, and falls
-back to the continuation from that solution when the warm solve fails.
+increasing outer radii produces the entire-space limit.  Each radius is one
+damped Newton solve at lambda = 1, the first started from zero and each
+later one from the previous radius's nodal solution; a radius falls back to
+the continuation from the same start only when that solve fails.
 """
 
 from __future__ import annotations
@@ -352,17 +352,17 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     outer-boundary influence decays like r_j^{2-n}, so for low dimensions
     only the contraction route is reachable at practical radii.  Each radius
     r_j is solved on ``base_grid.truncate(r_j)``.  The returned nodal u is
-    the last iterate, extended by zero beyond its outer radius.
+    the last iterate at the base nodes it shares, and zero beyond them.
 
-    The first radius runs the lambda-continuation from zero.  Each later
+    Every radius is one damped Newton solve at lambda = 1 (``_warm_solve``).
+    The first starts from zero; for perturbed-dec data at n = 4 it takes 1-2
+    Newton iterations, against 20 for the lambda-continuation.  Each later
     radius differs from the previous one only near its new outer boundary,
-    so it is one damped Newton solve at lambda = 1 from the previous
-    solution (``_transfer``): for perturbed-dec data at n = 4 it takes 1
-    Newton iteration, against 22 for a continuation from the same start.
-    That solve always takes at least one step.  If it fails, the radius
-    falls back to the continuation from the transferred solution.  Each
-    trace entry's ``newton_steps`` holds the one lambda = 1 solve, or the
-    continuation's steps.
+    so it starts from the previous nodal solution (``_transfer``) and takes
+    1 iteration.  Every solve takes at least one step.  If it fails, the
+    radius falls back to the continuation from the same start, which from
+    zero is ``continuation_solve``.  Each trace entry's ``newton_steps``
+    holds the one lambda = 1 solve, or the continuation's steps.
     """
     schedule = sorted(float(r) for r in r_j_schedule)
     if not schedule:
@@ -380,15 +380,12 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     converged = False
     for r_j in schedule:
         grid = base_grid.truncate(r_j)
+        start = (np.zeros_like(grid.nodes) if prev_state is None
+                 else _transfer(prev_state, grid))
         steps = []
-        if prev_state is None:
-            state = continuation_solve(data, config, grid, trace=steps)
-        else:
-            state = _warm_solve(data, config, grid,
-                                _transfer(prev_state, grid), steps)
-        prof = state.profile()
-        on_compact = prof(compact)
-        dw = prof.deriv1(grid.nodes)
+        state = _warm_solve(data, config, grid, start, steps)
+        on_compact = state.w[:compact.size]
+        dw = state.profile().deriv1(grid.nodes)
         entry = {
             "r_j": r_j,
             "residual_norm": state.residual_norm,
@@ -419,24 +416,25 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     if not converged:
         raise ExhaustionNonconvergence(
             f"Cauchy criterion not met on [0, {R_c}]: gaps {gaps}")
-    r_out = prev_state.grid.r_max
-    u = np.zeros_like(base_grid.nodes)
-    inside = base_grid.nodes <= r_out
-    u[inside] = prev_state.profile()(base_grid.nodes[inside])
-    return JangLimit(u=u, grid=base_grid, trace=trace, outer_radius=r_out)
+    return JangLimit(u=_transfer(prev_state, base_grid), grid=base_grid,
+                     trace=trace, outer_radius=prev_state.grid.r_max)
 
 
 def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
-    """Previous solution interpolated onto ``grid``, zero beyond its radius.
+    """Previous nodal solution on ``grid``: w on the shared nodes, else 0.
 
-    It is the start of the next radius's lambda = 1 Newton solve, and of its
-    continuation if that solve fails.
+    ``state.grid`` and ``grid`` are truncations of one base grid, or that
+    grid itself, and ``grid`` reaches at least as far.  All but the last
+    node of ``state.grid`` are base nodes, so they lead ``grid`` too.  Its
+    last node, kept, appended or moved by ``truncate``, carries the
+    Dirichlet value 0, which is what ``grid`` gets there and beyond.  At
+    its own nodes the spline of w is w, so no interpolation is needed.  The
+    result starts the next radius's lambda = 1 Newton solve, and its
+    continuation if that solve fails; on the base grid it is the
+    exhaustion limit.
     """
-    prof = state.profile()
-    r = grid.nodes
-    r_j = state.grid.r_max
-    w = np.where(r <= r_j, prof(np.minimum(r, r_j)), 0.0)
-    w[-1] = 0.0
+    w = np.zeros_like(grid.nodes)
+    w[:state.w.size - 1] = state.w[:-1]
     return w
 
 

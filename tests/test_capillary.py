@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,26 @@ def test_cutoff_support(cap_config, base_grid):
     assert np.all((z >= 0.0) & (z <= 1.0))
     mid = (r > 4.0 * cap_config.r0) & (r < 8.0 * cap_config.r0)
     assert np.all(cap_config.zeta_d1(r)[mid] < 0.0)
+
+
+@pytest.mark.parametrize("policy", ["uniform", "geometric"])
+@pytest.mark.parametrize("r0_trial", [1.0, 2.0, 4.0])
+def test_cutoff_on_the_collar_only_keeps_every_bit(cap_config, policy,
+                                                   r0_trial):
+    r0 = r0_trial
+    # the quintic on every node, as the cutoff was once evaluated
+    grid = build_grid(512.0, 2048, policy, 1.001)
+    r = np.union1d(grid.nodes, [4.0 * r0, 8.0 * r0])
+    assert np.count_nonzero(np.isin(r, [4.0 * r0, 8.0 * r0])) == 2
+    cfg = copy.copy(cap_config)
+    cfg.r0 = r0
+    x = (r - 4.0 * r0) / (4.0 * r0)
+    zeta = 1.0 - smoothstep(x)
+    zeta_d1 = -smoothstep_d1(x) / (4.0 * r0)
+    for new, old in ((cfg.zeta(r), zeta), (cfg.zeta_d1(r), zeta_d1)):
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+    assert cfg.zeta(4.0 * r0) == 1.0 and cfg.zeta(8.0 * r0) == 0.0
 
 
 def test_selected_config_passes_independent_check(dec_data, cap_config,

@@ -184,6 +184,26 @@ def test_non_integer_field_is_config_error(tmp_path, capsys, section, key,
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key, text", [
+    ("r_max", '"512"'),
+    ("r_max", "true"),
+    ("r_max", "-1"),
+    ("r_max", "1e400"),
+    ("stretch", '"x"'),
+], ids=["r-max-string", "r-max-bool", "r-max-negative", "r-max-overflow",
+        "stretch-string"])
+def test_non_numeric_grid_field_is_config_error(tmp_path, capsys, key, text):
+    path = tmp_path / "config.json"
+    path.write_text('{"grid": {"policy": "geometric", "%s": %s}}' % (key, text))
+    for command in ("gen", "pipeline"):
+        out = str(tmp_path / command)
+        code = main(["--config", str(path), "--out", out, command])
+        assert code == EXIT_CONFIG
+        assert (f"configuration error: config 'grid.{key}' must be a "
+                f"positive finite number") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_missing_config_is_config_error(tmp_path):
     code = main(["--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out"), "pipeline"])

@@ -478,3 +478,23 @@ def test_frame_arrays_are_read_only(dec_data, base_grid):
     for name in ("a", "dc", "q_rad", "f2", "warp_a", "q_norm"):
         with pytest.raises(ValueError):
             getattr(frame, name)[1] = 1.0
+
+
+@pytest.mark.parametrize("policy", ["uniform", "geometric"])
+@pytest.mark.parametrize("at_node", [True, False])
+def test_truncated_frame_reads_its_base_frame(dec_data, policy, at_node):
+    base = build_grid(512.0, 2048, policy, 1.001)
+    r_out = base.nodes[1200] if at_node else 0.5 * (base.nodes[1200]
+                                                    + base.nodes[1201])
+    sub = base.truncate(r_out)
+    frame = RadialFrame.on(dec_data, sub)
+    fresh = RadialFrame(dec_data, sub.nodes)
+    for name in ("a", "da", "c", "dc", "d2c", "q_rad", "q_tan", "dq_rad",
+                 "dq_tan", "f", "f1", "f2", "warp", "warp_a", "q_norm"):
+        values = getattr(frame, name)
+        assert np.array_equal(values, getattr(fresh, name), equal_nan=True)
+        assert not values.flags.writeable
+    whole = RadialFrame.on(dec_data, base)
+    # an appended r_out is evaluated; a node reads slices of the base frame
+    assert np.shares_memory(frame.a, whole.a) == at_node
+    assert frame is RadialFrame.on(dec_data, sub)

@@ -157,7 +157,8 @@ def test_newton_evaluates_profiles_once_per_domain(dec_data, cap_config,
     solved = None
     counts = []
     for _ in range(2):
-        domain = base_grid.truncate(64.0 * r0)
+        # a fresh base grid: a truncated domain reads its base grid's frame
+        domain = RadialGrid(base_grid.nodes).truncate(64.0 * r0)
         w_init = (np.zeros_like(domain.nodes) if solved is None
                   else solved.w)
         calls.clear()
@@ -378,8 +379,10 @@ def test_exhaustion_limit_structure(jang_limit, base_grid, r0):
 
 def _continuation_exhaustion(data, config, schedule, base_grid):
     """The lambda-continuation at every radius, each later radius started
-    from the previous solution: the exhaustion the warm starts replace.
-    Returns u on the base grid and each radius's continuation steps."""
+    from the previous solution: the exhaustion the lambda = 1 solves
+    replace.  Returns u on the base grid, read from the last solution's
+    spline at the base nodes inside its outer radius, and each radius's
+    continuation steps."""
     state, steps = None, []
     for r_j in schedule:
         grid = base_grid.truncate(r_j)
@@ -388,28 +391,37 @@ def _continuation_exhaustion(data, config, schedule, base_grid):
         state = continuation_solve(data, config, grid, w_init=w0,
                                    trace=steps[-1])
     u = np.zeros_like(base_grid.nodes)
-    inside = base_grid.nodes <= state.grid.r_max
+    inside = base_grid.nodes < state.grid.r_max   # w(r_out) = 0
     u[inside] = state.profile()(base_grid.nodes[inside])
     return u, steps
 
 
-def test_warm_exhaustion_matches_continuation_reference(
-        dec_data, cap_config, jang_limit, base_grid, r0):
-    schedule = [64.0 * r0, 128.0 * r0, 256.0 * r0]
-    u_ref, steps_ref = _continuation_exhaustion(dec_data, cap_config,
-                                                schedule, base_grid)
-    assert len(jang_limit.trace) == len(steps_ref)
-    assert np.max(np.abs(jang_limit.u - u_ref)) < EXHAUSTION_TOL
-    assert jang_limit.trace[0]["newton_steps"] == steps_ref[0]
-    its = []
-    for e in jang_limit.trace[1:]:
+def _dec_setup(n, grid):
+    data = make_dataset("perturbed-dec", n, {"m": 1.0, "amplitude": 0.05},
+                        grid=grid, seed=7)
+    r0 = find_r0(data, grid, [1.0, 2.0, 4.0, 8.0])
+    return data, select_capillary_config(data, r0, grid)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_warm_exhaustion_matches_continuation_reference(n):
+    grid = build_grid(512.0, 2048, "uniform")
+    data, config = _dec_setup(n, grid)
+    schedule = exhaustion_schedule(config.r0, grid.r_max)
+    limit = exhaustion_solve(data, config, schedule, grid)
+    u_ref, steps_ref = _continuation_exhaustion(data, config, schedule, grid)
+    assert len(limit.trace) == len(steps_ref)
+    assert np.max(np.abs(limit.u - u_ref)) < EXHAUSTION_TOL
+    # the reference's first radius follows lambda from 0 in 0.1 steps
+    assert [s["lambda"] for s in steps_ref[0]] == pytest.approx(
+        np.linspace(0.0, 1.0, 11))
+    for e in limit.trace:
         [step] = e["newton_steps"]       # one solve at lambda = 1
         assert step["lambda"] == 1.0
         assert 1 <= step["iterations"] <= 2
-        its.append(step["iterations"])
-    total = sum(s["iterations"] for s in steps_ref[0]) + sum(its)
-    assert total <= 30
-    assert sum(s["iterations"] for steps in steps_ref for s in steps) == 64
+    total = sum(e["newton_steps"][0]["iterations"] for e in limit.trace)
+    assert total <= 2 * len(schedule)
+    assert total < sum(s["iterations"] for steps in steps_ref for s in steps)
 
 
 @pytest.mark.parametrize("error", [NewtonDivergence, SingularJacobian])
@@ -428,9 +440,48 @@ def test_failed_warm_start_falls_back_to_continuation(
     limit = exhaustion_solve(dec_data, cap_config, schedule, base_grid)
     u_ref, steps_ref = _continuation_exhaustion(dec_data, cap_config,
                                                 schedule, base_grid)
-    assert warm == [1.0, 1.0]
+    assert warm == [1.0, 1.0, 1.0]
     assert np.array_equal(limit.u, u_ref)
     assert [e["newton_steps"] for e in limit.trace] == steps_ref
+
+
+@pytest.mark.parametrize("case", ["geometric", "half-doubling"])
+def test_exhaustion_radii_off_the_base_nodes(dec_data, base_grid, monkeypatch,
+                                            case):
+    # a geometric grid has no node at 64, 128 or 256; the r0 = 4 schedule
+    # 181, 256, 362, 512 appends 181 and 362 and ends on the base grid
+    if case == "geometric":
+        grid = build_grid(512.0, 2048, "geometric", 1.001)
+        data, config = _dec_setup(4, grid)
+        schedule = exhaustion_schedule(config.r0, grid.r_max)
+    else:
+        grid, data = base_grid, dec_data
+        config = select_capillary_config(data, 4.0, grid)
+        schedule = exhaustion_schedule(4.0, grid.r_max)
+        assert schedule[-1] == grid.r_max
+    assert any(r not in grid.nodes for r in schedule)
+    starts, states = [], []
+    newton = janglab.jang_solver._newton
+
+    def keep(system, lam, w, *args, **kwargs):
+        starts.append(w.copy())
+        out = newton(system, lam, w, *args, **kwargs)
+        states.append(out[0])
+        return out
+    monkeypatch.setattr(janglab.jang_solver, "_newton", keep)
+    limit = exhaustion_solve(data, config, schedule, grid)
+    # one lambda = 1 solve per radius, none falls back
+    assert [(s.lam, s.grid.r_max) for s in states] == [(1.0, r) for r in schedule]
+    assert not np.any(starts[0])
+    for prev, state, start in zip(states, states[1:], starts[1:]):
+        k = int(np.count_nonzero(state.grid.nodes < prev.grid.r_max))
+        assert np.array_equal(state.grid.nodes[:k], prev.grid.nodes[:k])
+        assert np.array_equal(start[:k], prev.w[:k])
+        assert not np.any(start[k:])
+    u_ref, _ = _continuation_exhaustion(data, config, schedule, grid)
+    assert np.max(np.abs(limit.u - u_ref)) < EXHAUSTION_TOL
+    r_out = limit.outer_radius
+    assert not np.any(limit.u[grid.nodes >= r_out])
 
 
 def test_warm_radius_moves_before_it_converges():
