@@ -122,14 +122,22 @@ def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
 
     The audit runs on the grid nodes in (r0 (1 + 1e-9), r_max].
     """
+    return _search_r0(data, grid, candidates)[0]
+
+
+def _search_r0(data: RadialInitialData, grid: RadialGrid, candidates):
+    """``find_r0``'s r0 with the passing audit there: (r0, minus, plus), as
+    ``barrier_inequality_audit`` returns them at r0 on the grid."""
     candidates = sorted(float(c) for c in candidates)
     if not candidates:
         raise NoAdmissibleR0("empty candidate list")
     for r0 in candidates:
         if (0.0 < r0 < grid.r_max
-                and np.count_nonzero(grid.nodes > r0 * (1.0 + _REL_EDGE)) >= 8
-                and barrier_audit_passes(data, BarrierProfile(r0, data.n), grid)):
-            return r0
+                and np.count_nonzero(grid.nodes > r0 * (1.0 + _REL_EDGE)) >= 8):
+            minus, plus = barrier_inequality_audit(
+                data, BarrierProfile(r0, data.n), grid)
+            if np.all(minus < 0.0) and np.all(plus < 0.0):
+                return r0, minus, plus
     raise NoAdmissibleR0(
         "no candidate passes the barrier inequalities; decay hypotheses "
         "may fail or the grid may be too short")

@@ -90,6 +90,13 @@ def load_config(args) -> dict:
         if key in fields and not _positive_number(fields[key]):
             raise InvalidArgument(f"config '{section}.{key}' must be a "
                                   f"positive finite number")
+    params = cfg.get("dataset", {}).get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidArgument("config 'dataset.params' must be a JSON object")
+    for key, value in params.items():
+        if not _finite_number(value):
+            raise InvalidArgument(f"config 'dataset.params.{key}' must be a "
+                                  f"finite number")
     if args.seed is not None:
         cfg.setdefault("dataset", {})["seed"] = args.seed
     if args.grid_n is not None:
@@ -97,9 +104,13 @@ def load_config(args) -> dict:
     return cfg
 
 
-def _positive_number(value) -> bool:
+def _finite_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
+            and -math.inf < value < math.inf)
+
+
+def _positive_number(value) -> bool:
+    return _finite_number(value) and value > 0
 
 
 def _positive_numbers(value) -> bool:

@@ -327,14 +327,19 @@ class RadialFrame:
         objects, and replaced otherwise, keeping the metric coefficients
         evaluated so far when a, c and ``origin_regular`` are unchanged.  On
         a grid whose nodes lead another grid's (``RadialGrid.truncate`` at a
-        node), the frame reads slices of that grid's frame.
+        node), or are every other node of another grid
+        (``RadialGrid.coarsen`` of an even N), the frame reads slices of that
+        grid's frame.
         """
         old = grid._frame
         if old is not None and old._reads(data):
             return old
+        base = grid._stride_of() if grid._stride_of is not None else None
         if grid._prefix_of is not None:
             frame = cls.on(data, grid._prefix_of)._part(
                 slice(None, grid.nodes.size))
+        elif base is not None:
+            frame = cls.on(data, base)._part(slice(None, None, 2))
         else:
             frame = cls(data, grid.nodes)
             if (old is not None
@@ -343,7 +348,7 @@ class RadialFrame:
                     and old._profiles["c"] is data.c):
                 vars(frame).update((k, vars(old)[k]) for k in _METRIC
                                    if k in vars(old))
-        object.__setattr__(grid, "_frame", frame)
+        grid._keep_frame(frame)
         return frame
 
     def _reads(self, data: RadialInitialData) -> bool:
@@ -435,7 +440,15 @@ class RadialFrame:
 
     @cached_property
     def constraints(self) -> ConstraintFields:
-        """mu, J_rad and the strict-DEC margin: evaluated once, read-only."""
+        """mu, J_rad and the strict-DEC margin: evaluated once, read-only.
+
+        A frame cut by ``_part`` from the origin on (a truncated or coarsened
+        grid's) reads slices of its whole frame's: only the origin rows are
+        not nodewise."""
+        if self._whole is not None and self._whole[1].start is None:
+            whole, part = self._whole
+            return ConstraintFields(**{name: values[part] for name, values
+                                       in vars(whole.constraints).items()})
         fields = evaluate_constraint_fields(self)
         for values in vars(fields).values():
             values.flags.writeable = False

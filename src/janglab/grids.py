@@ -7,6 +7,7 @@ second order on uniform grids and on smoothly stretched (geometric) grids.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,9 @@ class RadialGrid:
 
     ``policy`` is "uniform" or "geometric"; a geometric grid has a constant
     ratio ``stretch`` between consecutive spacings, concentrating nodes near
-    the origin.
+    the origin.  ``nodes`` is the grid's own read-only copy of the radii it
+    was given, so that everything kept per grid (stencils, frame, spline
+    system, coarsening) stays true to them.
     """
 
     nodes: np.ndarray
@@ -50,9 +53,17 @@ class RadialGrid:
     # the grid whose leading nodes these are, when truncate kept them all
     _prefix_of: "RadialGrid | None" = field(default=None, repr=False,
                                             compare=False)
+    # the grid whose even-numbered nodes these are (a weak reference: that
+    # grid keeps this one in _coarse)
+    _stride_of: "weakref.ref | None" = field(default=None, repr=False,
+                                             compare=False)
+    # this grid's coarsening, built on first use
+    _coarse: "RadialGrid | None" = field(default=None, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < MIN_NODES + 1:
             raise InvalidArgument(f"need at least {MIN_NODES + 1} nodes, got {nodes.size}")
@@ -130,10 +141,10 @@ class RadialGrid:
         (``geometry.RadialFrame.on``).  A node within a relative 1e-14 of
         r_out is moved onto it.
         """
-        if r_out <= self.nodes[MIN_NODES]:
-            raise InvalidArgument("truncation radius leaves too few nodes")
         if r_out == self.nodes[-1]:
             return self
+        if r_out <= self.nodes[MIN_NODES]:
+            raise InvalidArgument("truncation radius leaves too few nodes")
         keep = self.nodes[self.nodes <= r_out * (1.0 + 1e-14)]
         prefix_of = self if keep[-1] == r_out else None
         if keep[-1] < r_out * (1.0 - 1e-14):
@@ -144,11 +155,29 @@ class RadialGrid:
                           _prefix_of=prefix_of)
 
     def coarsen(self) -> "RadialGrid":
-        """Every other node, plus r_max when N is odd."""
-        nodes = self.nodes[::2]
-        if self.n_intervals % 2:
-            nodes = np.append(nodes, self.nodes[-1])
-        return RadialGrid(nodes, policy="coarsened", stretch=self.stretch)
+        """Every other node, plus r_max when N is odd.
+
+        Built once per grid, so its stencils and spline system are too.  For
+        even N its frames read every other value of this grid's frame
+        (``geometry.RadialFrame.on``); for odd N they are evaluated.
+        """
+        if self._coarse is None:
+            nodes, stride_of = self.nodes[::2], weakref.ref(self)
+            if self.n_intervals % 2:
+                nodes, stride_of = np.append(nodes, self.nodes[-1]), None
+            object.__setattr__(self, "_coarse", RadialGrid(
+                nodes, policy="coarsened", stretch=self.stretch,
+                _stride_of=stride_of))
+        return self._coarse
+
+    def _keep_frame(self, frame) -> None:
+        """Hold ``frame`` as this grid's frame.  The frames of its even
+        coarsenings read the frame it replaces, so they are dropped."""
+        object.__setattr__(self, "_frame", frame)
+        coarse = self._coarse
+        while coarse is not None and coarse._stride_of is not None:
+            object.__setattr__(coarse, "_frame", None)
+            coarse = coarse._coarse
 
     def outer_third_mask(self) -> np.ndarray:
         """Boolean mask selecting radii in the outer third of [0, r_max]."""

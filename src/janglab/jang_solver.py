@@ -32,7 +32,7 @@ from .errors import (AuditInapplicable, ContinuationFailure,
 from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        dq_frame_norm, graph_combination, graph_operator,
                        graph_terms, loglog_slope, ricci_eigenvalues)
-from .grids import RadialGrid
+from .grids import MIN_NODES, RadialGrid
 from .profiles import SampledProfile
 
 NEWTON_MAX_ITER = 60
@@ -577,9 +577,7 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
 
 def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     r = grid.nodes
-    frame = RadialFrame.on(data, grid)
-    a = frame.a
-    sqrt_a = np.sqrt(a)
+    sqrt_a = np.sqrt(RadialFrame.on(data, grid).a)
     # signed radial geodesic distance from the center, then the ball mask
     cum = np.concatenate(([0.0], cumulative_trapezoid(sqrt_a, r)))
     d_center = float(np.interp(center, r, cum))
@@ -590,11 +588,21 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     w = wprof(r)
     C0 = float(np.max(np.abs(w[ball]))) / sigma
 
+    # the rest on the nodes up to one past the ball: the grid's own stencils
+    # at every node of the ball, and its frame, sliced
+    end = min(max(int(np.flatnonzero(ball)[-1]) + 1, MIN_NODES + 1),
+              r.size - 1)
+    local = grid.truncate(r[end])
+    m = local.nodes.size
+    r, ball, w, d, sqrt_a = r[:m], ball[:m], w[:m], d[:m], sqrt_a[:m]
+    frame = RadialFrame.on(data, local)
+    a = frame.a
+
     # hypothesis inequalities -> smallest admissible A on the ball
-    ric_rad, ric_tan = ricci_eigenvalues(data, grid)
+    ric_rad, ric_tan = ricci_eigenvalues(data, local)
     ric_min = float(np.nanmin(np.minimum(ric_rad[ball], ric_tan[ball])))
     qn = frame.q_norm
-    dqn = dq_frame_norm(data, grid)
+    dqn = dq_frame_norm(data, local)
     n = data.n
     tz = config.tau * config.zeta(r)
     tdz = config.tau * np.abs(config.zeta_d1(r)) / sqrt_a
@@ -602,12 +610,12 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
 
     # psi-hat = psi / C0; its Hessian scales linearly with C0
     psi_hat = 2.0 / sigma * (2.0 * d ** 2 - sigma ** 2)
-    dpsi_hat = grid.deriv1(psi_hat)
-    d2psi_hat = grid.deriv2(psi_hat)
+    dpsi_hat = local.deriv1(psi_hat)
+    d2psi_hat = local.deriv2(psi_hat)
     hess_rad = (d2psi_hat - frame.da / (2.0 * a) * dpsi_hat) / a
     hess_tan = frame.warp_a * dpsi_hat
     hess_norm = np.sqrt(hess_rad ** 2 + (n - 1) * hess_tan ** 2)
-    if 0 in np.nonzero(ball)[0]:
+    if ball[0]:
         hess_norm[0] = hess_norm[1]
 
     required_A = max(
@@ -620,7 +628,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
         float(np.max(cutoff_load[ball])) / sigma,
     )
     return {"C0": C0, "required_A": required_A,
-            "r_nodes": r, "cum": cum, "d_center": d_center,
+            "r_nodes": grid.nodes, "cum": cum, "d_center": d_center,
             "r_lo": float(np.min(r[ball])), "r_hi": float(np.max(r[ball]))}
 
 

@@ -12,8 +12,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .barrier import (BarrierProfile, barrier_inequality_audit, find_r0,
-                      default_r0_candidates, ode_residual_audit)
+from .barrier import (BarrierProfile, _search_r0, default_r0_candidates,
+                      ode_residual_audit)
 from .capillary import select_capillary_config
 from .geometry import constraint_fields, make_dataset, validate_dataset
 from .grids import RadialGrid, build_grid
@@ -71,10 +71,11 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     min_margin = float(np.nanmin(fields.margin))
     validation = validate_dataset(data, grid)
 
-    r0 = find_r0(data, grid, r0_candidates or default_r0_candidates(grid))
+    # the search's passing audit at r0 is the barrier report's
+    r0, minus, plus = _search_r0(data, grid,
+                                 r0_candidates or default_r0_candidates(grid))
     bp = BarrierProfile(r0=r0, n=data.n)
     ode_samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
-    minus, plus = barrier_inequality_audit(data, bp, grid)
     barrier_report = {
         "r0": r0,
         "ode_max_residual": ode_residual_audit(bp, ode_samples),

@@ -91,21 +91,29 @@ class SampledProfile:
 class _SplineSystem:
     """scipy's not-a-knot ``CubicSpline`` on one grid's nodes.
 
-    The banded matrix depends on the nodes alone, so a grid builds it once
-    (``RadialGrid._spline``).  ``spline(y)`` uses CubicSpline's expressions
-    and LAPACK call: it equals ``CubicSpline(nodes, y)`` bit for bit.
+    The spacings and end factors depend on the nodes alone, so a grid
+    builds them once (``RadialGrid._spline``).  ``spline(y)`` uses
+    CubicSpline's expressions and LAPACK call: it equals
+    ``CubicSpline(nodes, y)`` bit for bit.  The banded matrix is formed per
+    solve, which overwrites it: keeping it would hold three arrays of the
+    grid's size for as long as the grid lives.
     """
 
     def __init__(self, x: np.ndarray):
         dx = np.diff(x)
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        ab = np.zeros((3, x.size))
-        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-        ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = d0, dx[1], dx[-2], d1
-        self.x, self.dx, self.ab, self.d0, self.d1 = x, dx, ab, d0, d1
+        self.x, self.dx, self.d0, self.d1 = x, dx, d0, d1
         # the end rows' node factors, grouped as CubicSpline's expressions are
         self.k = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2,
                   dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2])
+
+    def _banded(self) -> np.ndarray:
+        dx = self.dx
+        ab = np.empty((3, self.x.size))
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+        ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = self.d0, dx[1], dx[-2], self.d1
+        ab[0, 0] = ab[2, -1] = 0.0      # outside the band
+        return ab
 
     def spline(self, y: np.ndarray) -> PPoly:
         if not np.all(np.isfinite(y)):
@@ -116,8 +124,8 @@ class _SplineSystem:
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         b[0] = (k0 * slope[0] + k1 * slope[1]) / self.d0
         b[-1] = (k2 * slope[-2] + k3 * slope[-1]) / self.d1
-        s = solve_banded((1, 1), self.ab, b.reshape(m, -1),
-                         check_finite=False).reshape(m)
+        s = solve_banded((1, 1), self._banded(), b.reshape(m, -1),
+                         overwrite_ab=True, check_finite=False).reshape(m)
         t = (s[:-1] + s[1:] - 2 * slope) / dx   # CubicHermiteSpline from here
         c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
         return PPoly.construct_fast(c, self.x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 
@@ -260,8 +261,38 @@ def _repr_fields(x, words, out):
 
 # Values per pass.  Larger passes make fewer numpy calls, but the gather
 # index takes 200 bytes per value.  With 4096, formatting three columns of
-# 8193 values peaks 0.5 MiB above one repr call per value (2.3 vs 1.8 MiB).
+# 8193 values peaks 0.3 MiB above one repr call per value (2.1 vs 1.9 MiB).
 _CHUNK = 4096
+
+
+def _format_column(x, words, out):
+    """``_repr_fields`` of the float64 column ``x`` into the rows of ``out``
+    (len(x) × 25), one pass of at most _CHUNK values at a time."""
+    for a in range(0, len(x), _CHUNK):
+        chunk = x[a:a + _CHUNK]
+        _repr_fields(chunk, words[:len(chunk)], out[a:a + _CHUNK])
+
+
+# The fields of the last read-only float64 array formatted that owns its
+# memory, such as ``RadialGrid.nodes``, the first column of every solution
+# and profile CSV: a weak reference to the array and its fields, dropped
+# with the array.  Such an array keeps the values it was formatted from,
+# and a live reference is that array, so the fields of a hit are its own.
+_kept = {"column": lambda: None, "fields": None}
+
+
+def _kept_fields(x, words):
+    """The fields of the read-only array ``x``, formatted once."""
+    if _kept["column"]() is not x:
+        fields = np.empty((len(x), _FIELD + 1), dtype=np.uint8)
+        _format_column(x, words, fields)
+        _kept.update(column=weakref.ref(x, _forget), fields=fields)
+    return _kept["fields"]
+
+
+def _forget(column):
+    if _kept["column"] is column:
+        _kept.update(column=lambda: None, fields=None)
 
 
 def _float_csv(header, columns) -> str:
@@ -269,20 +300,24 @@ def _float_csv(header, columns) -> str:
     its Python float, which reads back to the same bits.
 
     The text is built with array operations (``_repr_fields``), not one
-    ``repr`` call per value.  This function and its helpers stay private:
-    the benchmark's tracer wraps every public function of this module, and
-    a span that no layer lists would take the formatting time out of
-    ``report.emit_report_s``."""
-    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    rows, ncols = values.shape
-    values = values.ravel()
-    body = np.empty((rows * ncols, _FIELD + 1), dtype=np.uint8)
-    words = np.empty((min(_CHUNK, len(values)), 8), dtype=np.uint32)
+    ``repr`` call per value; a read-only column that owns its memory, as a
+    grid's nodes do, is formatted once (``_kept_fields``).  This function
+    and its helpers stay private: the benchmark's tracer wraps every public
+    function of this module, and a span that no layer lists would take the
+    formatting time out of ``report.emit_report_s``."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError("CSV columns differ in length")
+    body = np.empty((rows, len(columns), _FIELD + 1), dtype=np.uint8)
+    words = np.empty((min(_CHUNK, rows), 8), dtype=np.uint32)
     words[:, 6:] = _CONSTANTS
-    for a in range(0, len(values), _CHUNK):
-        chunk = values[a:a + _CHUNK]
-        _repr_fields(chunk, words[:len(chunk)], body[a:a + _CHUNK])
-    body[ncols - 1::ncols, _FIELD] = ord("\n")
+    for j, column in enumerate(columns):
+        if column.flags.writeable or not column.flags.owndata:
+            _format_column(column, words, body[:, j])
+        else:
+            body[:, j] = _kept_fields(column, words)
+    body[:, -1, _FIELD] = ord("\n")
     body = body.ravel()
     return (",".join(header) + "\n"
             + body[body != 0].tobytes().decode("ascii"))

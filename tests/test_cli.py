@@ -204,6 +204,26 @@ def test_non_numeric_grid_field_is_config_error(tmp_path, capsys, key, text):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("params, field", [
+    ('{"m": "1"}', "dataset.params.m"),
+    ('{"m": true}', "dataset.params.m"),
+    ('{"m": 1.0, "amplitude": NaN}', "dataset.params.amplitude"),
+    ('{"m": 1e400}', "dataset.params.m"),
+    ('[1.0]', "dataset.params"),
+], ids=["m-string", "m-bool", "amplitude-nan", "m-overflow", "params-list"])
+def test_non_numeric_dataset_param_is_config_error(tmp_path, capsys, params,
+                                                   field):
+    path = tmp_path / "config.json"
+    path.write_text('{"dataset": {"params": %s}}' % params)
+    for command in ("gen", "pipeline"):
+        out = str(tmp_path / command)
+        code = main(["--config", str(path), "--out", out, command])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: config '{field}' must be a " in err
+        assert not os.path.exists(out)
+
+
 def test_missing_config_is_config_error(tmp_path):
     code = main(["--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out"), "pipeline"])

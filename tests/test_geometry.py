@@ -473,6 +473,35 @@ def test_shared_frame_follows_reassigned_profiles(dec_data):
     assert not np.array_equal(after.mu, before.mu)
 
 
+@pytest.mark.parametrize("n_intervals, policy", [
+    (2048, "uniform"), (2048, "geometric"), (2047, "uniform")])
+def test_coarse_frame_matches_a_fresh_frame(dec_data, n_intervals, policy):
+    base = build_grid(512.0, n_intervals, policy, 1.001)
+    coarse = base.coarsen()
+    frame = RadialFrame.on(dec_data, coarse)
+    fresh = RadialFrame(dec_data, coarse.nodes)
+    for name in ("a", "da", "c", "dc", "d2c", "q_rad", "q_tan", "dq_rad",
+                 "dq_tan", "f", "f1", "f2", "warp", "warp_a", "q_norm"):
+        values = getattr(frame, name)
+        assert np.array_equal(values.view(np.uint64),
+                              getattr(fresh, name).view(np.uint64))
+        assert not values.flags.writeable
+    for name in ("R_g", "mu", "J_rad", "margin"):
+        assert np.array_equal(getattr(frame.constraints, name).view(np.uint64),
+                              getattr(fresh.constraints, name).view(np.uint64))
+    # every other value of the base frame for even N; odd N evaluates
+    whole = RadialFrame.on(dec_data, base)
+    assert np.shares_memory(frame.a, whole.a) == (n_intervals % 2 == 0)
+    assert RadialFrame.on(dec_data, coarse) is frame
+    # a new frame on the base grid drops the coarse frame that read the old
+    other = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
+                         grid=base, seed=11)
+    RadialFrame.on(other, base)
+    assert (coarse._frame is None) == (n_intervals % 2 == 0)
+    assert np.array_equal(RadialFrame.on(other, coarse).q_rad,
+                          RadialFrame(other, coarse.nodes).q_rad)
+
+
 def test_frame_arrays_are_read_only(dec_data, base_grid):
     frame = RadialFrame.on(dec_data, base_grid)
     for name in ("a", "dc", "q_rad", "f2", "warp_a", "q_norm"):

@@ -99,6 +99,23 @@ def test_coarsen_keeps_every_other_node_and_r_max():
     assert np.array_equal(coarse.nodes[:-1], odd.nodes[::2])
     assert coarse.nodes[-1] == odd.r_max and coarse.n_intervals == 17
     assert coarse.policy == "coarsened" and coarse.stretch == odd.stretch
+    # one coarsening per grid, which keeps its stencils
+    assert even.coarsen() is even.coarsen() and odd.coarsen() is coarse
+
+
+def test_grid_keeps_its_own_read_only_nodes():
+    built = build_grid(64.0, 32, "geometric", 1.01)
+    given = np.linspace(0.0, 1.0, 33)
+    grid = RadialGrid(given)
+    for g in (built, grid, grid.truncate(0.75), grid.coarsen()):
+        assert not g.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            g.nodes[1] = 0.5
+    given[1] = 0.5 * given[2]
+    assert grid.nodes[1] == 1.0 / 32 and not np.shares_memory(given,
+                                                              grid.nodes)
+    # a grid built from another grid's nodes has its own copy too
+    assert not np.shares_memory(RadialGrid(built.nodes).nodes, built.nodes)
 
 
 def test_outer_third_mask():
@@ -124,3 +141,5 @@ def test_grid_rejects_bad_inputs():
     g = build_grid(16.0, 64, "uniform")
     with pytest.raises(InvalidArgument):
         g.truncate(g.nodes[4])                  # too few nodes left
+    smallest = build_grid(16.0, MIN_NODES, "uniform")
+    assert smallest.truncate(16.0) is smallest  # r_max keeps every node

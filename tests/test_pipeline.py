@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 
@@ -116,7 +118,7 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     assert all(d is g for d, g in zip(divergences, geometries))
 
 
-def test_certification_evaluates_the_constraint_fields_three_times(
+def test_certification_evaluates_the_constraint_fields_twice(
         dec_data, monkeypatch):
     grid = build_grid(512.0, 2048, "uniform")   # no frame on it yet
     evaluated = []
@@ -128,9 +130,9 @@ def test_certification_evaluates_the_constraint_fields_three_times(
     for module in (janglab.geometry, janglab.capillary):
         monkeypatch.setattr(module, "evaluate_constraint_fields", counted)
     run_pipeline_on(dec_data, grid, seed=7)
-    # the base grid's frame, the capillary checker's own evaluation, and the
-    # identity audit's coarse grid
-    assert evaluated == [2049, 2049, 1025]
+    # the base grid's frame and the capillary checker's own evaluation; the
+    # identity audit's coarse grid reads every other value of the first
+    assert evaluated == [2049, 2049]
 
 
 def test_failed_shielding_is_recorded_not_raised(dec_data, base_grid,
@@ -164,3 +166,20 @@ def test_both_coarse_copies_end_at_r_max_on_odd_grids(monkeypatch):
     assert all(c.r_max == grid.r_max and c.n_intervals == 1024
                for c in coarse)
     assert results["audits_passed"]
+
+
+def test_a_certified_grid_is_freed_without_the_cycle_collector():
+    # the grid, its coarsening and their frames form no reference cycle
+    gc.disable()
+    try:
+        grid = build_grid(512.0, 2048, "uniform")
+        data = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
+                            grid=grid, seed=7)
+        results = run_pipeline_on(data, grid, seed=7)
+        assert results["audits_passed"]
+        refs = [weakref.ref(g) for g in (grid, grid.coarsen())]
+        refs.append(weakref.ref(grid._frame))
+        del grid, data, results
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()

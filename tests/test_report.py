@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import janglab.report
 from janglab.barrier import BarrierProfile, barrier_csv, ode_residual
 from janglab.errors import IOFailure
+from janglab.geometry import make_dataset
+from janglab.grids import build_grid
 from janglab.pipeline import run_pipeline_on
 from janglab.report import (_float_csv, emit_report, solution_csv_from_results,
                             write_artifact)
@@ -106,6 +109,53 @@ def test_solution_csv_of_a_run_matches_repr_rows(dec_data, base_grid):
     assert np.count_nonzero(arrays["u"] == 0.0) > 1000    # zero-extended tail
     assert solution_csv_from_results(results).split("\n") == _repr_rows(
         ("r", "u", "consequence_margin"), cols)
+
+
+def test_float_csv_keeps_the_fields_of_read_only_columns_only():
+    x = np.linspace(0.0, 1.0, 9)
+    view = x[:]
+    view.flags.writeable = False        # read-only, but x can change it
+    for column in (x, view):
+        assert _float_csv(("x",), (column,)).split("\n")[4] == "0.375"
+    x[3] = 7.5
+    for column in (x, view):
+        assert _float_csv(("x",), (column,)).split("\n")[4] == "7.5"
+    with pytest.raises(ValueError):
+        _float_csv(("x", "y"), (x, x[1:]))
+    nodes = build_grid(1.0, 16).nodes
+    assert _float_csv(("r",), (nodes,)) == _float_csv(("r",), (nodes,))
+    assert janglab.report._kept["column"]() is nodes
+    del nodes                           # the fields go with the nodes
+    assert janglab.report._kept["fields"] is None
+
+
+def test_two_certifications_on_one_grid_emit_fresh_grid_bytes(tmp_path,
+                                                              monkeypatch):
+    formatted = []
+
+    def counted(x, words, out, fmt=janglab.report._format_column):
+        formatted.append(len(x))
+        fmt(x, words, out)
+    monkeypatch.setattr(janglab.report, "_format_column", counted)
+    params = {"m": 1.0, "amplitude": 0.05}
+    grid = build_grid(512.0, 4096, "uniform")
+    emitted = {}
+    for seed in (7, 11):
+        data = make_dataset("perturbed-dec", 4, params, grid=grid, seed=seed)
+        results = run_pipeline_on(data, grid, seed=seed)
+        emitted[seed] = (emit_report(results, str(tmp_path / f"{seed}")),
+                         results["arrays"])
+    # r, u and the margin, then u and the margin: the nodes' fields are kept
+    assert formatted == [4097] * 5
+    for seed, (manifest, arrays) in emitted.items():
+        fresh = build_grid(512.0, 4096, "uniform")
+        data = make_dataset("perturbed-dec", 4, params, grid=fresh, seed=seed)
+        assert emit_report(run_pipeline_on(data, fresh, seed=seed),
+                           str(tmp_path / f"fresh-{seed}")) == manifest
+        text = (tmp_path / f"{seed}" / "solution.csv").read_text()
+        assert text.split("\n") == _repr_rows(
+            ("r", "u", "consequence_margin"),
+            (arrays["grid"], arrays["u"], arrays["consequence_margin"]))
 
 
 def test_barrier_csv_matches_repr_rows():
