@@ -107,14 +107,22 @@ def barrier_inequality_audit(data: RadialInitialData, bp: BarrierProfile, r):
         frame = RadialFrame(data, r)
         if np.any(frame.r <= bp.r0):
             raise DomainError("audit radii must all satisfy r > r0")
+    return _inequalities(frame, bp)
+
+
+def _inequalities(frame: RadialFrame, bp: BarrierProfile):
+    """(-q, +q) left-hand sides at the frame's radii, node by node."""
     b1, b2 = bp.bprime(frame.r), bp.bsecond(frame.r)
     # -q is lambda = 1, +q is lambda = -1
     return graph_operator(frame, b1, b2, 1.0), graph_operator(frame, b1, b2, -1.0)
 
 
-def barrier_audit_passes(data, bp, r) -> bool:
-    minus, plus = barrier_inequality_audit(data, bp, r)
+def _hold(minus, plus) -> bool:
     return bool(np.all(minus < 0.0) and np.all(plus < 0.0))
+
+
+def barrier_audit_passes(data, bp, r) -> bool:
+    return _hold(*barrier_inequality_audit(data, bp, r))
 
 
 def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
@@ -127,17 +135,26 @@ def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
 
 def _search_r0(data: RadialInitialData, grid: RadialGrid, candidates):
     """``find_r0``'s r0 with the passing audit there: (r0, minus, plus), as
-    ``barrier_inequality_audit`` returns them at r0 on the grid."""
+    ``barrier_inequality_audit`` returns them at r0 on the grid.
+
+    The operator is nodewise, so a violation at a candidate's nodes in
+    (r0, 2 r0], where the barrier is steepest, rejects it before the whole
+    grid is evaluated; a candidate that passes there is evaluated in full.
+    """
     candidates = sorted(float(c) for c in candidates)
     if not candidates:
         raise NoAdmissibleR0("empty candidate list")
     for r0 in candidates:
         if (0.0 < r0 < grid.r_max
                 and np.count_nonzero(grid.nodes > r0 * (1.0 + _REL_EDGE)) >= 8):
-            minus, plus = barrier_inequality_audit(
-                data, BarrierProfile(r0, data.n), grid)
-            if np.all(minus < 0.0) and np.all(plus < 0.0):
-                return r0, minus, plus
+            bp = BarrierProfile(r0, data.n)
+            frame = RadialFrame.on(data, grid).beyond(r0 * (1.0 + _REL_EDGE))
+            head = frame._part(slice(
+                int(np.searchsorted(frame.r, 2.0 * r0, "right"))))
+            if _hold(*_inequalities(head, bp)):
+                minus, plus = _inequalities(frame, bp)
+                if _hold(minus, plus):
+                    return r0, minus, plus
     raise NoAdmissibleR0(
         "no candidate passes the barrier inequalities; decay hypotheses "
         "may fail or the grid may be too short")

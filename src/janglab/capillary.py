@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigFailure, DecViolation, InvalidArgument
+from .errors import ConfigFailure, DecViolation, GridTooShort
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
                        evaluate_constraint_fields, radius_at_distance)
 from .grids import RadialGrid
@@ -102,11 +102,15 @@ def select_capillary_config(data: RadialInitialData, r0: float,
                             grid: RadialGrid) -> CapillaryConfig:
     """Construct a capillary configuration for a strict-DEC dataset.
 
-    Raises DecViolation when min(margin) <= 0 and ConfigFailure when the
-    constructed parameters fail the independent invariant check.
+    Raises GridTooShort when the grid ends before 64 r0, DecViolation when
+    min(margin) <= 0 and ConfigFailure when the constructed parameters fail
+    the independent invariant check.
     """
     if grid.r_max < 64.0 * r0:
-        raise InvalidArgument("grid must cover [0, 64 r0] for capillary selection")
+        raise GridTooShort(
+            f"capillary selection at r0 = {r0:g} needs a grid reaching "
+            f"r_max >= 64 r0 = {64.0 * r0:g}; it ends at r_max = "
+            f"{grid.r_max:g}")
     fields = constraint_fields(data, grid)
     margin = fields.margin
     if not np.all(np.isfinite(margin)) or np.min(margin) <= 0.0:

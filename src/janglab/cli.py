@@ -23,8 +23,9 @@ from .barrier import (BarrierProfile, barrier_csv, find_r0,
 from .capillary import select_capillary_config
 from .errors import (ConfigFailure, ContinuationFailure, DecViolation,
                      ExhaustionNonconvergence, GenerationFailure,
-                     InvalidArgument, JanglabError, NewtonDivergence,
-                     NoAdmissibleR0, NumericalDegeneracy, SingularJacobian)
+                     GridTooShort, InvalidArgument, JanglabError,
+                     NewtonDivergence, NoAdmissibleR0, NumericalDegeneracy,
+                     SingularJacobian)
 from .geometry import make_dataset, validate_dataset
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
@@ -47,7 +48,8 @@ NUMBER_FIELDS = (("grid", "r_max"), ("grid", "stretch"))
 
 SOLVER_ERRORS = (ContinuationFailure, ExhaustionNonconvergence,
                  NewtonDivergence, NoAdmissibleR0, SingularJacobian,
-                 GenerationFailure, NumericalDegeneracy, ConfigFailure)
+                 GenerationFailure, NumericalDegeneracy, ConfigFailure,
+                 GridTooShort)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,10 @@ class InvalidArgument(JanglabError, ValueError):
     """Bad argument (wrong sign, too few nodes, reversed bounds, ...)."""
 
 
+class GridTooShort(InvalidArgument):
+    """The grid ends before a radius that the chosen r0 needs."""
+
+
 class GenerationFailure(JanglabError):
     """Dataset generator exhausted its rejection/rescale budget."""
 

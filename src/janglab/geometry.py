@@ -644,6 +644,20 @@ def dq_frame_norm(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
 # invariant checks
 # ---------------------------------------------------------------------------
 
+def _line_fit(x, y):
+    """Least-squares line y ~ slope x + intercept, in closed form.
+
+    slope = sum (x - x_m)(y - y_m) / sum (x - x_m)^2 and
+    intercept = y_m - slope x_m, with the means x_m, y_m: every sum is
+    np.sum, so no BLAS call (and no thread count) enters the result.
+    """
+    x_m = np.sum(x) / x.size
+    y_m = np.sum(y) / y.size
+    dx = x - x_m
+    slope = np.sum(dx * (y - y_m)) / np.sum(dx * dx)
+    return float(slope), float(y_m - slope * x_m)
+
+
 def loglog_slope(r, y, floor: float):
     """Slope of log|y| against log r over nodes with r > 0 and |y| > floor.
 
@@ -652,8 +666,7 @@ def loglog_slope(r, y, floor: float):
     mask = (r > 0) & (np.abs(y) > floor)
     if np.count_nonzero(mask) < 8:
         return None
-    coef = np.polyfit(np.log(r[mask]), np.log(np.abs(y[mask])), 1)
-    return float(coef[0])
+    return _line_fit(np.log(r[mask]), np.log(np.abs(y[mask])))[0]
 
 
 def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
@@ -686,7 +699,7 @@ def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     if alpha is None:
         x = r[outer] ** (2.0 - n)
         y = a[outer] - 1.0
-        alpha = float(x @ y / (x @ x))
+        alpha = float(np.sum(x * y) / np.sum(x * x))
     resid_a = a[outer] - 1.0 - alpha * r[outer] ** (2.0 - n)
     resid_c = c[outer] - 1.0 - alpha * r[outer] ** (2.0 - n)
     want = -(n - 2 + 2 * data.delta)

@@ -36,9 +36,10 @@ class RadialGrid:
 
     ``policy`` is "uniform" or "geometric"; a geometric grid has a constant
     ratio ``stretch`` between consecutive spacings, concentrating nodes near
-    the origin.  ``nodes`` is the grid's own read-only copy of the radii it
-    was given, so that everything kept per grid (stencils, frame, spline
-    system, coarsening) stays true to them.
+    the origin.  ``nodes`` is the grid's own copy of the radii it was
+    given, held in an immutable buffer: it is read-only and cannot be made
+    writeable, so everything kept per grid (stencils, frame, spline system,
+    coarsening, formatted CSV fields) stays true to it.
     """
 
     nodes: np.ndarray
@@ -62,11 +63,12 @@ class RadialGrid:
                                          compare=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
+        nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < MIN_NODES + 1:
             raise InvalidArgument(f"need at least {MIN_NODES + 1} nodes, got {nodes.size}")
+        # a copy viewed on bytes: setting its writeable flag raises
+        nodes = np.frombuffer(nodes.tobytes())
+        object.__setattr__(self, "nodes", nodes)
         if nodes[0] != 0.0:
             raise InvalidArgument("first node must be 0")
         if np.any(np.diff(nodes) <= 0.0):

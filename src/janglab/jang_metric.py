@@ -190,7 +190,8 @@ def schoen_yau_audit(data: RadialInitialData, config: CapillaryConfig,
     The error is the max-norm of (LHS - RHS) divided by the max-norm of the
     sides; the order compares the working grid against its two-fold
     coarsening (the finite-difference truncation scales with h^2), on which
-    the geometry is rebuilt from u's spline.
+    the geometry is rebuilt from u's spline at the coarse nodes: u's nodal
+    values there, and r_max's from the last interval's cubic.
     """
     grid = geo.grid
     lhs, rhs = _identity_sides(data, config, geo, theta_override)

@@ -352,7 +352,9 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     outer-boundary influence decays like r_j^{2-n}, so for low dimensions
     only the contraction route is reachable at practical radii.  Each radius
     r_j is solved on ``base_grid.truncate(r_j)``.  The returned nodal u is
-    the last iterate at the base nodes it shares, and zero beyond them.
+    the last iterate at the base nodes it shares, and zero beyond them; when
+    the last radius is the base grid's r_max, it is that iterate itself,
+    with its spline.
 
     Every radius is one damped Newton solve at lambda = 1 (``_warm_solve``).
     The first starts from zero; for perturbed-dec data at n = 4 it takes 1-2
@@ -416,8 +418,12 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     if not converged:
         raise ExhaustionNonconvergence(
             f"Cauchy criterion not met on [0, {R_c}]: gaps {gaps}")
-    return JangLimit(u=_transfer(prev_state, base_grid), grid=base_grid,
-                     trace=trace, outer_radius=prev_state.grid.r_max)
+    limit = JangLimit(u=_transfer(prev_state, base_grid), grid=base_grid,
+                      trace=trace, outer_radius=prev_state.grid.r_max)
+    # when u is the last w, w's spline (its slopes, solved for the trace) is
+    # u's: ``JangLimit.profile`` keeps it only while it interpolates u
+    limit._profile = prev_state._profile
+    return limit
 
 
 def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
@@ -431,8 +437,12 @@ def _transfer(state: JangState, grid: RadialGrid) -> np.ndarray:
     its own nodes the spline of w is w, so no interpolation is needed.  The
     result starts the next radius's lambda = 1 Newton solve, and its
     continuation if that solve fails; on the base grid it is the
-    exhaustion limit.
+    exhaustion limit.  When the last radius is the base grid itself, the
+    limit is its w: every Newton step keeps the Dirichlet value w[-1] at
+    +0.0, as set by ``_initial_iterate``.
     """
+    if state.grid is grid:
+        return state.w
     w = np.zeros_like(grid.nodes)
     w[:state.w.size - 1] = state.w[:-1]
     return w

@@ -2,7 +2,8 @@
 
 The asymptotic model is a(r) = 1 + alpha r^{2-n} + o(r^{2-n}); alpha is the
 mass parameter whose positivity the whole pipeline certifies.  Decay exponents
-of solution and curvature profiles are fitted by log-log regression.
+of solution and curvature profiles are fitted by log-log regression, a
+straight line in closed form (``geometry._line_fit``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailure, InsufficientData, InvalidArgument
-from .geometry import RadialInitialData
+from .geometry import RadialInitialData, _line_fit
 from .grids import RadialGrid
 
 RMS_ACCEPT = 0.1
@@ -74,7 +75,8 @@ def fit_alpha_profile(profile, n: int, grid: RadialGrid, window=None):
         return 0.0, fit
     alpha = float(np.sum(x * y) / np.sum(x * x))
     model = alpha * x
-    rms = float(np.linalg.norm(y - model) / max(np.linalg.norm(model), 1e-300))
+    rms = float(np.sqrt(np.sum((y - model) ** 2))
+                / max(np.sqrt(np.sum(model ** 2)), 1e-300))
     if rms >= RMS_ACCEPT:
         raise FitFailure(
             f"relative rms residual {rms:.3g} >= {RMS_ACCEPT}: profile does "
@@ -106,9 +108,9 @@ def fit_decay_exponent(profile, grid: RadialGrid, window) -> DecayFit:
             f"({np.count_nonzero(keep)} nonzero)")
     lx = np.log(r[keep])
     ly = np.log(v[keep])
-    slope, intercept = np.polyfit(lx, ly, 1)
+    slope, intercept = _line_fit(lx, ly)
     resid = ly - (slope * lx + intercept)
-    return DecayFit(exponent=float(slope), amplitude=float(np.exp(intercept)),
+    return DecayFit(exponent=slope, amplitude=float(np.exp(intercept)),
                     fit_window=win,
                     rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                     n_points=int(np.count_nonzero(keep)))

@@ -273,16 +273,17 @@ def _format_column(x, words, out):
         _repr_fields(chunk, words[:len(chunk)], out[a:a + _CHUNK])
 
 
-# The fields of the last read-only float64 array formatted that owns its
-# memory, such as ``RadialGrid.nodes``, the first column of every solution
-# and profile CSV: a weak reference to the array and its fields, dropped
-# with the array.  Such an array keeps the values it was formatted from,
-# and a live reference is that array, so the fields of a hit are its own.
+# The fields of the last float64 array formatted whose memory is an
+# immutable bytes object, such as ``RadialGrid.nodes``, the first column of
+# every solution and profile CSV: a weak reference to the array and its
+# fields, dropped with the array.  Such an array cannot be made writeable,
+# so it keeps the values it was formatted from, and a live reference is
+# that array, so the fields of a hit are its own.
 _kept = {"column": lambda: None, "fields": None}
 
 
 def _kept_fields(x, words):
-    """The fields of the read-only array ``x``, formatted once."""
+    """The fields of the immutable array ``x``, formatted once."""
     if _kept["column"]() is not x:
         fields = np.empty((len(x), _FIELD + 1), dtype=np.uint8)
         _format_column(x, words, fields)
@@ -300,8 +301,8 @@ def _float_csv(header, columns) -> str:
     its Python float, which reads back to the same bits.
 
     The text is built with array operations (``_repr_fields``), not one
-    ``repr`` call per value; a read-only column that owns its memory, as a
-    grid's nodes do, is formatted once (``_kept_fields``).  This function
+    ``repr`` call per value; a column over an immutable bytes buffer, as a
+    grid's nodes are, is formatted once (``_kept_fields``).  This function
     and its helpers stay private: the benchmark's tracer wraps every public
     function of this module, and a span that no layer lists would take the
     formatting time out of ``report.emit_report_s``."""
@@ -313,10 +314,10 @@ def _float_csv(header, columns) -> str:
     words = np.empty((min(_CHUNK, rows), 8), dtype=np.uint32)
     words[:, 6:] = _CONSTANTS
     for j, column in enumerate(columns):
-        if column.flags.writeable or not column.flags.owndata:
-            _format_column(column, words, body[:, j])
-        else:
+        if isinstance(column.base, bytes):
             body[:, j] = _kept_fields(column, words)
+        else:
+            _format_column(column, words, body[:, j])
     body[:, -1, _FIELD] = ord("\n")
     body = body.ravel()
     return (",".join(header) + "\n"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from janglab.barrier import (BarrierProfile, barrier_audit_passes,
+import janglab.barrier
+from janglab.barrier import (BarrierProfile, _search_r0, barrier_audit_passes,
                              barrier_csv, barrier_inequality_audit,
                              default_r0_candidates, find_r0, ode_residual,
                              ode_residual_audit)
@@ -10,6 +11,7 @@ from janglab.errors import DomainError, NoAdmissibleR0
 from janglab.geometry import make_dataset
 from janglab.grids import build_grid
 from janglab.jang_solver import estimate_audits
+from janglab.profiles import AnalyticProfile
 
 
 def test_bprime_closed_form_matches_direct_quadrature_derivative():
@@ -203,3 +205,60 @@ def test_barrier_profile_rejects_bad_parameters():
         BarrierProfile(r0=-1.0, n=4)
     with pytest.raises(DomainError):
         BarrierProfile(r0=1.0, n=3)
+
+
+def _search_every_candidate_in_full(data, grid, candidates):
+    for r0 in sorted(candidates):
+        if (0.0 < r0 < grid.r_max
+                and np.count_nonzero(grid.nodes > r0 * (1.0 + 1e-9)) >= 8):
+            minus, plus = barrier_inequality_audit(
+                data, BarrierProfile(r0, data.n), grid)
+            if np.all(minus < 0.0) and np.all(plus < 0.0):
+                return r0, minus, plus
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_r0_search_with_prefix_rejection_matches_full_search(n, monkeypatch):
+    grid = build_grid(512.0, 2048, "uniform")
+    candidates = default_r0_candidates(grid)
+    evaluated = []
+    inequalities = janglab.barrier._inequalities
+
+    def counted(frame, bp):
+        evaluated.append(bp.r0)
+        return inequalities(frame, bp)
+    monkeypatch.setattr(janglab.barrier, "_inequalities", counted)
+    for seed in (0, 1, 2):
+        m = 16.0 if seed == 2 else 1.0      # r0 = 16 for n = 4
+        data = make_dataset("perturbed-dec", n, {"m": m, "amplitude": 0.05},
+                            grid=grid, seed=seed)
+        want = _search_every_candidate_in_full(data, grid, candidates)
+        evaluated.clear()
+        got = _search_r0(data, grid, candidates)
+        assert got[0] == want[0]
+        for x, y in zip(got[1:], want[1:]):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+        # each rejected candidate was evaluated on its prefix only
+        assert evaluated == [c for c in candidates if c < got[0]] + [got[0]] * 2
+
+
+def test_r0_search_rejects_a_violation_beyond_twice_r0():
+    # a momentum bump at r = 12 breaks the inequalities of r0 = 1 and 2 only
+    # beyond 2 r0, where the prefix check does not look, and of r0 = 8
+    # inside (8, 16]; r0 = 16 lies beyond the bump
+    grid = build_grid(128.0, 1024, "uniform")
+    data = make_dataset("flat", 4, {})
+    bump = lambda r: -0.5 * np.exp(-((r - 12.0) / 2.0) ** 2)
+    data.q_rad = data.q_tan = AnalyticProfile(bump, bump, bump)
+    for r0 in (1.0, 2.0):
+        minus, plus = barrier_inequality_audit(data, BarrierProfile(r0, 4), grid)
+        bad = (minus >= 0.0) | (plus >= 0.0)
+        assert np.any(bad)
+        assert grid.nodes[grid.nodes > r0][np.argmax(bad)] > 2.0 * r0
+    with pytest.raises(NoAdmissibleR0):
+        _search_r0(data, grid, [1.0, 2.0])
+    r0, minus, plus = _search_r0(data, grid, [1.0, 2.0, 8.0, 16.0])
+    want = _search_every_candidate_in_full(data, grid, [1.0, 2.0, 8.0, 16.0])
+    assert r0 == want[0] == 16.0
+    assert np.array_equal(minus, want[1]) and np.array_equal(plus, want[2])

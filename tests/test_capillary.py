@@ -6,7 +6,7 @@ import pytest
 from janglab.capillary import (CapillaryConfig, check_capillary_config,
                                select_capillary_config, smoothstep,
                                smoothstep_d1)
-from janglab.errors import DecViolation, InvalidArgument
+from janglab.errors import DecViolation, GridTooShort, InvalidArgument
 from janglab.geometry import RadialFrame, constraint_fields
 from janglab.grids import build_grid
 
@@ -106,6 +106,8 @@ def test_flat_data_violates_strict_dec(flat_data, base_grid):
 def test_selection_needs_wide_grid(dec_data):
     small = build_grid(32.0, 64, "uniform")
     with pytest.raises(InvalidArgument):
+        select_capillary_config(dec_data, 1.0, small)
+    with pytest.raises(GridTooShort, match="r0 = 1 needs .* 64 r0 = 64"):
         select_capillary_config(dec_data, 1.0, small)
 
 

@@ -280,6 +280,20 @@ def test_stalled_schedule_is_solver_error(tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_grid_too_short_for_r0_is_solver_error(tmp_path, command):
+    # m = 16 puts r0 at 16, and capillary selection needs the grid to reach
+    # 64 r0 = 1024: a domain too small for the data, not a failed audit
+    cfg = {"dataset": {"family": "perturbed-dec", "n": 4, "seed": 7,
+                       "params": {"m": 16.0, "amplitude": 0.05}}}
+    code, out = run(tmp_path, command, cfg=cfg)
+    assert code == EXIT_SOLVER
+    assert set(os.listdir(out)) == {"error.json", "manifest.json"}
+    err = json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+    assert "r0 = 16" in err and "r_max >= 64 r0 = 1024" in err
+    assert "r_max = 512" in err
+
+
 def test_undersampled_grid_is_audit_error(tmp_path):
     # at 256 intervals the gradient-audit ball holds too few nodes, so that
     # audit is recorded as inapplicable and every other result is still kept

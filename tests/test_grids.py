@@ -111,6 +111,10 @@ def test_grid_keeps_its_own_read_only_nodes():
         assert not g.nodes.flags.writeable
         with pytest.raises(ValueError):
             g.nodes[1] = 0.5
+        # nor can the flag be set: the nodes view an immutable buffer
+        with pytest.raises(ValueError):
+            g.nodes.flags.writeable = True
+        assert not g.nodes.flags.writeable
     given[1] = 0.5 * given[2]
     assert grid.nodes[1] == 1.0 / 32 and not np.shares_memory(given,
                                                               grid.nodes)

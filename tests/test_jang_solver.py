@@ -578,3 +578,28 @@ def test_gradient_ball_audit_needs_enough_nodes(dec_data, base_grid,
     with pytest.raises(AuditInapplicable):
         gradient_ball_audit(dec_data, config, jang_limit.profile())
 
+
+
+def test_limit_at_r_max_is_the_last_solution_and_its_spline(
+        dec_data, cap_config, r0, base_grid, monkeypatch):
+    # a schedule ending at r_max solves its last radius on the base grid:
+    # the limit is that solution, whose Dirichlet value is +0.0, and its
+    # spline (slopes solved once, for the trace) serves u
+    states = []
+    warm = janglab.jang_solver._warm_solve
+
+    def recorded(*args):
+        states.append(warm(*args))
+        return states[-1]
+    monkeypatch.setattr(janglab.jang_solver, "_warm_solve", recorded)
+    limit = exhaustion_solve(dec_data, cap_config,
+                             [64.0 * r0, 128.0 * r0, base_grid.r_max],
+                             base_grid)
+    last = states[-1]
+    assert last.grid is base_grid and limit.u is last.w
+    assert limit.u[-1] == 0.0 and not np.signbit(limit.u[-1])
+    assert limit.profile() is last.profile()
+    # the nodal copy a shorter last radius gets has the same bits
+    copied = np.zeros_like(base_grid.nodes)
+    copied[:-1] = last.w[:-1]
+    assert np.array_equal(copied.view(np.int64), limit.u.view(np.int64))

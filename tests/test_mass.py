@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janglab.errors import (FitFailure, InsufficientData, InvalidArgument)
-from janglab.geometry import make_dataset
+from janglab.geometry import RadialFrame, _line_fit, make_dataset
 from janglab.grids import build_grid
+from janglab.jang_metric import xi_norm_sq
 from janglab.mass import (experiment_csv, fit_alpha, fit_alpha_profile,
                           fit_decay_exponent, positivity_experiment)
 
@@ -119,3 +120,34 @@ def test_experiment_csv_schema(base_grid):
     assert cells[0] == "4" and cells[1] == "4"
     assert float(cells[3]) > 0.0
     assert cells[5] == "true"
+
+
+def test_line_fit_agrees_with_polyfit_on_the_decay_windows(
+        jang_limit, graph_geo, dec_data, r0, base_grid):
+    # the closed-form centred fit behind fit_decay_exponent and
+    # loglog_slope against numpy's least-squares polyfit, on the pipeline's
+    # decay window and on validate_dataset's outer third
+    r = base_grid.nodes
+    window = (r >= 32.0 * r0) & (r <= 0.5 * jang_limit.outer_radius)
+    outer = base_grid.outer_third_mask()
+    a = RadialFrame.on(dec_data, base_grid).a
+    residual = np.zeros_like(r)
+    residual[outer] = a[outer] - 1.0 - dec_data.alpha_decl * r[outer] ** -2.0
+    cases = [(window, jang_limit.u), (window, jang_limit.profile().deriv1(r)),
+             (window, np.sqrt(xi_norm_sq(graph_geo))), (window, graph_geo.R_check),
+             (outer, residual)]
+    for mask, values in cases:
+        keep = mask & (np.abs(values) > 1e-280)
+        assert np.count_nonzero(keep) > 100
+        lx, ly = np.log(r[keep]), np.log(np.abs(values[keep]))
+        slope, intercept = _line_fit(lx, ly)
+        want = np.polyfit(lx, ly, 1)
+        assert abs(slope - want[0]) <= 1e-13 * abs(want[0])
+        assert abs(intercept - want[1]) <= 1e-13 * abs(want[1])
+    # a fit on a window shows the same agreement through fit_decay_exponent
+    fit = fit_decay_exponent(jang_limit.u, base_grid,
+                             (32.0 * r0, 0.5 * jang_limit.outer_radius))
+    keep = window & (np.abs(jang_limit.u) > 1e-280)
+    want = np.polyfit(np.log(r[keep]), np.log(np.abs(jang_limit.u[keep])), 1)
+    assert abs(fit.exponent - want[0]) <= 1e-13 * abs(want[0])
+    assert abs(np.log(fit.amplitude) - want[1]) <= 1e-13 * abs(want[1])

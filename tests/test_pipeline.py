@@ -47,25 +47,32 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
                 calls.append(np.size(r))
             return fn(self, r)
         monkeypatch.setattr(AnalyticProfile, name, counted)
-    # every spline is built from its grid's system: count the splines, the
-    # systems, and the grids that any spline was read on
+    # every sampled array's slopes come from its grid's system: count the
+    # slope solves, the whole-grid coefficient sets, the systems, and the
+    # grids that any slope solve ran on
     system = janglab.profiles._SplineSystem
-    built, systems, splined = [], [], []
+    solved, formed, systems, splined = [], [], [], []
 
     def counted_init(self, x, init=system.__init__):
         systems.append(x)
         init(self, x)
 
-    def counted_spline(self, y, spline=system.spline):
-        built.append(y)
-        return spline(self, y)
+    def counted_slopes(self, y, slopes=system.slopes):
+        solved.append(y)
+        return slopes(self, y)
 
-    def counted_get(self, get=SampledProfile._get_spline):
+    def counted_read(self, slopes=SampledProfile.slopes):
         splined.append(self.grid)
-        return get(self)
+        return slopes(self)
+
+    def counted_spline(self, y, s, last=False, spline=system.spline):
+        if not last:
+            formed.append(y)
+        return spline(self, y, s, last)
     monkeypatch.setattr(system, "__init__", counted_init)
+    monkeypatch.setattr(system, "slopes", counted_slopes)
     monkeypatch.setattr(system, "spline", counted_spline)
-    monkeypatch.setattr(SampledProfile, "_get_spline", counted_get)
+    monkeypatch.setattr(SampledProfile, "slopes", counted_read)
     geometries, divergences = [], []
     build = janglab.jang_metric.build_graph_geometry
     div_xi = janglab.jang_metric.div_xi
@@ -89,7 +96,10 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     monkeypatch.setattr(janglab.pipeline, "select_capillary_config",
                         counted_select)
 
-    results = run_pipeline_on(dec_data, grid, seed=7)
+    # r0 = 1: the last exhaustion radius is r_max, as on every fine-n4 run
+    results = run_pipeline_on(dec_data, grid, seed=7,
+                              schedule_factors=(64.0, 128.0, 512.0))
+    assert results["exhaustion"]["outer_radius"] == grid.r_max
     # seven frame coefficients on the base grid, read by every stage
     # including |d zeta|^2: a, a', c'' (c is a) and q_rad, q_tan and their
     # slopes; the barrier stage reads them too
@@ -97,15 +107,20 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     # with the frames of the truncated and coarsened grids and the
     # gradient-ball audit's dense radii
     assert len(calls) <= 28
-    assert sum(y is results["arrays"]["u"] for y in built) == 1
-    # fields read only at the nodes stay arrays: no spline of them is built
+    u = results["arrays"]["u"]
+    # fields read only at the nodes stay arrays: no slopes of them are solved
     geo = geometries[0]
     nodal = (configs[0].Q, geo.g_check_rr, geo.R_check,
              np.sqrt(xi_norm_sq(geo)))
-    assert not any(np.array_equal(y, v) for y in built for v in nodal)
-    # splines of w at the three exhaustion radii, of u, of the gradient-ball
-    # audit's coarse copy of u, and of the stability eigenvector
-    assert len(built) == 3 + 1 + 1 + 1
+    assert not any(np.array_equal(y, v) for y in solved for v in nodal)
+    # slopes of w at the three exhaustion radii, the last of which is u, of
+    # the gradient-ball audit's coarse copy of u, and of the stability
+    # eigenvector
+    assert len(solved) == 3 + 1 + 1
+    assert solved[2] is u and sum(y is u for y in solved) == 1
+    # coefficients only for the dense gradient-ball supremum: u's and its
+    # coarse copy's
+    assert [y.size for y in formed] == [2049, 1025] and formed[0] is u
     # one spline system per distinct grid, built from that grid's nodes
     grids = list({id(g): g for g in splined}.values())
     assert len(systems) == len(grids) > 1

@@ -43,6 +43,40 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=["uniform", "geometric", "truncated"])
+def test_node_reads_come_from_one_slope_solve(grid):
+    # the slopes are CubicSpline's, bit for bit, and f, f' at the nodes are
+    # read from them and the values without forming any coefficients
+    r = grid.nodes
+    for name, values in _spline_values(r).items():
+        prof = SampledProfile(grid, values)
+        spline = CubicSpline(r, values)
+        assert np.array_equal(_bits(prof.slopes()[:-1]), _bits(spline.c[2])), name
+        for order, read in enumerate((prof, prof.deriv1)):
+            assert np.array_equal(_bits(read(r)), _bits(spline(r, order))), name
+        assert prof._spline is None
+        assert np.array_equal(_bits(prof.deriv2(r)), _bits(spline(r, 2))), name
+        assert prof._spline is not None
+
+
+@pytest.mark.parametrize("n_intervals", [2047, 2048])
+@pytest.mark.parametrize("policy", ["uniform", "geometric"])
+def test_coarse_node_reads_match_spline_bit_for_bit(n_intervals, policy):
+    # every other node, plus r_max when N is odd: read from the fine nodes
+    grid = build_grid(512.0, n_intervals, policy, stretch=1.001)
+    coarse = grid.coarsen().nodes
+    assert coarse[-1] == grid.r_max
+    for name, values in _spline_values(grid.nodes).items():
+        prof = SampledProfile(grid, values)
+        spline = CubicSpline(grid.nodes, values)
+        for order, read in enumerate((prof, prof.deriv1, prof.deriv2)):
+            got = read(coarse)
+            assert got.flags.c_contiguous and got.size == coarse.size
+            assert np.array_equal(_bits(got), _bits(spline(coarse, order))), name
+            if order == 1:
+                assert prof._spline is None
+
+
 def _spline_values(r):
     rng = np.random.default_rng(5)
     return {**_node_values(r),
