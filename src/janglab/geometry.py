@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
 from .grids import RadialGrid, build_grid
@@ -568,6 +567,77 @@ def evaluate_constraint_fields(frame: RadialFrame) -> ConstraintFields:
     return ConstraintFields(R_g=R, mu=mu, J_rad=J, margin=margin)
 
 
+# the Gauss-Kronrod (7, 15) pair on [-1, 1] (QUADPACK's qk15), symmetric
+# about 0: per node from -1 to 0, the node, its Kronrod weight, and its
+# Gauss weight (0 at the nodes that Kronrod adds)
+_GK = np.array([
+    (-0.991455371120812639206854697526329, 0.022935322010529224963732008058970,
+     0.0),
+    (-0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (-0.864864423359769072789712788640926, 0.104790010322250183839876322541518,
+     0.0),
+    (-0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (-0.586087235467691130294144845693013, 0.169004726639267902826583426598550,
+     0.0),
+    (-0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (-0.207784955007898467600689403773245, 0.204432940075298892414161999234649,
+     0.0),
+    (0.0, 0.209482141084727828012999174891714,
+     0.417959183673469387755102040816327)])
+_GK_X, _K15_W, _G7_W = np.concatenate((_GK, _GK[-2::-1] * (-1, 1, 1))).T
+_PANEL_LIMIT = 200
+
+
+def _sqrt_a_integral(data: RadialInitialData, lo: float, hi: float,
+                     epsrel: float, epsabs: float = 0.0) -> float:
+    """int_lo^hi sqrt(a) dr (negative for hi < lo), by adaptive quadrature.
+
+    Each panel carries a 15-point Kronrod sum K and the 7-point Gauss sum G
+    nested in it, with |K - G| as its error.  The integral is the sum of K
+    once the errors sum to at most max(epsabs, epsrel |integral|).  Until
+    then, the panels with the largest errors are bisected, as few as leave
+    the others' errors within half that tolerance, and a is read at all
+    the new nodes in one call.  Needing more than ``_PANEL_LIMIT`` panels
+    raises NumericalDegeneracy, as does a non-finite sqrt(a).
+    """
+    if hi < lo:
+        return -_sqrt_a_integral(data, hi, lo, epsrel, epsabs)
+    left, right = np.array([lo]), np.array([hi])
+    K = err = np.empty(0)
+    while True:
+        half = 0.5 * (right[K.size:] - left[K.size:])
+        r = (left[K.size:] + half)[:, None] + half[:, None] * _GK_X
+        with np.errstate(invalid="ignore", over="ignore"):
+            f = np.sqrt(np.asarray(data.a(r.ravel()), dtype=float))
+            f = f.reshape(r.shape)
+            K_new = half * np.sum(f * _K15_W, axis=1)
+            G_new = half * np.sum(f * _G7_W, axis=1)
+            K = np.concatenate((K, K_new))
+            err = np.concatenate((err, np.abs(K_new - G_new)))
+        if not np.all(np.isfinite(err)):
+            raise NumericalDegeneracy(
+                f"sqrt(a) is not finite on the radial segment [{lo}, {hi}]")
+        integral, err_sum = float(np.sum(K)), float(np.sum(err))
+        tol = max(epsabs, epsrel * abs(integral))
+        if err_sum <= tol:
+            return integral
+        worst = np.argsort(err)[::-1]
+        count = int(np.searchsorted(np.cumsum(err[worst]),
+                                    err_sum - 0.5 * tol)) + 1
+        if K.size + count > _PANEL_LIMIT:
+            raise NumericalDegeneracy(
+                f"the length of [{lo}, {hi}] missed its tolerance "
+                f"{tol:.3g} within {_PANEL_LIMIT} quadrature panels")
+        split, keep = worst[:count], worst[count:]
+        mid = 0.5 * (left[split] + right[split])
+        left = np.concatenate((left[keep], left[split], mid))
+        right = np.concatenate((right[keep], mid, right[split]))
+        K, err = K[keep], err[keep]
+
+
 def geodesic_distance(data: RadialInitialData, r_from: float,
                       r_to: float) -> float:
     """g-geodesic length of the radial segment [r_from, r_to]."""
@@ -575,9 +645,7 @@ def geodesic_distance(data: RadialInitialData, r_from: float,
         raise InvalidArgument(f"need 0 <= r_from <= r_to, got ({r_from}, {r_to})")
     if r_to == r_from:
         return 0.0
-    val, _ = quad(lambda r: math.sqrt(float(data.a(r))), r_from, r_to,
-                  epsrel=1e-11, epsabs=0.0, limit=200)
-    return val
+    return _sqrt_a_integral(data, r_from, r_to, epsrel=1e-11)
 
 
 def radius_at_distance(data: RadialInitialData, r_start: float,
@@ -602,7 +670,7 @@ def radius_at_distance(data: RadialInitialData, r_start: float,
             r_new, origin_seen = 0.0, True
         elif not lo < r_new < hi:
             r_new = 0.5 * (lo + hi)
-        L += quad(root_a, r_new, r, epsrel=1e-10, epsabs=1e-14, limit=200)[0]
+        L += _sqrt_a_integral(data, r_new, r, epsrel=1e-10, epsabs=1e-14)
         r = r_new
         if L > dist:
             lo = r

@@ -30,6 +30,43 @@ def _three_point_weights(x0, x1, x2):
     return d1, d2
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y from x[0] to each x[i], 0 at x[0].
+
+    scipy's ``cumulative_trapezoid(y, x, initial=0)`` for 1-D y, with the
+    same operations.
+    """
+    out = np.zeros(y.size)
+    out[1:] = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return out
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of y over strictly increasing x.
+
+    scipy 1.17's ``simpson(y, x=x)`` for 1-D y, with the same operations:
+    Simpson's rule on pairs of intervals, and for an even number of points
+    Cartwright's correction on the last interval.
+    """
+    m = y.size
+    h = np.diff(x)
+    stop = m - 2 if m % 2 else m - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if m % 2 == 0:
+        # one-element arrays, so that the powers take numpy's array loops
+        hm2, hm1 = h[-2:-1], h[-1:]
+        alpha = (2 * hm1 ** 2 + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
+        beta = (hm1 ** 2 + 3.0 * hm2 * hm1) / (6 * hm2)
+        eta = 1 * hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
+        result = result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
+    return float(result)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radii starting at 0.

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .capillary import CapillaryConfig, smoothstep, smoothstep_d1
 from .errors import InvalidArgument, NumericalDegeneracy
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
                        warped_scalar_curvature)
-from .grids import RadialGrid
+from .grids import RadialGrid, _cumulative_trapezoid, _simpson
 from .jang_solver import JangLimit
 from .profiles import SampledProfile
 
@@ -252,7 +251,7 @@ def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
     r = grid.nodes
     coeff = (geo.g_check_rr if metric == "check"
              else RadialFrame.on(data, grid).a)
-    cum = np.concatenate(([0.0], cumulative_trapezoid(np.sqrt(coeff), r)))
+    cum = _cumulative_trapezoid(np.sqrt(coeff), r)
     c_thr = float(np.interp(threshold, r, cum))
     return np.maximum(0.0, c_thr - cum)
 
@@ -523,10 +522,9 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
     # second opinion: the Simpson quadratic form on phi
     dphi = SampledProfile(grid, phi).deriv1(r)
     kinetic = dphi ** 2 / a_check
-    norm_s = float(simpson(phi ** 2 * vol, x=r))
-    form_s = float(simpson((kinetic + pot * phi ** 2) * vol, x=r)) / norm_s
-    sigma_s = float(simpson((kinetic + np.abs(pot) * phi ** 2) * vol,
-                            x=r)) / norm_s
+    norm_s = _simpson(phi ** 2 * vol, r)
+    form_s = _simpson((kinetic + pot * phi ** 2) * vol, r) / norm_s
+    sigma_s = _simpson((kinetic + np.abs(pot) * phi ** 2) * vol, r) / norm_s
     gap = abs(form_s - lam)
     gap_bound = 0.1 * sigma_s + roundoff
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import get_lapack_funcs
 
 from .barrier import BarrierProfile
@@ -32,7 +31,7 @@ from .errors import (AuditInapplicable, ContinuationFailure,
 from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        dq_frame_norm, graph_combination, graph_operator,
                        graph_terms, loglog_slope, ricci_eigenvalues)
-from .grids import MIN_NODES, RadialGrid
+from .grids import MIN_NODES, RadialGrid, _cumulative_trapezoid
 from .profiles import SampledProfile
 
 NEWTON_MAX_ITER = 60
@@ -589,7 +588,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     r = grid.nodes
     sqrt_a = np.sqrt(RadialFrame.on(data, grid).a)
     # signed radial geodesic distance from the center, then the ball mask
-    cum = np.concatenate(([0.0], cumulative_trapezoid(sqrt_a, r)))
+    cum = _cumulative_trapezoid(sqrt_a, r)
     d_center = float(np.interp(center, r, cum))
     d = np.abs(cum - d_center)
     ball = d < sigma

@@ -2,14 +2,16 @@
 
 A profile knows its value and first two derivatives. Analytic profiles carry
 closed-form derivatives; sampled profiles interpolate and differentiate with
-scipy's not-a-knot cubic spline through their nodal values, formed only as
-far as a read needs it.
+the not-a-knot cubic spline through their nodal values.  Its slopes and
+coefficients equal scipy's ``CubicSpline``, and ``_Cubic`` evaluates it in
+the operation order of scipy's ``PPoly``, so every value and derivative
+carries the same bits; the coefficients are formed only on the intervals
+that a read reaches.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grids import RadialGrid
@@ -44,9 +46,9 @@ class SampledProfile:
 
     The not-a-knot slopes come from one tridiagonal solve
     (``_SplineSystem.slopes``): f and f' at the grid's nodes, and at the
-    nodes of its coarsening, are read from the values and the slopes.  The
-    spline's coefficients are formed on the first read between the nodes or
-    of f''.
+    nodes of its coarsening, are read from the values and the slopes.  A
+    read between the nodes, or of f'', forms the spline's coefficients on
+    the intervals from the first to the last that it reaches.
     """
 
     def __init__(self, grid: RadialGrid, values):
@@ -55,7 +57,6 @@ class SampledProfile:
         if self.values.shape != grid.nodes.shape:
             raise ValueError("values must match grid nodes")
         self._slopes = None
-        self._spline = None
 
     def _system(self) -> "_SplineSystem":
         grid = self.grid
@@ -68,11 +69,6 @@ class SampledProfile:
         if self._slopes is None:
             self._slopes = self._system().slopes(self.values)
         return self._slopes
-
-    def _get_spline(self) -> PPoly:
-        if self._spline is None:
-            self._spline = self._system().spline(self.values, self.slopes())
-        return self._spline
 
     def __call__(self, r):
         return self._eval(r, 0)
@@ -94,30 +90,74 @@ class SampledProfile:
             if grid.n_intervals % 2:
                 return np.append(out[::2], out[-1])
             return out[::2].copy()
-        return self._get_spline()(r, order)
+        return self._spline_on(r)(r, order)
+
+    def _spline_on(self, r) -> "_Cubic":
+        """The spline on the intervals that the radii r fall in, from the
+        first to the last; on every interval when r is empty or holds NaN."""
+        x = self.grid.nodes
+        lo, hi = 0, x.size - 1
+        r_min, r_max = r.min(initial=np.inf), r.max(initial=-np.inf)
+        if r_min <= r_max:
+            ends = np.searchsorted(x, (r_min, r_max), side="right") - 1
+            lo, hi = (np.clip(ends, 0, x.size - 2) + (0, 1)).tolist()
+        return self._system().spline(self.values, self.slopes(), lo, hi)
 
     def _at_nodes(self, order) -> np.ndarray:
         """f, f' or f'' at every node, bit for bit the spline's.
 
         At r_i, i < N, the spline is its interval polynomial at offset 0,
-        which PPoly evaluates as 0.0 + c, so the zero signs agree too: f and
-        f' are the values and the slopes, and only f'' needs the
+        which ``_Cubic`` evaluates as 0.0 + c, so the zero signs agree too:
+        f and f' are the values and the slopes, and only f'' needs the
         coefficients.  The last node lies at the end of the last interval,
         whose cubic is evaluated there.
         """
         y, s = self.values, self.slopes()
         if order == 2:
             out = np.empty_like(y)
-            out[:-1] = 2.0 * self._get_spline().c[1] + 0.0
+            out[:-1] = 2.0 * self._system().spline(y, s).c[1] + 0.0
         else:
             out = (y if order == 0 else s) + 0.0
-        last = self._system().spline(y, s, last=True)
+        last = self._system().spline(y, s, self.grid.n_intervals - 1)
         out[-1:] = last(self.grid.nodes[-1:], order)
         return out
 
     def deriv2_origin(self) -> float:
         """f''(0) of an even profile, from the first two nodal values."""
         return float(self.grid.even_deriv2_origin(self.values))
+
+
+class _Cubic:
+    """The piecewise cubic ``c[0] s^3 + c[1] s^2 + c[2] s + c[3]``,
+    ``s = r - x[i]`` on ``[x[i], x[i+1]]``: scipy's ``PPoly(c, x)`` for
+    breakpoints ``x`` and coefficients ``c`` of shape ``(4, x.size - 1)``.
+
+    A radius r takes the interval with x[i] <= r < x[i+1], the last one at
+    r = x[-1]; beyond either end it takes the end interval, so the cubic
+    extrapolates.  The terms are summed in the order and grouping of
+    PPoly's compiled ``evaluate_poly1``, with the same derivative factors,
+    so values and first and second derivatives are PPoly's bit for bit.
+    """
+
+    def __init__(self, c: np.ndarray, x: np.ndarray):
+        self.c, self.x = c, x
+
+    def __call__(self, r, order: int = 0) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        x = self.x
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        s = r - x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        with np.errstate(invalid="ignore", over="ignore"):  # PPoly is silent
+            if order == 0:
+                out = 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+            elif order == 1:
+                out = 0.0 + c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
+            elif order == 2:
+                out = 0.0 + c1 * 2.0 + c0 * s * 6.0
+            else:
+                raise ValueError(f"derivative order {order} is not 0, 1 or 2")
+        return np.asarray(out)
 
 
 class _SplineSystem:
@@ -160,16 +200,17 @@ class _SplineSystem:
             raise LinAlgError("singular matrix")
         return s
 
-    def spline(self, y: np.ndarray, s: np.ndarray, last: bool = False) -> PPoly:
-        """The cubic Hermite spline through values y with slopes s; with
-        ``last``, only its last interval."""
-        x, dx = self.x, self.dx
-        if last:
-            x, dx, y, s = x[-2:], dx[-1:], y[-2:], s[-2:]
+    def spline(self, y: np.ndarray, s: np.ndarray, lo: int = 0,
+               hi: int | None = None) -> _Cubic:
+        """The cubic Hermite spline through values y with slopes s, on the
+        intervals ``lo`` to ``hi - 1`` (all of them by default)."""
+        hi = self.dx.size if hi is None else hi
+        x, dx = self.x[lo:hi + 1], self.dx[lo:hi]
+        y, s = y[lo:hi + 1], s[lo:hi + 1]
         slope = np.diff(y) / dx
         t = (s[:-1] + s[1:] - 2 * slope) / dx   # CubicHermiteSpline from here
         c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-        return PPoly.construct_fast(c, x)
+        return _Cubic(c, x)
 
 
 def constant_profile(value: float):

@@ -1,13 +1,18 @@
 import copy
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from janglab.capillary import (CapillaryConfig, check_capillary_config,
+from janglab.barrier import default_r0_candidates, find_r0
+from janglab.capillary import (CapillaryConfig, _collar_mask,
+                               check_capillary_config,
                                select_capillary_config, smoothstep,
                                smoothstep_d1)
 from janglab.errors import DecViolation, GridTooShort, InvalidArgument
-from janglab.geometry import RadialFrame, constraint_fields
+from janglab.geometry import (RadialFrame, constraint_fields, make_dataset,
+                              radius_at_distance)
 from janglab.grids import build_grid
 
 
@@ -148,3 +153,50 @@ def test_config_derived_properties(cap_config):
     assert cap_config.smallness_budget == 0.5 * min(
         cap_config.kappa0 / cap_config.tau,
         cap_config.kappa1 / cap_config.tau ** 2)
+
+
+def _quad_radius_at_distance(data, r_start, dist):
+    """radius_at_distance's Newton search with scipy's quad for each step,
+    as the collar was found before janglab had its own quadrature."""
+    root_a = lambda s: math.sqrt(float(data.a(s)))
+    xtol = 1e-12 * max(1.0, r_start)
+    lo, hi, r, L, origin_seen = 0.0, r_start, r_start, 0.0, False
+    for _ in range(100):
+        step = (L - dist) / root_a(r)
+        if abs(step) <= xtol:
+            return r + step
+        r_new = r + step
+        if r_new <= 0.0 and not origin_seen:
+            r_new, origin_seen = 0.0, True
+        elif not lo < r_new < hi:
+            r_new = 0.5 * (lo + hi)
+        L += quad(root_a, r_new, r, epsrel=1e-10, epsabs=1e-14, limit=200)[0]
+        r = r_new
+        if L > dist:
+            lo = r
+        elif r == 0.0:
+            return 0.0
+        else:
+            hi = r
+    raise AssertionError("no radius found")
+
+
+@pytest.mark.parametrize("grid", [build_grid(512.0, 2048, "uniform"),
+                                  build_grid(512.0, 2047, "geometric",
+                                             stretch=1.001)],
+                         ids=["uniform", "geometric"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_collar_mask_matches_the_quad_search(grid, n):
+    # the collar's inner edge from janglab's quadrature lies within 1e-12
+    # relative of the edge that QUADPACK steps find, and holds the same nodes
+    for seed in range(5):
+        data = make_dataset("perturbed-dec", n, {"m": 1.0, "amplitude": 0.05},
+                            grid=grid, seed=seed)
+        r0 = find_r0(data, grid, default_r0_candidates(grid))
+        r_in, width = 8.0 * r0, 2.0 * r0 / 4.0
+        want = _quad_radius_at_distance(data, r_in, width)
+        assert abs(radius_at_distance(data, r_in, width) - want) <= 1e-12 * want
+        r = grid.nodes
+        mask = _collar_mask(data, grid, r_in, width)
+        assert np.array_equal(mask, (r <= r_in) & (r >= want))
+        assert np.any(mask)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -322,3 +324,21 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         b1 = (tmp_path / "one" / entry["file"]).read_bytes()
         b2 = (tmp_path / "two" / entry["file"]).read_bytes()
         assert b1 == b2
+
+
+def test_cli_loads_only_scipy_linalg_and_special(tmp_path):
+    # a fresh interpreter: import the CLI, run the default pipeline, and
+    # find none of the scipy packages that janglab no longer needs loaded
+    import janglab
+    src = os.path.dirname(os.path.dirname(janglab.__file__))
+    script = (
+        "import sys, janglab, janglab.cli\n"
+        "code = janglab.cli.main(['--out', sys.argv[1], 'pipeline'])\n"
+        "heavy = ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize',"
+        " 'scipy.sparse')\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == f"{EXIT_OK} []"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import janglab.geometry
 from janglab.barrier import BarrierProfile, barrier_inequality_audit, find_r0
-from janglab.errors import DecViolation, GenerationFailure, InvalidArgument
+from janglab.errors import (DecViolation, GenerationFailure, InvalidArgument,
+                            NumericalDegeneracy)
 from janglab.geometry import (RadialFrame, RadialInitialData, _conformal_power,
                               _even_gaussian, constraint_fields,
                               dataset_from_json, dataset_from_samples,
@@ -292,6 +293,59 @@ def test_radius_at_distance_near_the_origin(fraction):
 def test_radius_at_distance_clips_at_origin():
     data = make_dataset("flat", 4, {})
     assert radius_at_distance(data, 2.0, 100.0) == 0.0
+
+
+@pytest.mark.parametrize("family,n,params", [
+    ("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05}),
+    ("perturbed-dec", 5, {"m": 1.0, "amplitude": 0.05}),
+    ("perturbed-dec", 6, {"m": 1.0, "amplitude": 0.05}),
+    ("conformal", 4, {"alpha": 0.4, "beta": 0.2}),
+    ("schwarzschild", 5, {"m": 2.0}),
+])
+def test_length_quadrature_matches_scipy_quad(base_grid, family, n, params):
+    # the adaptive Gauss-Kronrod lengths agree with QUADPACK's to 1e-12
+    # relative, on short collar-sized segments and across the whole grid
+    data = make_dataset(family, n, params, grid=base_grid, seed=3)
+    for lo, hi in ((0.25, 2.0), (3.0, 3.5), (7.5, 8.0), (0.5, 512.0),
+                   (8.0, 8.0 + 1e-9)):
+        want = quad(lambda s: math.sqrt(float(data.a(s))), lo, hi,
+                    epsrel=1e-11, epsabs=0.0, limit=200)[0]
+        got = geodesic_distance(data, lo, hi)
+        assert abs(got - want) <= 1e-12 * want, (lo, hi)
+
+
+def test_length_quadrature_meets_its_tolerance_on_sampled_data():
+    # a spline's third derivative jumps at every node, where QUADPACK's
+    # length over the whole grid is off by 3e-11 relative; the reference is
+    # 20-point Gauss-Legendre on each spline interval, where sqrt(a) is smooth
+    grid = build_grid(64.0, 256, "geometric", stretch=1.01)
+    r = grid.nodes
+    a = 1.0 + 0.3 * np.exp(-r ** 2 / 8.0) + 0.5 / (1.0 + r) ** 2
+    zero = np.zeros_like(r)
+    data = dataset_from_samples(grid, a, a, zero, zero, n=4)
+    x, w = np.polynomial.legendre.leggauss(20)
+    for lo, hi in ((0.25, 2.0), (7.5, 8.0), (0.0, 10.0), (0.0, 64.0)):
+        edges = np.concatenate(([lo], r[(r > lo) & (r < hi)], [hi]))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        f = np.sqrt(data.a(mid[:, None] + half[:, None] * x))
+        want = float(np.sum(half * (f @ w)))
+        assert abs(geodesic_distance(data, lo, hi) - want) <= 1e-11 * want
+
+
+def test_length_quadrature_raises_past_its_panel_budget():
+    # sqrt(a) = |r - 4/3|^-0.9 is integrable, but bisection cannot reach
+    # 1e-11 relative within 200 panels; QUADPACK only warns there
+    data = copy.copy(make_dataset("flat", 4, {}))
+    data.a = lambda r: np.abs(np.asarray(r) - 4.0 / 3.0) ** -1.8
+    with pytest.raises(NumericalDegeneracy, match="200 quadrature panels"):
+        geodesic_distance(data, 0.5, 2.5)
+
+
+def test_length_quadrature_rejects_a_non_finite_metric():
+    data = copy.copy(make_dataset("flat", 4, {}))
+    data.a = lambda r: 1.0 - np.asarray(r)        # negative beyond r = 1
+    with pytest.raises(NumericalDegeneracy, match="not finite"):
+        geodesic_distance(data, 0.5, 2.0)
 
 
 # ---------------------------------------------------------------------------

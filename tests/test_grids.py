@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from janglab.errors import InvalidArgument
-from janglab.grids import (MIN_NODES, RadialGrid, _three_point_weights,
-                           build_grid, geometric_stretch_for)
+from janglab.grids import (MIN_NODES, RadialGrid, _cumulative_trapezoid,
+                           _simpson, _three_point_weights, build_grid,
+                           geometric_stretch_for)
 
 
 def test_uniform_grid_nodes():
@@ -147,3 +149,19 @@ def test_grid_rejects_bad_inputs():
         g.truncate(g.nodes[4])                  # too few nodes left
     smallest = build_grid(16.0, MIN_NODES, "uniform")
     assert smallest.truncate(16.0) is smallest  # r_max keeps every node
+
+
+@pytest.mark.parametrize("n_intervals", [2047, 2048])
+@pytest.mark.parametrize("policy", ["uniform", "geometric"])
+def test_trapezoid_and_simpson_equal_scipy_bit_for_bit(policy, n_intervals):
+    # an odd point count (N = 2048) is Simpson's rule throughout; an even
+    # one adds Cartwright's correction on the last interval
+    r = build_grid(512.0, n_intervals, policy, stretch=1.001).nodes
+    rng = np.random.default_rng(n_intervals)
+    for y in (np.sqrt(1.0 + 1.0 / (1.0 + r) ** 2),
+              rng.standard_normal(r.size) * np.exp(-r / 40.0),
+              np.zeros_like(r)):
+        want = np.concatenate(([0.0], cumulative_trapezoid(y, r)))
+        assert np.array_equal(_cumulative_trapezoid(y, r).view(np.int64),
+                              want.view(np.int64))
+        assert _simpson(y, r) == float(simpson(y, x=r))

@@ -48,8 +48,8 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
             return fn(self, r)
         monkeypatch.setattr(AnalyticProfile, name, counted)
     # every sampled array's slopes come from its grid's system: count the
-    # slope solves, the whole-grid coefficient sets, the systems, and the
-    # grids that any slope solve ran on
+    # slope solves, the coefficient sets and their intervals, the systems,
+    # and the grids that any slope solve ran on
     system = janglab.profiles._SplineSystem
     solved, formed, systems, splined = [], [], [], []
 
@@ -65,10 +65,9 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
         splined.append(self.grid)
         return slopes(self)
 
-    def counted_spline(self, y, s, last=False, spline=system.spline):
-        if not last:
-            formed.append(y)
-        return spline(self, y, s, last)
+    def counted_spline(self, y, s, lo=0, hi=None, spline=system.spline):
+        formed.append((y, lo, y.size - 1 if hi is None else hi))
+        return spline(self, y, s, lo, hi)
     monkeypatch.setattr(system, "__init__", counted_init)
     monkeypatch.setattr(system, "slopes", counted_slopes)
     monkeypatch.setattr(system, "spline", counted_spline)
@@ -118,9 +117,14 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     # eigenvector
     assert len(solved) == 3 + 1 + 1
     assert solved[2] is u and sum(y is u for y in solved) == 1
-    # coefficients only for the dense gradient-ball supremum: u's and its
-    # coarse copy's
-    assert [y.size for y in formed] == [2049, 1025] and formed[0] is u
+    # coefficients only on the intervals that a read reaches: the last one
+    # for a read at r_max, and the gradient ball's for the dense supremum of
+    # u and of its coarse copy, values and slopes
+    wide = [(y, lo, hi) for y, lo, hi in formed if hi - lo > 1]
+    assert all(hi == y.size - 1 for y, lo, hi in formed if hi - lo == 1)
+    assert [y.size for y, _, _ in wide] == [2049, 2049, 1025, 1025]
+    assert wide[0][0] is u and wide[1][0] is u
+    assert all(hi - lo < 0.05 * y.size for y, lo, hi in wide)
     # one spline system per distinct grid, built from that grid's nodes
     grids = list({id(g): g for g in splined}.values())
     assert len(systems) == len(grids) > 1

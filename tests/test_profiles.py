@@ -9,7 +9,9 @@ GRIDS = [
     build_grid(512.0, 2048, "uniform"),
     build_grid(512.0, 2048, "geometric", stretch=1.001),
     build_grid(512.0, 2048, "uniform").truncate(100.3),
+    build_grid(512.0, 2047, "geometric", stretch=1.001),
 ]
+IDS = ["uniform", "geometric", "truncated", "odd"]
 
 
 def _node_values(r):
@@ -24,7 +26,7 @@ def _node_values(r):
     }
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=["uniform", "geometric", "truncated"])
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_node_reads_match_spline_bit_for_bit(grid, order):
     r = grid.nodes
@@ -43,38 +45,56 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=["uniform", "geometric", "truncated"])
-def test_node_reads_come_from_one_slope_solve(grid):
+def _count_spans(monkeypatch):
+    """The (lo, hi) interval span of each coefficient set formed."""
+    spans = []
+
+    def counted(self, y, s, lo=0, hi=None, spline=_SplineSystem.spline):
+        spans.append((lo, y.size - 1 if hi is None else hi))
+        return spline(self, y, s, lo, hi)
+    monkeypatch.setattr(_SplineSystem, "spline", counted)
+    return spans
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_node_reads_come_from_one_slope_solve(grid, monkeypatch):
     # the slopes are CubicSpline's, bit for bit, and f, f' at the nodes are
-    # read from them and the values without forming any coefficients
+    # read from them and the values, forming coefficients only on the last
+    # interval, for r_max
     r = grid.nodes
+    last = (grid.n_intervals - 1, grid.n_intervals)
+    spans = _count_spans(monkeypatch)
     for name, values in _spline_values(r).items():
         prof = SampledProfile(grid, values)
         spline = CubicSpline(r, values)
         assert np.array_equal(_bits(prof.slopes()[:-1]), _bits(spline.c[2])), name
+        spans.clear()
         for order, read in enumerate((prof, prof.deriv1)):
             assert np.array_equal(_bits(read(r)), _bits(spline(r, order))), name
-        assert prof._spline is None
+        assert spans == [last, last]
         assert np.array_equal(_bits(prof.deriv2(r)), _bits(spline(r, 2))), name
-        assert prof._spline is not None
+        assert (0, grid.n_intervals) in spans
 
 
 @pytest.mark.parametrize("n_intervals", [2047, 2048])
 @pytest.mark.parametrize("policy", ["uniform", "geometric"])
-def test_coarse_node_reads_match_spline_bit_for_bit(n_intervals, policy):
+def test_coarse_node_reads_match_spline_bit_for_bit(n_intervals, policy,
+                                                    monkeypatch):
     # every other node, plus r_max when N is odd: read from the fine nodes
     grid = build_grid(512.0, n_intervals, policy, stretch=1.001)
     coarse = grid.coarsen().nodes
     assert coarse[-1] == grid.r_max
+    spans = _count_spans(monkeypatch)
     for name, values in _spline_values(grid.nodes).items():
         prof = SampledProfile(grid, values)
         spline = CubicSpline(grid.nodes, values)
+        spans.clear()
         for order, read in enumerate((prof, prof.deriv1, prof.deriv2)):
             got = read(coarse)
             assert got.flags.c_contiguous and got.size == coarse.size
             assert np.array_equal(_bits(got), _bits(spline(coarse, order))), name
             if order == 1:
-                assert prof._spline is None
+                assert all(hi - lo == 1 for lo, hi in spans)
 
 
 def _spline_values(r):
@@ -85,25 +105,33 @@ def _spline_values(r):
             "1e-300 decay": 1e-300 * np.exp(-r / 30.0)}
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=["uniform", "geometric", "truncated"])
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_spline_equals_cubic_spline_bit_for_bit(grid):
-    # the grid's spline system repeats CubicSpline's arithmetic, so the
-    # coefficients and every evaluation agree with scipy's to the last bit
+    # the grid's spline system repeats CubicSpline's arithmetic, and its
+    # evaluator PPoly's, so the coefficients and every evaluation agree with
+    # scipy's to the last bit, extrapolation and NaN included
     r = grid.nodes
     rng = np.random.default_rng(9)
     off = rng.uniform(0.0, grid.r_max, 300)          # unsorted, off the nodes
     points = {"nodes": r, "off nodes": off,
-              "midpoints": 0.5 * (r[:-1] + r[1:]), "last node": r[-1:]}
+              "midpoints": 0.5 * (r[:-1] + r[1:]), "last node": r[-1:],
+              "one node": r[7], "inner nodes": r[5:40:3],
+              "beyond both ends": np.array([-3.0, -1e-300, grid.r_max + 1e-9,
+                                            2.0 * grid.r_max]),
+              "NaN": np.array([np.nan, 0.5 * grid.r_max, np.nan]),
+              "scalar": np.float64(0.3 * grid.r_max)}
     for name, values in _spline_values(r).items():
         prof = SampledProfile(grid, values)
-        ours, ref = prof._get_spline(), CubicSpline(r, values)
+        ours = prof._system().spline(values, prof.slopes())
+        ref = CubicSpline(r, values)
         assert np.array_equal(_bits(ours.c), _bits(ref.c)), name
         assert np.array_equal(ours.x, ref.x)
         for order, read in enumerate((prof, prof.deriv1, prof.deriv2)):
             for where, x in points.items():
-                want = _bits(ref(x, order))
-                assert np.array_equal(_bits(ours(x, order)), want), (name, where)
-                assert np.array_equal(_bits(read(x)), want), (name, where)
+                want = ref(x, order)
+                for got in (ours(x, order), read(x)):
+                    assert np.shape(got) == np.shape(want), (name, where)
+                    assert np.array_equal(_bits(got), _bits(want)), (name, where)
 
 
 def test_each_grid_builds_one_spline_system(monkeypatch):
