@@ -30,7 +30,7 @@ from .geometry import make_dataset, validate_dataset
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
 from .pipeline import SCHEDULE_FACTORS, exhaustion_schedule, run_pipeline_on
-from .report import _float_csv, emit_report, write_artifact
+from .report import _csv_blocks, emit_report, write_artifact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
                 cfg.get("schedule_factors", SCHEDULE_FACTORS))
             limit = jang_solver.exhaustion_solve(data, config, schedule, grid)
             write_artifact(out, "solution.csv",
-                           _float_csv(("r", "u"), (grid.nodes, limit.u)))
+                           _csv_blocks(("r", "u"), (grid.nodes, limit.u)))
             write_artifact(out, "trace.json", {"trace": limit.trace,
                                                "schedule": schedule})
             return EXIT_OK

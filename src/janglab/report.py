@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import types
 import weakref
 
 import numpy as np
@@ -34,22 +35,28 @@ def _coerce(obj):
 
 
 def write_artifact(out_dir: str, name: str, payload) -> dict:
-    """Write one file (bytes/str/JSON-able) and return its manifest entry."""
+    """Write one file and return its manifest entry.  ``payload`` is bytes,
+    a str, a generator of byte blocks (``_csv_blocks``), written and hashed
+    as they come, or else a JSON-able object."""
+    if isinstance(payload, bytes):
+        blocks = (payload,)
+    elif isinstance(payload, str):
+        blocks = (payload.encode(),)
+    elif isinstance(payload, types.GeneratorType):
+        blocks = payload
+    else:
+        blocks = (_json_bytes(payload),)
+    digest, size = hashlib.sha256(), 0
     try:
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, name)
-        if isinstance(payload, bytes):
-            data = payload
-        elif isinstance(payload, str):
-            data = payload.encode()
-        else:
-            data = _json_bytes(payload)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            for block in blocks:
+                fh.write(block)
+                digest.update(block)
+                size += len(block)
     except OSError as exc:
         raise IOFailure(f"cannot write {name} in {out_dir}: {exc}") from exc
-    return {"file": name, "bytes": len(data),
-            "sha256": hashlib.sha256(data).hexdigest()}
+    return {"file": name, "bytes": size, "sha256": digest.hexdigest()}
 
 
 # Shortest round-trip text of float64 arrays, byte for byte as
@@ -110,33 +117,61 @@ def _mulhi(a_lo, a_hi, b_lo, b_hi):
             + (mid >> _U64(32)))
 
 
+def _scaled_interval(t, q, i, irregular):
+    """Schubfach's vb, vbl and vbr: cp·g / 2^127, rounded to odd, for
+    cp = 4c·2^h (c = 2^52 + t) and for the ends of the rounding interval,
+    where g and h are row i of the g(k) table.
+
+    cp·g is held as the 128-bit products g1·cp and g0·cp, each (high,
+    low).  The ends (4c ± 2)·2^h, or (4c − 1)·2^h below an irregular c,
+    differ from cp by 2^s, s = h + 1 or h, so their products differ by
+    g1·2^s and g0·2^s, added with 64-bit carries."""
+    h = (q + _H_OF_K[i]).astype(_U64)
+    sr = h + _U64(1)
+    sl = sr - irregular.astype(_U64)
+    g1, g0 = _G1[i], _G0_LO[i] | (_G0_HI[i] << _U64(32))
+    y, x = _products((t | _U64(1 << 52)) << _U64(2) << h, i, g1, g0)
+    out = t & _U64(1)       # odd c: the interval ends do not round to v
+    vb = _rop(y, x)
+    vbl = _rop(_shifted(y, g1, sl, -1), _shifted(x, g0, sl, -1))
+    vbl += out
+    vbr = _rop(_shifted(y, g1, sr, 1), _shifted(x, g0, sr, 1))
+    vbr -= out
+    return vb, vbl, vbr
+
+
+def _products(cp, i, g1, g0):
+    """g1·cp and g0·cp as (high, low), for g1, g0 = row i of the table."""
+    cp_lo, cp_hi = cp & _LO32, cp >> _U64(32)
+    return ((_mulhi(_G1_LO[i], _G1_HI[i], cp_lo, cp_hi), g1 * cp),
+            (_mulhi(_G0_LO[i], _G0_HI[i], cp_lo, cp_hi), g0 * cp))
+
+
+def _shifted(p, g, s, sign):
+    """p ± g·2^s as (high, low), for p = (high, low) and 1 ≤ s < 64."""
+    g_hi, g_lo = g >> (_U64(64) - s), g << s
+    if sign > 0:
+        lo = p[1] + g_lo
+        return p[0] + g_hi + (lo < g_lo), lo
+    return p[0] - g_hi - (p[1] < g_lo), p[1] - g_lo
+
+
+def _rop(y, x):
+    """cp·g / 2^127, rounded to odd, from g1·cp and the high half of g0·cp
+    (JDK ``DoubleToDecimal.rop``)."""
+    z = (y[1] >> _U64(1)) + x[0]
+    return (y[0] + (z >> _U64(63))) | (((z & _LO63) + _LO63) >> _U64(63))
+
+
 def _shortest_decimal(bits):
     """Digits f and exponent k with f·10^k the shortest decimal that reads
     back to each normal float64 ``bits`` (nearest, ties to even f)."""
-    bq = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
     t = bits & _U64((1 << 52) - 1)
-    c = t | _U64(1 << 52)
-    q = bq - 1075
-    irregular = (t == _U64(0)) & (bq > 1)   # a power of two: closer below
+    q = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64) - 1075
+    irregular = (t == _U64(0)) & (q > -1074)  # a power of two: closer below
     # floor(q·log10 2), or floor(log10(¾·2^q)) if irregular (JDK MathUtils)
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    i = k - _K_MIN
-    h = (q + _H_OF_K[i]).astype(_U64)
-    g1, g1_lo, g1_hi = _G1[i], _G1_LO[i], _G1_HI[i]
-    g0_lo, g0_hi = _G0_LO[i], _G0_HI[i]
-
-    def rop(cp):
-        # cp·g / 2^127, rounded to odd
-        cp_lo, cp_hi = cp & _LO32, cp >> _U64(32)
-        z = ((g1 * cp) >> _U64(1)) + _mulhi(g0_lo, g0_hi, cp_lo, cp_hi)
-        return ((_mulhi(g1_lo, g1_hi, cp_lo, cp_hi) + (z >> _U64(63)))
-                | (((z & _LO63) + _LO63) >> _U64(63)))
-
-    cb = c << _U64(2)
-    out = c & _U64(1)       # odd c: the interval ends do not round to v
-    vb = rop(cb << h)
-    vbl = rop((cb - _U64(2) + irregular.astype(_U64)) << h) + out
-    vbr = rop((cb + _U64(2)) << h) - out
+    vb, vbl, vbr = _scaled_interval(t, q, k - _K_MIN, irregular)
     s = vb >> _U64(2)       # always ≥ 100 for normal values
     sp10 = (s // _U64(10)) * _U64(10)
     tp10 = sp10 + _U64(10)
@@ -203,7 +238,7 @@ def _templates():
             for wide in (False, True):
                 rows += [_template(neg, n, None, esign, wide)
                          for n in range(1, 18)]
-    return np.array(rows, dtype=np.intp)
+    return np.array(rows, dtype=np.uint8)
 
 
 _TEMPLATES = _templates()
@@ -218,11 +253,33 @@ def _template_key(neg, n, decpt):
     return (neg * 24 + form) * 17 + n - 1, e10
 
 
-def _repr_fields(x, words, out):
+# Values per formatting pass.  A block of rows holds about this many values
+# to format, so every pass has about this length (none is a short tail).
+# The gather index takes 200 bytes per value, so it is built for at most
+# _GATHER values at a time.
+_BLOCK = 8192
+_GATHER = 2048
+
+
+def _scratch(n):
+    """Workspace of ``_repr_fields`` for up to n values: the source rows
+    (n × 8 uint32, constants in columns 6-7), the gathered template rows
+    (n × 25 uint8), each row's offset in the source bytes, and the gather
+    index of up to _GATHER rows (intp)."""
+    words = np.empty((n, 8), dtype=np.uint32)
+    words[:, 6:] = _CONSTANTS
+    return (words, np.empty((n, _FIELD + 1), dtype=np.uint8),
+            (np.arange(n) * 32)[:, None],
+            np.empty((min(n, _GATHER), _FIELD + 1), dtype=np.intp))
+
+
+def _repr_fields(x, scratch, out):
     """Write repr(float(v)) for each v of the float64 array ``x`` into the
     rows of the uint8 matrix ``out`` (len(x) × 25), NUL-padded, each followed
-    by a comma.  ``words`` (len(x) × 8 uint32, constants in columns 6-7) is
-    scratch space for the source rows."""
+    by a comma, using the workspace ``scratch`` (``_scratch``)."""
+    m = len(x)
+    words, rows, offsets, idx = scratch
+    words, rows = words[:m], rows[:m]
     bits = x.view(_U64)
     expo = bits & _U64(0x7FF0000000000000)
     zero = (bits << _U64(1)) == _U64(0)
@@ -250,27 +307,17 @@ def _repr_fields(x, words, out):
     for j, g in enumerate(groups, 1):
         words[:, j] = _FOUR_DIGITS[g]
     words[:, 5] = _FOUR_DIGITS[e10]
-    idx = _TEMPLATES[key]
-    idx += (np.arange(len(x)) * 32)[:, None]
-    np.take(words.view(np.uint8).ravel(), idx, out=out)
+    np.take(_TEMPLATES, key, axis=0, out=rows)
+    source = words.view(np.uint8).ravel()
+    for a in range(0, m, _GATHER):
+        b = min(a + _GATHER, m)
+        np.add(rows[a:b], offsets[a:b], out=idx[:b - a])
+        # every index is below 32·m by construction: "clip" skips the check
+        np.take(source, idx[:b - a], out=out[a:b], mode="clip")
     for j in np.flatnonzero(fallback):
         text = repr(float(x[j])).encode()
         out[j, :_FIELD] = 0
         out[j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-
-
-# Values per pass.  Larger passes make fewer numpy calls, but the gather
-# index takes 200 bytes per value.  With 4096, formatting three columns of
-# 8193 values peaks 0.3 MiB above one repr call per value (2.1 vs 1.9 MiB).
-_CHUNK = 4096
-
-
-def _format_column(x, words, out):
-    """``_repr_fields`` of the float64 column ``x`` into the rows of ``out``
-    (len(x) × 25), one pass of at most _CHUNK values at a time."""
-    for a in range(0, len(x), _CHUNK):
-        chunk = x[a:a + _CHUNK]
-        _repr_fields(chunk, words[:len(chunk)], out[a:a + _CHUNK])
 
 
 # The fields of the last float64 array formatted whose memory is an
@@ -282,52 +329,92 @@ def _format_column(x, words, out):
 _kept = {"column": lambda: None, "fields": None}
 
 
-def _kept_fields(x, words):
-    """The fields of the immutable array ``x``, formatted once."""
-    if _kept["column"]() is not x:
-        fields = np.empty((len(x), _FIELD + 1), dtype=np.uint8)
-        _format_column(x, words, fields)
-        _kept.update(column=weakref.ref(x, _forget), fields=fields)
-    return _kept["fields"]
-
-
 def _forget(column):
     if _kept["column"] is column:
         _kept.update(column=lambda: None, fields=None)
 
 
-def _float_csv(header, columns) -> str:
-    """CSV of float columns under a header: each value is the ``repr`` of
-    its Python float, which reads back to the same bits.
+def _csv_blocks(header, columns):
+    """The CSV of float columns under a header, as a generator of byte
+    blocks: each value is the ``repr`` of its Python float, which reads
+    back to the same bits.  The columns are checked here, before the first
+    block is asked for, so a streamed file is never left half written.
 
     The text is built with array operations (``_repr_fields``), not one
-    ``repr`` call per value; a column over an immutable bytes buffer, as a
-    grid's nodes are, is formatted once (``_kept_fields``).  This function
-    and its helpers stay private: the benchmark's tracer wraps every public
-    function of this module, and a span that no layer lists would take the
-    formatting time out of ``report.emit_report_s``."""
+    ``repr`` call per value.  This function and its helpers stay private:
+    the benchmark's tracer wraps every public function of this module, and
+    a span that no layer lists would take the formatting time out of
+    ``report.emit_report_s``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError("CSV columns differ in length")
-    body = np.empty((rows, len(columns), _FIELD + 1), dtype=np.uint8)
-    words = np.empty((min(_CHUNK, rows), 8), dtype=np.uint32)
-    words[:, 6:] = _CONSTANTS
-    for j, column in enumerate(columns):
-        if isinstance(column.base, bytes):
-            body[:, j] = _kept_fields(column, words)
-        else:
-            _format_column(column, words, body[:, j])
-    body[:, -1, _FIELD] = ord("\n")
-    body = body.ravel()
-    return (",".join(header) + "\n"
-            + body[body != 0].tobytes().decode("ascii"))
+    return _blocks((",".join(header) + "\n").encode(), columns, rows)
+
+
+def _blocks(head, columns, rows):
+    """``_csv_blocks`` after its checks.  Each block of rows fills one
+    workspace: every column to format goes through one fused
+    ``_repr_fields`` pass, the kept fields of a column over an immutable
+    bytes buffer, as a grid's nodes are, are copied in (``_kept``), and
+    the NUL padding is dropped.  Such a column is formatted once: a miss
+    is formatted with the others and its fields kept once all are."""
+    yield head
+    cached, cached_fields = _kept["column"](), _kept["fields"]
+    hits = [j for j, c in enumerate(columns) if c is cached]
+    fresh = [j for j, c in enumerate(columns) if c is not cached]
+    keep = next((j for j in fresh if isinstance(columns[j].base, bytes)),
+                None)
+    into = fresh
+    if fresh and fresh[-1] - fresh[0] == len(fresh) - 1:
+        into = slice(fresh[0], fresh[-1] + 1)   # a copy, not a scatter
+    width = max(len(fresh), 1)
+    count = max(1, (rows * width + _BLOCK // 2) // _BLOCK)
+    most = -(-rows // count)
+    body = np.empty((most, len(columns), _FIELD + 1), dtype=np.uint8)
+    nonzero = np.empty(body.size, dtype=bool)
+    if fresh:
+        scratch = _scratch(most * len(fresh))
+        values = np.empty((most, len(fresh)))
+        fields = np.empty((most, len(fresh), _FIELD + 1), dtype=np.uint8)
+    if keep is not None:
+        kept = np.empty((rows, _FIELD + 1), dtype=np.uint8)
+    for b in range(count):
+        lo, hi = rows * b // count, rows * (b + 1) // count
+        block = body[:hi - lo]
+        if fresh:
+            for p, j in enumerate(fresh):
+                values[:hi - lo, p] = columns[j][lo:hi]
+            _repr_fields(values[:hi - lo].ravel(), scratch,
+                         fields[:hi - lo].reshape(-1, _FIELD + 1))
+            block[:, into] = fields[:hi - lo]
+            if keep is not None:
+                kept[lo:hi] = fields[:hi - lo, fresh.index(keep)]
+        for j in hits:
+            block[:, j] = cached_fields[lo:hi]
+        block[:, -1, _FIELD] = ord("\n")
+        flat = block.ravel()
+        mask = nonzero[:flat.size]
+        np.not_equal(flat, 0, out=mask)
+        yield flat[mask].tobytes()
+    if keep is not None:
+        _kept.update(column=weakref.ref(columns[keep], _forget), fields=kept)
+
+
+def _float_csv(header, columns) -> str:
+    """``_csv_blocks`` as one string."""
+    return b"".join(_csv_blocks(header, columns)).decode("ascii")
+
+
+def _solution_blocks(results: dict):
+    arrays = results["arrays"]
+    return _csv_blocks(("r", "u", "consequence_margin"),
+                       (arrays["grid"], arrays["u"],
+                        arrays["consequence_margin"]))
 
 
 def solution_csv_from_results(results: dict) -> str:
-    arrays = results["arrays"]
-    return _float_csv(("r", "u", "consequence_margin"),
-                      (arrays["grid"], arrays["u"], arrays["consequence_margin"]))
+    return b"".join(_solution_blocks(results)).decode("ascii")
 
 
 def emit_report(results: dict, out_dir: str) -> dict:
@@ -354,7 +441,7 @@ def emit_report(results: dict, out_dir: str) -> dict:
             "decay": results["decay"]}))
         if "arrays" in results:
             entries.append(write_artifact(
-                out_dir, "solution.csv", solution_csv_from_results(results)))
+                out_dir, "solution.csv", _solution_blocks(results)))
     if "config_echo" in results and "error" not in results:
         entries.append(write_artifact(out_dir, "config.json",
                                       results["config_echo"]))
