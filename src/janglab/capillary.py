@@ -86,9 +86,28 @@ class CapillaryConfig:
         d1.flat[collar] = smoothstep_d1((r.flat[collar] - lo) / lo)
         return -d1 / lo
 
-    def dzeta_norm_sq(self, frame: RadialFrame):
-        """|d zeta|_g^2 = zeta'^2 / a at the frame's radii."""
-        return self.zeta_d1(frame.r) ** 2 / frame.a
+    def cutoff(self, grid: RadialGrid):
+        """(zeta, zeta') at the grid's nodes, read-only.
+
+        They depend on r0 alone, so the grid keeps them for the last r0
+        evaluated on it.  A truncation at a node and an even coarsening
+        read slices of their base grid's.
+        """
+        kept = grid._cutoff
+        if kept is None or kept[0] != self.r0:
+            whole = grid._part_of()
+            if whole is not None:
+                zeta, zeta_d1 = (v[whole[1]] for v in self.cutoff(whole[0]))
+            else:
+                zeta, zeta_d1 = self.zeta(grid.nodes), self.zeta_d1(grid.nodes)
+                zeta.flags.writeable = zeta_d1.flags.writeable = False
+            kept = (self.r0, zeta, zeta_d1)
+            object.__setattr__(grid, "_cutoff", kept)
+        return kept[1], kept[2]
+
+    def dzeta_norm_sq(self, data: RadialInitialData, grid: RadialGrid):
+        """|d zeta|_g^2 = zeta'^2 / a at the grid's nodes."""
+        return self.cutoff(grid)[1] ** 2 / RadialFrame.on(data, grid).a
 
 
 def _collar_mask(data, grid, r_in, width):
@@ -122,8 +141,8 @@ def select_capillary_config(data: RadialInitialData, r0: float,
                           s0=r0 / 4.0, s1=0.0, tau=1.0, n=n, delta=data.delta)
 
     frame = RadialFrame.on(data, grid)
-    dz2 = cfg.dzeta_norm_sq(frame)
-    zeta = cfg.zeta(r)
+    dz2 = cfg.dzeta_norm_sq(data, grid)
+    zeta = cfg.cutoff(grid)[0]
     supp = dz2 > 0.0
     cfg.kappa0 = float(np.sqrt(np.min(margin[supp] / (4.0 * dz2[supp]))))
 
@@ -162,13 +181,15 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     """Independent invariant audit of a capillary configuration.
 
     Re-evaluates every defining inequality directly from the stored fields;
-    shares no construction logic with select_capillary_config.  Returns a
-    list of violation descriptions (empty = pass).
+    shares no construction logic with select_capillary_config.  It reads
+    the evaluated inputs kept per grid (the frame coefficients, the scalar
+    curvature among them, and the cutoff), and evaluates its own margin.
+    Returns a list of violation descriptions (empty = pass).
     """
     problems = []
     r = grid.nodes
     n = cfg.n
-    zeta = cfg.zeta(r)
+    zeta = cfg.cutoff(grid)[0]
     if np.any((zeta < 0.0) | (zeta > 1.0)):
         problems.append("zeta leaves [0, 1]")
     if np.any(zeta[r > 8.0 * cfg.r0] != 0.0):
@@ -184,7 +205,7 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     margin = evaluate_constraint_fields(frame).margin
     if np.any(q_vals <= 0.0):
         problems.append("Q must be strictly positive")
-    lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(frame)
+    lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(data, grid)
            - cfg.kappa1 * zeta ** 2 * n * frame.q_norm)
     if np.any(lhs < q_vals):
         problems.append("margin - kappa terms >= Q fails at some node")

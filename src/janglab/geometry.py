@@ -92,72 +92,61 @@ def _conformal_power(m, n, regularized):
                                + 4.0 * k * (k - 1.0) * r ** 2 * wk / w ** 2)
         return phi, dphi, d2phi
 
-    def f(r):
-        return parts(r)[0] ** p
-
-    def d1(r):
-        phi, dphi, _ = parts(r)
-        return p * phi ** (p - 1.0) * dphi
-
-    def d2(r):
+    def jet(r, order):
         phi, dphi, d2phi = parts(r)
-        return (p * (p - 1.0) * phi ** (p - 2.0) * dphi ** 2
-                + p * phi ** (p - 1.0) * d2phi)
+        out = [phi ** p]
+        if order >= 1:
+            dpow = p * phi ** (p - 1.0)
+            out.append(dpow * dphi)
+        if order >= 2:
+            out.append(p * (p - 1.0) * phi ** (p - 2.0) * dphi ** 2
+                       + dpow * d2phi)
+        return tuple(out)
 
-    return AnalyticProfile(f, d1, d2)
+    return AnalyticProfile.from_jet(jet)
 
 
 def _tail_sum_profile(terms):
     """1 + sum_i amp_i (1+r^2)^{e_i/2} with closed-form derivatives."""
 
-    def f(r):
+    def jet(r, order):
         w = 1.0 + r ** 2
         out = np.ones_like(w)
         for amp, e in terms:
             out = out + amp * w ** (0.5 * e)
-        return out
-
-    def d1(r):
-        w = 1.0 + r ** 2
-        out = np.zeros_like(w)
+        if order < 1:
+            return (out,)
+        d1 = np.zeros_like(w)
         for amp, e in terms:
-            out = out + amp * e * r * w ** (0.5 * e - 1.0)
-        return out
-
-    def d2(r):
-        w = 1.0 + r ** 2
-        out = np.zeros_like(w)
+            d1 = d1 + amp * e * r * w ** (0.5 * e - 1.0)
+        if order < 2:
+            return out, d1
+        d2 = np.zeros_like(w)
         for amp, e in terms:
-            out = out + amp * e * (w ** (0.5 * e - 1.0)
-                                   + (e - 2.0) * r ** 2 * w ** (0.5 * e - 2.0))
-        return out
+            d2 = d2 + amp * e * (w ** (0.5 * e - 1.0)
+                                 + (e - 2.0) * r ** 2 * w ** (0.5 * e - 2.0))
+        return out, d1, d2
 
-    return AnalyticProfile(f, d1, d2)
+    return AnalyticProfile.from_jet(jet)
 
 
 def _even_gaussian(amp0, amp2, width):
     """(amp0 + amp2 u) e^{-u} with u = (r/width)^2; even, rapidly decaying."""
 
-    def parts(r):
+    def jet(r, order):
         u = (r / width) ** 2
         e = np.exp(-u)
-        val = (amp0 + amp2 * u) * e
-        fu = (amp2 - amp0 - amp2 * u) * e
-        fuu = (amp0 - 2.0 * amp2 + amp2 * u) * e
-        return val, fu, fuu, u
+        out = [(amp0 + amp2 * u) * e]
+        if order >= 1:
+            fu = (amp2 - amp0 - amp2 * u) * e
+            out.append(fu * 2.0 * r / width ** 2)
+        if order >= 2:
+            fuu = (amp0 - 2.0 * amp2 + amp2 * u) * e
+            out.append(fuu * (2.0 * r / width ** 2) ** 2
+                       + fu * 2.0 / width ** 2)
+        return tuple(out)
 
-    def f(r):
-        return parts(r)[0]
-
-    def d1(r):
-        _, fu, _, _ = parts(r)
-        return fu * 2.0 * r / width ** 2
-
-    def d2(r):
-        _, fu, fuu, _ = parts(r)
-        return fuu * (2.0 * r / width ** 2) ** 2 + fu * 2.0 / width ** 2
-
-    return AnalyticProfile(f, d1, d2)
+    return AnalyticProfile.from_jet(jet)
 
 
 def make_dataset(family: str, n: int, params: dict | None = None,
@@ -281,31 +270,50 @@ def _coefficient(fn):
     def get(self):
         if self._whole is not None:
             return getattr(self._whole[0], prop.attrname)[self._whole[1]]
-        out = np.asarray(fn(self))
-        if out.flags.writeable:     # a read-only one is another coefficient
-            out = out.view()
-            out.flags.writeable = False
-        return out
+        return _read_only(fn(self))
     get.__doc__ = fn.__doc__
     prop = cached_property(get)
     return prop
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as an array that cannot be written through; a read-only
+    one (another coefficient) as it is."""
+    out = np.asarray(values)
+    if out.flags.writeable:
+        out = out.view()
+        out.flags.writeable = False
+    return out
+
+
+# the coefficients of a, c, n and origin_regular
 _METRIC = ("a", "da", "c", "dc", "d2c", "_sc", "f", "f1", "f2", "warp",
-           "warp_a", "origin_d2")    # the coefficients of a, c, origin_regular
+           "warp_a", "origin_d2", "R")
+# the coefficients that one jet of each profile gives, in order
+_JETS = {"a": ("a", "da"), "c": ("c", "dc", "d2c"),
+         "q_rad": ("q_rad", "dq_rad"), "q_tan": ("q_tan", "dq_tan")}
+
+
+def _jet_coefficient(profile: str, name: str):
+    """A frame coefficient that the jet of ``profile`` gives."""
+    return _coefficient(lambda self: self._jet(profile)[name])
 
 
 @dataclass(frozen=True, eq=False)
 class RadialFrame:
     """Warped-product frame coefficients of a dataset at fixed radii.
 
-    Profiles are read through ``profile(r)``, ``.deriv1(r)`` and ``.deriv2(r)``;
-    every coefficient is evaluated on first use, kept and read-only, so one
-    frame can serve many operator evaluations on the same radii.  The
-    profiles are taken from the dataset when the frame is built; when c is
-    a, the arrays c and c' are a and a'.  ``f = r sqrt(c)`` is the warping
-    radius and ``warp = f'/f = c'/(2c) + 1/r`` (infinite at r = 0, where
-    every caller substitutes its own origin closure).
+    Each profile is read through one ``profile.jet(r, order)``, which
+    gives its value and derivatives together: a, a' (and c'' when c is
+    a), c, c', c'', q_rad, q_rad', q_tan, q_tan'.  A profile without a
+    jet (a ``SampledProfile``) is read through ``profile(r)``,
+    ``.deriv1(r)`` and ``.deriv2(r)``.  Every coefficient is
+    evaluated on first use, kept and read-only, so one frame can serve many
+    operator evaluations on the same radii.  The profiles are taken from
+    the dataset when the frame is built; when c is a, the arrays c and c'
+    are a and a'.  ``f = r sqrt(c)`` is the warping radius and
+    ``warp = f'/f = c'/(2c) + 1/r`` (infinite at r = 0, where every caller
+    substitutes its own origin closure); ``R`` is the scalar curvature.
     """
 
     data: RadialInitialData
@@ -324,24 +332,21 @@ class RadialFrame:
         The grid holds the frame of the last dataset evaluated on it.  It is
         reused while ``data`` and its a, c, q_rad, q_tan are the same
         objects, and replaced otherwise, keeping the metric coefficients
-        evaluated so far when a, c and ``origin_regular`` are unchanged.  On
-        a grid whose nodes lead another grid's (``RadialGrid.truncate`` at a
-        node), or are every other node of another grid
-        (``RadialGrid.coarsen`` of an even N), the frame reads slices of that
-        grid's frame.
+        evaluated so far (the curvature among them) when a, c, n and
+        ``origin_regular`` are unchanged.  On a grid whose nodes lead
+        another grid's (``RadialGrid.truncate`` at a node), or are every
+        other node of another grid (``RadialGrid.coarsen`` of an even N),
+        the frame reads slices of that grid's frame.
         """
         old = grid._frame
         if old is not None and old._reads(data):
             return old
-        base = grid._stride_of() if grid._stride_of is not None else None
-        if grid._prefix_of is not None:
-            frame = cls.on(data, grid._prefix_of)._part(
-                slice(None, grid.nodes.size))
-        elif base is not None:
-            frame = cls.on(data, base)._part(slice(None, None, 2))
+        whole = grid._part_of()
+        if whole is not None:
+            frame = cls.on(data, whole[0])._part(whole[1])
         else:
             frame = cls(data, grid.nodes)
-            if (old is not None
+            if (old is not None and old.n == data.n
                     and old.data.origin_regular == data.origin_regular
                     and old._profiles["a"] is data.a
                     and old._profiles["c"] is data.c):
@@ -380,21 +385,37 @@ class RadialFrame:
     def n(self) -> int:
         return self.data.n
 
-    def _eval(self, fn):
+    def _jet(self, profile: str) -> dict:
+        """Evaluate one jet of ``profile`` at r and keep each of its arrays
+        as the coefficient it is (when c is a, a's jet also gives c'')."""
+        names = _JETS[profile]
+        if profile == "a" and self._c_is_a:
+            names += ("d2c",)
+        prof, order = self._profiles[profile], len(names) - 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return fn(self.r)
+            if hasattr(prof, "jet"):
+                values = prof.jet(self.r, order)
+            else:
+                values = [fn(self.r) for fn in (prof, prof.deriv1,
+                                                prof.deriv2)[:order + 1]]
+        kept = vars(self)
+        for name, value in zip(names, values):
+            if name not in kept:
+                kept[name] = _read_only(value)
+        return kept
 
-    a = _coefficient(lambda self: self._eval(self._profiles["a"]))
-    da = _coefficient(lambda self: self._eval(self._profiles["a"].deriv1))
+    a = _jet_coefficient("a", "a")
+    da = _jet_coefficient("a", "da")
     c = _coefficient(lambda self: self.a if self._c_is_a
-                     else self._eval(self._profiles["c"]))
+                     else self._jet("c")["c"])
     dc = _coefficient(lambda self: self.da if self._c_is_a
-                      else self._eval(self._profiles["c"].deriv1))
-    d2c = _coefficient(lambda self: self._eval(self._profiles["c"].deriv2))
-    q_rad = _coefficient(lambda self: self._eval(self._profiles["q_rad"]))
-    q_tan = _coefficient(lambda self: self._eval(self._profiles["q_tan"]))
-    dq_rad = _coefficient(lambda self: self._eval(self._profiles["q_rad"].deriv1))
-    dq_tan = _coefficient(lambda self: self._eval(self._profiles["q_tan"].deriv1))
+                      else self._jet("c")["dc"])
+    d2c = _coefficient(lambda self: self._jet(
+        "a" if self._c_is_a else "c")["d2c"])
+    q_rad = _jet_coefficient("q_rad", "q_rad")
+    q_tan = _jet_coefficient("q_tan", "q_tan")
+    dq_rad = _jet_coefficient("q_rad", "dq_rad")
+    dq_tan = _jet_coefficient("q_tan", "dq_tan")
 
     @_coefficient
     def _sc(self):
@@ -431,6 +452,14 @@ class RadialFrame:
             out = self.warp / self.a
         out[self.r == 0.0] = 0.0
         return out
+
+    @_coefficient
+    def R(self):
+        """Scalar curvature of g (NaN at r = 0 for origin-singular data);
+        raises NumericalDegeneracy where a or c is tiny or non-finite."""
+        self.check_metric()
+        return warped_scalar_curvature(self, self.a, self.da,
+                                       self.origin_d2[0])
 
     @_coefficient
     def q_norm(self):
@@ -534,13 +563,10 @@ def scalar_curvature(data: RadialInitialData, grid: RadialGrid) -> np.ndarray:
     """Scalar curvature of g = a dr^2 + c r^2 sigma at the grid nodes.
 
     Origin-singular families (exact Schwarzschild) get NaN at the first node.
+    The array is the grid's frame coefficient ``R``: read-only, and
+    evaluated once per metric.
     """
-    return _scalar_curvature(RadialFrame.on(data, grid))
-
-
-def _scalar_curvature(frame: RadialFrame) -> np.ndarray:
-    frame.check_metric()
-    return warped_scalar_curvature(frame, frame.a, frame.da, frame.origin_d2[0])
+    return RadialFrame.on(data, grid).R
 
 
 def constraint_fields(data: RadialInitialData, grid: RadialGrid) -> ConstraintFields:
@@ -552,9 +578,10 @@ def constraint_fields(data: RadialInitialData, grid: RadialGrid) -> ConstraintFi
 
 
 def evaluate_constraint_fields(frame: RadialFrame) -> ConstraintFields:
-    """A fresh evaluation of the constraint fields from the frame coefficients."""
+    """A fresh evaluation of mu, J_rad and the margin from the frame
+    coefficients; R_g is the frame's curvature, a metric coefficient."""
     n, data = frame.n, frame.data
-    R = _scalar_curvature(frame)
+    R = frame.R
     qr, qt = frame.q_rad, frame.q_tan
     q2 = qr ** 2 + (n - 1) * qt ** 2
     tr = qr + (n - 1) * qt

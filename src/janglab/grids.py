@@ -3,6 +3,13 @@
 All fields live on a one-dimensional grid of radii ``0 = r_0 < r_1 < ... < r_N``.
 Derivatives use three-point stencils that are exact on quadratics, so they are
 second order on uniform grids and on smoothly stretched (geometric) grids.
+
+What depends on the nodes alone is evaluated once per grid and kept on it:
+the stencil weights, the spline system, the coarsening, the frame of the
+last dataset and the capillary cutoff of the last r0.  A grid truncated at
+one of its nodes is a view: its nodes are a leading slice of the base
+grid's immutable buffer, its interior stencil rows are the base grid's,
+and its frame and cutoff are slices of the base grid's.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import numpy as np
 from .errors import InvalidArgument
 
 MIN_NODES = 16
+# relative distance within which a radius is taken to be r_max
+TRUNCATION_TOL = 1e-14
 
 
 def _three_point_weights(x0, x1, x2):
@@ -28,6 +37,13 @@ def _three_point_weights(x0, x1, x2):
                    -2.0 / (hm * hp),
                    2.0 / (hp * (hm + hp))])
     return d1, d2
+
+
+def _one_sided_weights(xs, x):
+    """(first, second) derivative weights at x for the three nodes xs, exact
+    on quadratics, as the rows of a (2, 3) array."""
+    inv = np.linalg.inv(np.vander(xs - x, 3, increasing=True).T)
+    return np.array([inv[:, 1], 2.0 * inv[:, 2]])
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -75,20 +91,29 @@ class RadialGrid:
     ratio ``stretch`` between consecutive spacings, concentrating nodes near
     the origin.  ``nodes`` is the grid's own copy of the radii it was
     given, held in an immutable buffer: it is read-only and cannot be made
-    writeable, so everything kept per grid (stencils, frame, spline system,
-    coarsening, formatted CSV fields) stays true to it.
+    writeable, so everything kept per grid (stencils, frame, cutoff, spline
+    system, coarsening, formatted CSV fields) stays true to it.  A
+    truncation at a node (``truncate``) views the leading nodes of that
+    buffer instead of copying them.
     """
 
     nodes: np.ndarray
     policy: str = "uniform"
     stretch: float = 1.0
+    # stencil weights (``_weights``): first and second derivative rows of
+    # the interior nodes, and the one-sided rows of the two end nodes
     _d1: np.ndarray = field(default=None, repr=False, compare=False)
     _d2: np.ndarray = field(default=None, repr=False, compare=False)
+    _ends: np.ndarray = field(default=None, repr=False, compare=False)
     # the frame of the last dataset evaluated here (geometry.RadialFrame.on)
     _frame: object = field(default=None, repr=False, compare=False)
+    # (r0, zeta, zeta') of the last capillary cutoff evaluated here
+    # (capillary.CapillaryConfig.cutoff)
+    _cutoff: tuple = field(default=None, repr=False, compare=False)
     # the not-a-knot spline system on these nodes (profiles._SplineSystem)
     _spline: object = field(default=None, repr=False, compare=False)
-    # the grid whose leading nodes these are, when truncate kept them all
+    # the grid whose leading nodes these are (``truncate`` at a node): the
+    # nodes are a slice of that grid's
     _prefix_of: "RadialGrid | None" = field(default=None, repr=False,
                                             compare=False)
     # the grid whose even-numbered nodes these are (a weak reference: that
@@ -100,6 +125,8 @@ class RadialGrid:
                                          compare=False)
 
     def __post_init__(self):
+        if self._prefix_of is not None:     # a view, made by truncate
+            return
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < MIN_NODES + 1:
             raise InvalidArgument(f"need at least {MIN_NODES + 1} nodes, got {nodes.size}")
@@ -123,27 +150,42 @@ class RadialGrid:
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
 
+    def _part_of(self):
+        """(grid, part) when these nodes are ``grid.nodes[part]``: for a
+        truncation at a node, and for the coarsening of an even N while its
+        base grid lives; None otherwise."""
+        if self._prefix_of is not None:
+            return self._prefix_of, slice(None, self.nodes.size)
+        base = self._stride_of() if self._stride_of is not None else None
+        return None if base is None else (base, slice(None, None, 2))
+
     # -- derivative stencils ------------------------------------------------
 
     def _weights(self):
-        if self._d1 is not None:
-            return self._d1, self._d2
-        x = self.nodes
-        m = x.size
-        d1 = np.zeros((m, 3))
-        d2 = np.zeros((m, 3))
-        w1, w2 = _three_point_weights(x[:-2], x[1:-1], x[2:])
-        d1[1:-1], d2[1:-1] = w1.T, w2.T
-        # one-sided stencils at the ends, exact on quadratics
-        for i, (j0, j1, j2) in ((0, (0, 1, 2)), (m - 1, (m - 3, m - 2, m - 1))):
-            xs = x[[j0, j1, j2]]
-            v = np.vander(xs - x[i], 3, increasing=True)
-            inv = np.linalg.inv(v.T)
-            d1[i] = inv[:, 1]
-            d2[i] = 2.0 * inv[:, 2]
-        object.__setattr__(self, "_d1", d1)
-        object.__setattr__(self, "_d2", d2)
-        return d1, d2
+        """(d1, d2, ends): the stencil weights, evaluated once per grid.
+
+        Column j of the (3, m - 2) arrays d1 and d2 holds the first and
+        second derivative weights of interior node j + 1 on nodes j, j + 1
+        and j + 2, so each row is contiguous.  ``ends[k]`` holds the
+        one-sided rows of derivative k + 1 at the origin (on nodes 0, 1, 2)
+        and at r_max (on the last three nodes).  A truncation at a node
+        reads the base grid's interior rows and origin rows, which are its
+        own, and evaluates only its outer row.
+        """
+        if self._d1 is None:
+            x = self.nodes
+            if self._prefix_of is not None:
+                base_d1, base_d2, base_ends = self._prefix_of._weights()
+                d1, d2 = base_d1[:, :x.size - 2], base_d2[:, :x.size - 2]
+                first = base_ends[:, 0]
+            else:
+                d1, d2 = _three_point_weights(x[:-2], x[1:-1], x[2:])
+                first = _one_sided_weights(x[:3], x[0])
+            ends = np.stack((first, _one_sided_weights(x[-3:], x[-1])), axis=1)
+            object.__setattr__(self, "_d1", d1)
+            object.__setattr__(self, "_d2", d2)
+            object.__setattr__(self, "_ends", ends)
+        return self._d1, self._d2, self._ends
 
     def deriv1(self, values: np.ndarray) -> np.ndarray:
         """Nodal first derivative of nodal values."""
@@ -154,14 +196,13 @@ class RadialGrid:
         return self._apply(values, 1)
 
     def _apply(self, values, which):
-        d1, d2 = self._weights()
-        w = d1 if which == 0 else d2
+        weights = self._weights()
+        w, (first, last) = weights[which], weights[2][which]
         v = np.asarray(values, dtype=float)
         out = np.empty_like(v)
-        out[1:-1] = (w[1:-1, 0] * v[:-2] + w[1:-1, 1] * v[1:-1]
-                     + w[1:-1, 2] * v[2:])
-        out[0] = w[0] @ v[:3]
-        out[-1] = w[-1] @ v[-3:]
+        out[1:-1] = w[0] * v[:-2] + w[1] * v[1:-1] + w[2] * v[2:]
+        out[0] = first @ v[:3]
+        out[-1] = last @ v[-3:]
         return out
 
     def even_deriv2_origin(self, values: np.ndarray) -> np.ndarray:
@@ -174,24 +215,33 @@ class RadialGrid:
     def truncate(self, r_out: float) -> "RadialGrid":
         """Sub-grid covering [0, r_out]; appends r_out if it is not a node.
 
-        At r_out = r_max it is the grid itself, with its stencils, frame and
-        spline system.  When r_out is a node, the sub-grid's nodes are this
-        grid's leading nodes, and its frames read this grid's
-        (``geometry.RadialFrame.on``).  A node within a relative 1e-14 of
-        r_out is moved onto it.
+        A radius within a relative ``TRUNCATION_TOL`` of r_max is r_max,
+        whose sub-grid is the grid itself, with everything kept on it; a
+        radius beyond that raises InvalidArgument.  When r_out is a node,
+        the sub-grid is a view of this grid: its nodes are a leading slice
+        of these (neither copied nor checked again), and its stencils,
+        frames (``geometry.RadialFrame.on``) and cutoff read this grid's.
+        Otherwise a node within a relative 1e-14 of r_out is moved onto
+        it, and the sub-grid is built from its own copy of the nodes.
         """
-        if r_out == self.nodes[-1]:
+        x = self.nodes
+        if abs(r_out - x[-1]) <= TRUNCATION_TOL * x[-1]:
             return self
-        if r_out <= self.nodes[MIN_NODES]:
+        if r_out > x[-1]:
+            raise InvalidArgument(
+                f"truncation radius {r_out!r} lies beyond r_max = {x[-1]!r}")
+        if r_out <= x[MIN_NODES]:
             raise InvalidArgument("truncation radius leaves too few nodes")
-        keep = self.nodes[self.nodes <= r_out * (1.0 + 1e-14)]
-        prefix_of = self if keep[-1] == r_out else None
-        if keep[-1] < r_out * (1.0 - 1e-14):
-            keep = np.append(keep, r_out)
+        m = int(np.searchsorted(x, r_out * (1.0 + 1e-14), "right"))
+        if x[m - 1] == r_out:
+            return RadialGrid(x[:m], policy="truncated", stretch=self.stretch,
+                              _prefix_of=self)
+        if x[m - 1] < r_out * (1.0 - 1e-14):
+            keep = np.append(x[:m], r_out)
         else:
+            keep = x[:m].copy()
             keep[-1] = r_out
-        return RadialGrid(keep, policy="truncated", stretch=self.stretch,
-                          _prefix_of=prefix_of)
+        return RadialGrid(keep, policy="truncated", stretch=self.stretch)
 
     def coarsen(self) -> "RadialGrid":
         """Every other node, plus r_max when N is odd.

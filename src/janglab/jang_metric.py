@@ -87,7 +87,6 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
     from the returned geometry.
     """
     n = data.n
-    r = grid.nodes
     uprof = _u_profile(u, grid)
     uv = uprof.values
     du, d2u = _u_derivs(grid, uv)
@@ -107,7 +106,7 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
     R = warped_scalar_curvature(frame, a_check, da_check,
                                 frame.origin_d2[0] + 2.0 * d2u[0] ** 2)
 
-    theta = config.tau ** 2 * config.zeta(r) ** 2 * uv
+    theta = config.tau ** 2 * config.cutoff(grid)[0] ** 2 * uv
     geo = JangGraphGeometry(grid=grid, n=n, g_check_rr=a_check, Xi_rad=xi,
                             R_check=R, Theta=theta, u=uprof, du=du, d2u=d2u)
     geo.effective = 0.5 * R - xi_norm_sq(geo) + div_xi(data, geo)
@@ -159,8 +158,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
         dtheta = theta_override.deriv1(r)
     else:
         theta = geo.Theta
-        zeta = config.zeta(r)
-        dzeta = config.zeta_d1(r)
+        zeta, dzeta = config.cutoff(grid)
         dtheta = config.tau ** 2 * (2.0 * zeta * dzeta * uv + zeta ** 2 * du)
 
     qr, qt = frame.q_rad, frame.q_tan
@@ -228,11 +226,10 @@ def consequence_audit(data: RadialInitialData, config: CapillaryConfig,
     RHS = Q + (kappa0^2 - tau^2 u^2)|d zeta|^2 + (kappa1 - tau^2 |u|)
     zeta^2 n |q|.  Nonnegative (within tolerance) margins certify the bound.
     """
-    r = geo.grid.nodes
     uv = geo.u.values
     frame = RadialFrame.on(data, geo.grid)
-    dz2 = config.dzeta_norm_sq(frame)
-    zeta = config.zeta(r)
+    dz2 = config.dzeta_norm_sq(data, geo.grid)
+    zeta = config.cutoff(geo.grid)[0]
     rhs = (config.Q
            + (config.kappa0 ** 2 - config.tau ** 2 * uv ** 2) * dz2
            + (config.kappa1 - config.tau ** 2 * np.abs(uv)) * zeta ** 2

@@ -31,7 +31,8 @@ from .errors import (AuditInapplicable, ContinuationFailure,
 from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        dq_frame_norm, graph_combination, graph_operator,
                        graph_terms, loglog_slope, ricci_eigenvalues)
-from .grids import MIN_NODES, RadialGrid, _cumulative_trapezoid
+from .grids import (MIN_NODES, TRUNCATION_TOL, RadialGrid,
+                    _cumulative_trapezoid)
 from .profiles import SampledProfile
 
 NEWTON_MAX_ITER = 60
@@ -123,7 +124,8 @@ def _origin_row(out, frame, w, lam, grid):
 class _System:
     """The discrete problem on one grid, with its lambda-free data fixed.
 
-    The frame, tau^2 zeta^2 and max |q| are evaluated once.  ``terms``
+    The frame and the cutoff are the grid's; tau^2 zeta^2 and max |q| are
+    evaluated once.  ``terms``
     evaluates the graph terms of one iterate, which its residual and its
     Jacobian then share at any lambda.
     """
@@ -133,7 +135,7 @@ class _System:
         self.frame = frame
         self.grid = grid
         self.tau2 = config.tau ** 2
-        self.cap = self.tau2 * config.zeta(grid.nodes) ** 2
+        self.cap = self.tau2 * config.cutoff(grid)[0] ** 2
         self.q_max = float(np.max(np.abs(frame.q_norm)))
 
     def terms(self, w) -> GraphTerms:
@@ -156,7 +158,7 @@ class _System:
         frame, grid = self.frame, self.grid
         n = frame.n
         a, da, warp, qr = frame.a, frame.da, frame.warp_a, frame.q_rad
-        d1, d2 = grid._weights()
+        d1, d2, _ = grid._weights()
         p, P, hess = t.p, t.P, t.hess
         a1 = da / (2.0 * a)
 
@@ -169,9 +171,9 @@ class _System:
         ds, dp = dF_ds[1:-1], dF_dp[1:-1]
         m = p.size
         sub, diag, sup = np.empty(m - 1), np.empty(m), np.empty(m - 1)
-        sub[:-1] = ds * d2[1:-1, 0] + dp * d1[1:-1, 0]
-        diag[1:-1] = ds * d2[1:-1, 1] + dp * d1[1:-1, 1] - self.cap[1:-1]
-        sup[1:] = ds * d2[1:-1, 2] + dp * d1[1:-1, 2]
+        sub[:-1] = ds * d2[0] + dp * d1[0]
+        diag[1:-1] = ds * d2[1] + dp * d1[1] - self.cap[1:-1]
+        sup[1:] = ds * d2[2] + dp * d1[2]
         # origin row: F_0 = 2 n (w_1 - w_0)/(r_1^2 a_0) - lam tr q(0) - cap_0 w_0
         k = 2.0 * n / (grid.nodes[1] ** 2 * a[0])
         diag[0] = -k - self.cap[0]
@@ -350,7 +352,10 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     extrapolated remaining error is recorded in the trace.  The
     outer-boundary influence decays like r_j^{2-n}, so for low dimensions
     only the contraction route is reachable at practical radii.  Each radius
-    r_j is solved on ``base_grid.truncate(r_j)``.  The returned nodal u is
+    r_j is solved on ``base_grid.truncate(r_j)``: a view of the base grid
+    when r_j is a node, and the base grid itself when r_j lies within a
+    relative ``TRUNCATION_TOL`` of r_max; a schedule reaching beyond that
+    raises InvalidArgument.  The returned nodal u is
     the last iterate at the base nodes it shares, and zero beyond them; when
     the last radius is the base grid's r_max, it is that iterate itself,
     with its spline.
@@ -370,7 +375,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
         raise InvalidArgument("empty exhaustion schedule")
     if schedule[0] <= 32.0 * config.r0:
         raise InvalidArgument("every schedule radius must exceed 32 r0")
-    if schedule[-1] > base_grid.r_max * (1.0 + 1e-12):
+    if schedule[-1] > base_grid.r_max * (1.0 + TRUNCATION_TOL):
         raise InvalidArgument("schedule exceeds the base grid")
     R_c = schedule[0]
     compact = base_grid.nodes[base_grid.nodes <= R_c]
@@ -613,8 +618,9 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     qn = frame.q_norm
     dqn = dq_frame_norm(data, local)
     n = data.n
-    tz = config.tau * config.zeta(r)
-    tdz = config.tau * np.abs(config.zeta_d1(r)) / sqrt_a
+    zeta, zeta_d1 = config.cutoff(local)
+    tz = config.tau * zeta
+    tdz = config.tau * np.abs(zeta_d1) / sqrt_a
     cutoff_load = (1.0 + tz ** 2 * sigma ** 2 + tdz ** 2 * sigma ** 4) * np.abs(w)
 
     # psi-hat = psi / C0; its Hessian scales linearly with C0

@@ -78,7 +78,7 @@ def test_margin_dominates_capillary_terms(dec_data, cap_config, base_grid):
     margin = constraint_fields(dec_data, base_grid).margin
     lhs = (margin
            - cap_config.kappa0 ** 2 * cap_config.dzeta_norm_sq(
-               RadialFrame.on(dec_data, base_grid))
+               dec_data, base_grid)
            - cap_config.kappa1 * cap_config.zeta(r) ** 2 * dec_data.n
            * RadialFrame(dec_data, r).q_norm)
     q = cap_config.Q

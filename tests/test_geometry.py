@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from janglab.barrier import BarrierProfile, barrier_inequality_audit, find_r0
 from janglab.errors import (DecViolation, GenerationFailure, InvalidArgument,
                             NumericalDegeneracy)
 from janglab.geometry import (RadialFrame, RadialInitialData, _conformal_power,
-                              _even_gaussian, constraint_fields,
+                              _even_gaussian, _tail_sum_profile,
+                              constraint_fields,
                               dataset_from_json, dataset_from_samples,
                               dq_frame_norm, evaluate_constraint_fields,
                               geodesic_distance, make_dataset,
@@ -406,24 +408,39 @@ def test_generation_matches_the_halving_reference(n, N, seed):
 
 def test_generation_evaluates_the_metric_once(monkeypatch):
     grid = build_grid(512.0, 8192, "uniform")
-    calls = []
-    for name in ("__call__", "deriv1", "deriv2"):
-        def counted(self, r, fn=getattr(AnalyticProfile, name), name=name):
-            calls.append((self, name, np.size(r)))
-            return fn(self, r)
-        monkeypatch.setattr(AnalyticProfile, name, counted)
+    calls, curvatures = [], []
+
+    def counted(self, r, order=2, jet=AnalyticProfile.jet):
+        calls.append((self, order, np.size(r)))
+        return jet(self, r, order)
+    monkeypatch.setattr(AnalyticProfile, "jet", counted)
+    warped = janglab.geometry.warped_scalar_curvature
+
+    def counted_curvature(frame, *args):
+        curvatures.append(frame)
+        return warped(frame, *args)
+    monkeypatch.setattr(janglab.geometry, "warped_scalar_curvature",
+                        counted_curvature)
     # seed 98 takes 11 rescales
     data = make_dataset("perturbed-dec", 6, {"m": 1.0, "amplitude": 0.05},
                         grid=grid, seed=98)
-    metric = [name for prof, name, size in calls
+    # one jet of a gives a, a' and c'' = a''; the curvature is evaluated
+    # once, and every rescale reads it
+    metric = [order for prof, order, size in calls
               if prof is data.a and size == grid.nodes.size]
-    assert sorted(metric) == ["__call__", "deriv1", "deriv2"]
+    assert metric == [2]
+    assert len(curvatures) == 1
     frame = RadialFrame.on(data, grid)
     assert frame.c is frame.a and frame.dc is frame.da
-    # the dataset returned evaluates its own q, on the metric kept
+    # the dataset returned evaluates its own q, one jet each, on the
+    # metric kept
     calls.clear()
     assert np.min(constraint_fields(data, grid).margin) > 0.0
-    assert {prof for prof, _, _ in calls} == {data.q_rad, data.q_tan}
+    assert len(calls) == 2
+    assert {(prof, order) for prof, order, _ in calls} == {(data.q_rad, 1),
+                                                          (data.q_tan, 1)}
+    assert len(curvatures) == 1 and frame.R is constraint_fields(
+        data, grid).R_g
     # the barrier stage reads the grid's frame and evaluates no profile
     calls.clear()
     r0 = find_r0(data, grid, [1.0, 2.0, 4.0, 8.0])
@@ -554,6 +571,145 @@ def test_coarse_frame_matches_a_fresh_frame(dec_data, n_intervals, policy):
     assert (coarse._frame is None) == (n_intervals % 2 == 0)
     assert np.array_equal(RadialFrame.on(other, coarse).q_rad,
                           RadialFrame(other, coarse.nodes).q_rad)
+
+
+def _separate_conformal_power(m, n, regularized):
+    """f, f', f'' of (1 + (m/2) rho^{2-n})^{4/(n-2)}, each on its own."""
+    p, k = 4.0 / (n - 2), -(n - 2) / 2.0
+
+    def parts(r):
+        w = 1.0 + r ** 2 if regularized else r ** 2
+        wk = w ** k
+        return (1.0 + 0.5 * m * wk, 0.5 * m * k * wk / w * 2.0 * r,
+                0.5 * m * (2.0 * k * wk / w
+                           + 4.0 * k * (k - 1.0) * r ** 2 * wk / w ** 2))
+
+    def d2(r):
+        phi, dphi, d2phi = parts(r)
+        return (p * (p - 1.0) * phi ** (p - 2.0) * dphi ** 2
+                + p * phi ** (p - 1.0) * d2phi)
+    return (lambda r: parts(r)[0] ** p,
+            lambda r: p * parts(r)[0] ** (p - 1.0) * parts(r)[1], d2)
+
+
+def _separate_tail_sum(terms):
+    """f, f', f'' of 1 + sum_i amp_i (1+r^2)^{e_i/2}, each on its own."""
+    def f(r):
+        return sum((amp * (1.0 + r ** 2) ** (0.5 * e) for amp, e in terms),
+                   np.ones_like(r))
+
+    def d1(r):
+        return sum((amp * e * r * (1.0 + r ** 2) ** (0.5 * e - 1.0)
+                    for amp, e in terms), np.zeros_like(r))
+
+    def d2(r):
+        w = 1.0 + r ** 2
+        return sum((amp * e * (w ** (0.5 * e - 1.0)
+                               + (e - 2.0) * r ** 2 * w ** (0.5 * e - 2.0))
+                    for amp, e in terms), np.zeros_like(r))
+    return f, d1, d2
+
+
+def _separate_even_gaussian(amp0, amp2, width):
+    """f, f', f'' of (amp0 + amp2 u) e^{-u}, u = (r/width)^2, each on its
+    own."""
+    def u(r):
+        return (r / width) ** 2
+
+    def fu(r):
+        return (amp2 - amp0 - amp2 * u(r)) * np.exp(-u(r))
+    return (lambda r: (amp0 + amp2 * u(r)) * np.exp(-u(r)),
+            lambda r: fu(r) * 2.0 * r / width ** 2,
+            lambda r: ((amp0 - 2.0 * amp2 + amp2 * u(r)) * np.exp(-u(r))
+                       * (2.0 * r / width ** 2) ** 2
+                       + fu(r) * 2.0 / width ** 2))
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_jets_equal_separate_closed_forms_bit_for_bit(n):
+    tail = [(0.3, 2 - n), (-0.2, 2 - n - 1.0)]
+    profiles = [
+        (constant_profile(1.5), (lambda r: np.full_like(r, 1.5),
+                                 np.zeros_like, np.zeros_like)),
+        (_conformal_power(1.5, n, regularized=False),        # schwarzschild
+         _separate_conformal_power(1.5, n, False)),
+        (_conformal_power(0.7, n, regularized=True),         # perturbed-dec
+         _separate_conformal_power(0.7, n, True)),
+        (_tail_sum_profile(tail), _separate_tail_sum(tail)),  # conformal
+        (_even_gaussian(0.03, -0.02, 2.5),                   # perturbed-dec q
+         _separate_even_gaussian(0.03, -0.02, 2.5)),
+    ]
+    points = (build_grid(512.0, 2048, "geometric", 1.001).nodes,
+              np.array([0.0, 1e-300, 3.0]), np.asarray(2.5))
+    with np.errstate(all="ignore"):
+        for prof, separate in profiles:
+            for r in points:
+                want = [fn(r) for fn in separate]
+                reads = [prof(r), prof.deriv1(r), prof.deriv2(r)]
+                for order in (0, 1, 2):
+                    jet = prof.jet(r, order)
+                    assert len(jet) == order + 1
+                    for k, got in enumerate(jet):
+                        assert np.shape(got) == np.shape(want[k])
+                        assert (np.asarray(got).tobytes()
+                                == np.asarray(want[k]).tobytes()
+                                == np.asarray(reads[k]).tobytes())
+
+
+@pytest.mark.parametrize("family", ["flat", "schwarzschild", "conformal",
+                                    "perturbed-dec"])
+def test_each_family_reads_its_jets_as_its_separate_derivatives(family):
+    grid = build_grid(512.0, 2048, "uniform")
+    params = {"beta": 0.1} if family == "conformal" else {}
+    data = make_dataset(family, 5, params, grid=grid, seed=3)
+    r = grid.nodes
+    with np.errstate(all="ignore"):
+        for name in ("a", "c", "q_rad", "q_tan"):
+            prof = getattr(data, name)
+            want = (prof(r), prof.deriv1(r), prof.deriv2(r))
+            assert [v.tobytes() for v in prof.jet(r)] == \
+                [v.tobytes() for v in want]
+    # and the frame reads them
+    frame = RadialFrame(data, r)
+    for name, (prof, k) in {"a": ("a", 0), "da": ("a", 1), "c": ("c", 0),
+                            "dc": ("c", 1), "d2c": ("c", 2),
+                            "q_rad": ("q_rad", 0), "dq_rad": ("q_rad", 1),
+                            "q_tan": ("q_tan", 0),
+                            "dq_tan": ("q_tan", 1)}.items():
+        assert (getattr(frame, name).tobytes()
+                == getattr(data, prof).jet(r)[k].tobytes())
+
+
+def test_frame_keeps_no_arrays_beyond_its_coefficients():
+    # profiles keep nothing they evaluate, and a jet's intermediates are
+    # dropped once the frame holds its arrays
+    data = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
+                        grid=build_grid(512.0, 2048, "uniform"), seed=7)
+    names = ("a", "da", "c", "dc", "d2c", "q_rad", "q_tan", "dq_rad",
+             "dq_tan", "_sc", "f", "f1", "f2", "warp", "warp_a", "R",
+             "q_norm")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grid = build_grid(512.0, 32768, "uniform")
+        frame = RadialFrame.on(data, grid)
+        arrays = [grid.nodes] + [getattr(frame, name) for name in names]
+        arrays += list(vars(frame.constraints).values())
+        held = tracemalloc.get_traced_memory()[0] - start
+        owners = {}
+        for values in arrays:
+            while isinstance(values.base, np.ndarray):
+                values = values.base
+            owners[id(values)] = values.nbytes
+        del frame, arrays, values
+        grid._keep_frame(None)
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    own = sum(owners.values())
+    assert len(owners) == 19         # c, c' and R_g are a, a' and R
+    assert own <= held <= own + (64 << 10)
+    assert left <= grid.nodes.nbytes + (64 << 10)
 
 
 def test_frame_arrays_are_read_only(dec_data, base_grid):

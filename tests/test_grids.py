@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from janglab.barrier import default_r0_candidates
+from janglab.capillary import CapillaryConfig
 from janglab.errors import InvalidArgument
-from janglab.grids import (MIN_NODES, RadialGrid, _cumulative_trapezoid,
-                           _simpson, _three_point_weights, build_grid,
+from janglab.geometry import make_dataset
+from janglab.grids import (MIN_NODES, TRUNCATION_TOL, RadialGrid,
+                           _cumulative_trapezoid, _simpson,
+                           _three_point_weights, build_grid,
                            geometric_stretch_for)
+from janglab.pipeline import exhaustion_schedule, run_pipeline_on
+from janglab.profiles import SampledProfile
 
 
 def test_uniform_grid_nodes():
@@ -50,14 +56,18 @@ def test_stencils_exact_on_quadratics(a, b, c):
     build_grid(512.0, 2048, "uniform").truncate(100.3),
 ], ids=["uniform", "geometric", "truncated"])
 def test_vectorized_weights_match_per_node_loop(grid):
+    # column j of the (3, N - 1) rows is interior node j + 1
     x = grid.nodes
-    d1, d2 = grid._weights()
+    d1, d2, _ = grid._weights()
     loop1 = np.zeros_like(d1)
     loop2 = np.zeros_like(d2)
     for i in range(1, x.size - 1):
-        loop1[i], loop2[i] = _three_point_weights(x[i - 1], x[i], x[i + 1])
-    assert np.array_equal(d1[1:-1], loop1[1:-1])
-    assert np.array_equal(d2[1:-1], loop2[1:-1])
+        loop1[:, i - 1], loop2[:, i - 1] = _three_point_weights(
+            x[i - 1], x[i], x[i + 1])
+    assert d1.shape == d2.shape == (3, x.size - 2)
+    assert all(row.flags.c_contiguous for row in (*d1, *d2))
+    assert np.array_equal(d1, loop1)
+    assert np.array_equal(d2, loop2)
 
 
 def test_stencils_second_order_on_smooth_profile():
@@ -91,6 +101,90 @@ def test_truncate_on_existing_node():
     t = g.truncate(8.0)
     assert t.nodes[-1] == 8.0
     assert t.nodes.size == np.count_nonzero(g.nodes <= 8.0)
+
+
+def test_truncate_refuses_radii_beyond_r_max():
+    g = build_grid(512.0, 2048, "uniform")
+    for r_out in (600.0, 512.0 * (1.0 + 5e-13)):
+        with pytest.raises(InvalidArgument, match="beyond r_max"):
+            g.truncate(r_out)
+    # within the tolerance a radius is r_max, on either side
+    assert TRUNCATION_TOL == 1e-14
+    for r_out in (512.0 * (1.0 + 5e-15), 512.0 * (1.0 - 5e-15)):
+        assert r_out != 512.0 and g.truncate(r_out) is g
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+def _truncation_radii(grid):
+    """Every schedule radius of every default r0 candidate, and the radii
+    that a certification on ``grid`` truncates at (its schedule's and the
+    gradient-ball audit's)."""
+    radii = {r for r0 in default_r0_candidates(grid)
+             for r in exhaustion_schedule(r0, grid.r_max)}
+    data = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
+                        grid=grid, seed=7)
+    seen = []
+    truncate = RadialGrid.truncate
+
+    def recorded(self, r_out):
+        seen.append(r_out)
+        return truncate(self, r_out)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RadialGrid, "truncate", recorded)
+        run_pipeline_on(data, grid, seed=7)
+    ball = seen[-1]                 # the gradient-ball audit's, at a node
+    assert ball in grid.nodes and ball < seen[0]
+    return sorted(radii | set(seen)), ball
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(512.0, 2048, "uniform"),
+    build_grid(512.0, 2047, "uniform"),
+    build_grid(512.0, 2048, "geometric", stretch=1.001),
+], ids=["uniform-even", "uniform-odd", "geometric"])
+def test_truncated_views_equal_grids_built_from_scratch(grid):
+    radii, ball = _truncation_radii(grid)
+    r = grid.nodes
+    values = np.sin(r / 7.0) * np.exp(-r / 50.0) + 1e-3 * np.cos(3.0 * r)
+    views = 0
+    for r_out in radii:
+        sub = grid.truncate(r_out)
+        if sub is grid:
+            continue
+        fresh = RadialGrid(np.array(sub.nodes), policy="truncated",
+                           stretch=grid.stretch)
+        m = sub.nodes.size
+        is_view = sub._prefix_of is grid
+        views += is_view
+        assert is_view == (r_out in r)
+        assert _bits(sub.nodes) == _bits(fresh.nodes)
+        for mine, theirs in zip(sub._weights(), fresh._weights()):
+            assert mine.shape == theirs.shape
+            assert _bits(mine) == _bits(theirs)
+        for apply in ("deriv1", "deriv2"):
+            assert (_bits(getattr(sub, apply)(values[:m]))
+                    == _bits(getattr(fresh, apply)(values[:m])))
+        assert (_bits(SampledProfile(sub, values[:m]).slopes())
+                == _bits(SampledProfile(fresh, values[:m]).slopes()))
+        config = CapillaryConfig(r0=r_out / 64.0, kappa0=1.0, kappa1=1.0,
+                                 Q=None, s0=1.0, s1=1.0, tau=1.0, n=4,
+                                 delta=0.5)
+        for mine, theirs in zip(config.cutoff(sub), config.cutoff(fresh)):
+            assert _bits(mine) == _bits(theirs)
+            assert not mine.flags.writeable
+        if is_view:
+            # nodes, stencil rows and cutoff are slices of the base grid's
+            assert np.shares_memory(sub.nodes, r)
+            assert np.shares_memory(sub._weights()[0], grid._weights()[0])
+            assert np.shares_memory(config.cutoff(sub)[0],
+                                    config.cutoff(grid)[0])
+            with pytest.raises(ValueError):
+                sub.nodes.flags.writeable = True
+            assert not sub.nodes.flags.writeable
+    assert views >= 1 and ball in radii
 
 
 def test_coarsen_keeps_every_other_node_and_r_max():

@@ -265,21 +265,24 @@ def test_newton_evaluates_each_iterate_once(dec_data, cap_config, base_grid,
                             counted(name, getattr(RadialGrid, name)))
     config = copy.copy(synthetic_config(grid=base_grid, tau=0.3))
     config.zeta = counted("zeta", config.zeta)
-    domain = base_grid.truncate(64.0 * r0)
+    base = RadialGrid(base_grid.nodes)      # no cutoff kept on it yet
+    domain = base.truncate(64.0 * r0)
 
     state = newton_solve(dec_data, config, domain, 1.0, _bump_start(domain))
     trials = 1 + state.iterations + state.damping_count
     assert state.damping_count > 0
+    # zeta is evaluated once, on the base grid; the domain reads a slice
     assert calls == {"deriv1": trials, "deriv2": trials, "zeta": 1}
+    assert np.shares_memory(config.cutoff(domain)[0], config.cutoff(base)[0])
 
     calls.update(deriv1=0, deriv2=0, zeta=0)
     trace = []
     continuation_solve(dec_data, config, domain, trace=trace)
     # one evaluation of the start, then one per trial; a converged step's
-    # evaluation is the next step's first
+    # evaluation is the next step's first; the domain keeps its cutoff
     trials = 1 + sum(e["iterations"] + e["damping_count"] for e in trace)
     assert len(trace) == 11
-    assert calls == {"deriv1": trials, "deriv2": trials, "zeta": 1}
+    assert calls == {"deriv1": trials, "deriv2": trials, "zeta": 0}
 
 
 def test_newton_runaway_start_does_not_converge(dec_data, base_grid):
@@ -514,6 +517,23 @@ def test_exhaustion_schedule_validation(dec_data, cap_config, base_grid, r0):
     with pytest.raises(InvalidArgument):
         exhaustion_solve(dec_data, cap_config, [64.0 * r0, 4096.0 * r0],
                          base_grid)
+
+
+def test_exhaustion_radius_at_r_max_within_the_truncation_tolerance(
+        dec_data, cap_config, base_grid, r0):
+    r_max = base_grid.r_max
+    inner = [64.0 * r0, 128.0 * r0]
+    assert inner[-1] < r_max
+    exact = exhaustion_solve(dec_data, cap_config, inner + [r_max], base_grid)
+    # a radius within a relative 1e-14 of r_max is r_max
+    near = exhaustion_solve(dec_data, cap_config,
+                            inner + [r_max * (1.0 + 5e-15)], base_grid)
+    assert near.outer_radius == exact.outer_radius == r_max
+    assert near.u.tobytes() == exact.u.tobytes()
+    # one beyond it is off the grid, even within the 1e-12 once accepted
+    for r_out in (r_max * (1.0 + 5e-13), r_max * (1.0 + 1e-12)):
+        with pytest.raises(InvalidArgument, match="exceeds the base grid"):
+            exhaustion_solve(dec_data, cap_config, inner + [r_out], base_grid)
 
 
 def test_exhaustion_nonconvergence_on_stalled_schedule(dec_data, cap_config,

@@ -41,11 +41,11 @@ def test_barrier_radius_four_dataset_passes(base_grid):
 def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     grid = build_grid(512.0, 2048, "uniform")   # no frame on it yet
     calls = []
-    for name in ("__call__", "deriv1", "deriv2"):
-        def counted(self, r, fn=getattr(AnalyticProfile, name)):
+    for name in ("__call__", "deriv1", "deriv2", "jet"):
+        def counted(self, r, *order, fn=getattr(AnalyticProfile, name)):
             if np.size(r) > 17:
                 calls.append(np.size(r))
-            return fn(self, r)
+            return fn(self, r, *order)
         monkeypatch.setattr(AnalyticProfile, name, counted)
     # every sampled array's slopes come from its grid's system: count the
     # slope solves, the coefficient sets and their intervals, the systems,
@@ -99,13 +99,13 @@ def test_certification_evaluates_the_dataset_once(dec_data, monkeypatch):
     results = run_pipeline_on(dec_data, grid, seed=7,
                               schedule_factors=(64.0, 128.0, 512.0))
     assert results["exhaustion"]["outer_radius"] == grid.r_max
-    # seven frame coefficients on the base grid, read by every stage
-    # including |d zeta|^2: a, a', c'' (c is a) and q_rad, q_tan and their
-    # slopes; the barrier stage reads them too
-    assert calls.count(grid.nodes.size) <= 7
-    # with the frames of the truncated and coarsened grids and the
-    # gradient-ball audit's dense radii
-    assert len(calls) <= 28
+    # three jets on the base grid give the seven frame coefficients read by
+    # every stage including |d zeta|^2: a, a', c'' (c is a) and q_rad,
+    # q_tan and their slopes; the barrier stage reads them too
+    assert calls.count(grid.nodes.size) == 3
+    # the truncated and coarsened grids read slices of them; the rest are
+    # the gradient-ball audit's dense radii and the mass fit's window
+    assert len(calls) <= 6
     u = results["arrays"]["u"]
     # fields read only at the nodes stay arrays: no slopes of them are solved
     geo = geometries[0]
