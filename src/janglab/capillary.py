@@ -89,19 +89,24 @@ class CapillaryConfig:
     def cutoff(self, grid: RadialGrid):
         """(zeta, zeta') at the grid's nodes, read-only.
 
-        They depend on r0 alone, so the grid keeps them for the last r0
-        evaluated on it.  A truncation at a node and an even coarsening
-        read slices of their base grid's.
+        They depend on r0 and on the functions ``zeta`` and ``zeta_d1``
+        alone, so the grid keeps them for the last such key evaluated on
+        it: configs of one r0 share them, and one whose ``zeta`` or
+        ``zeta_d1`` is replaced on the instance evaluates its own.  A
+        truncation at a node and an even coarsening read slices of their
+        base grid's.
         """
+        key = (self.r0, *(getattr(fn, "__func__", fn)
+                          for fn in (self.zeta, self.zeta_d1)))
         kept = grid._cutoff
-        if kept is None or kept[0] != self.r0:
+        if kept is None or kept[0] != key:
             whole = grid._part_of()
             if whole is not None:
                 zeta, zeta_d1 = (v[whole[1]] for v in self.cutoff(whole[0]))
             else:
                 zeta, zeta_d1 = self.zeta(grid.nodes), self.zeta_d1(grid.nodes)
                 zeta.flags.writeable = zeta_d1.flags.writeable = False
-            kept = (self.r0, zeta, zeta_d1)
+            kept = (key, zeta, zeta_d1)
             object.__setattr__(grid, "_cutoff", kept)
         return kept[1], kept[2]
 

@@ -103,7 +103,7 @@ def _conformal_power(m, n, regularized):
                        + dpow * d2phi)
         return tuple(out)
 
-    return AnalyticProfile.from_jet(jet)
+    return AnalyticProfile(jet)
 
 
 def _tail_sum_profile(terms):
@@ -127,7 +127,7 @@ def _tail_sum_profile(terms):
                                  + (e - 2.0) * r ** 2 * w ** (0.5 * e - 2.0))
         return out, d1, d2
 
-    return AnalyticProfile.from_jet(jet)
+    return AnalyticProfile(jet)
 
 
 def _even_gaussian(amp0, amp2, width):
@@ -146,7 +146,7 @@ def _even_gaussian(amp0, amp2, width):
                        + fu * 2.0 / width ** 2)
         return tuple(out)
 
-    return AnalyticProfile.from_jet(jet)
+    return AnalyticProfile(jet)
 
 
 def make_dataset(family: str, n: int, params: dict | None = None,
@@ -306,12 +306,12 @@ class RadialFrame:
     Each profile is read through one ``profile.jet(r, order)``, which
     gives its value and derivatives together: a, a' (and c'' when c is
     a), c, c', c'', q_rad, q_rad', q_tan, q_tan'.  A profile without a
-    jet (a ``SampledProfile``) is read through ``profile(r)``,
-    ``.deriv1(r)`` and ``.deriv2(r)``.  Every coefficient is
-    evaluated on first use, kept and read-only, so one frame can serve many
-    operator evaluations on the same radii.  The profiles are taken from
-    the dataset when the frame is built; when c is a, the arrays c and c'
-    are a and a'.  ``f = r sqrt(c)`` is the warping radius and
+    jet (a ``SampledProfile``, or any object with the three calls) is read
+    through ``profile(r)``, ``.deriv1(r)`` and ``.deriv2(r)``.  Every
+    coefficient is evaluated on first use, kept and read-only, so one frame
+    can serve many operator evaluations on the same radii.  The profiles
+    are taken from the dataset when the frame is built; when c is a, the
+    arrays c and c' are a and a'.  ``f = r sqrt(c)`` is the warping radius and
     ``warp = f'/f = c'/(2c) + 1/r`` (infinite at r = 0, where every caller
     substitutes its own origin closure); ``R`` is the scalar curvature.
     """

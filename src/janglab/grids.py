@@ -6,7 +6,7 @@ second order on uniform grids and on smoothly stretched (geometric) grids.
 
 What depends on the nodes alone is evaluated once per grid and kept on it:
 the stencil weights, the spline system, the coarsening, the frame of the
-last dataset and the capillary cutoff of the last r0.  A grid truncated at
+last dataset and the last capillary cutoff.  A grid truncated at
 one of its nodes is a view: its nodes are a leading slice of the base
 grid's immutable buffer, its interior stencil rows are the base grid's,
 and its frame and cutoff are slices of the base grid's.
@@ -107,7 +107,7 @@ class RadialGrid:
     _ends: np.ndarray = field(default=None, repr=False, compare=False)
     # the frame of the last dataset evaluated here (geometry.RadialFrame.on)
     _frame: object = field(default=None, repr=False, compare=False)
-    # (r0, zeta, zeta') of the last capillary cutoff evaluated here
+    # (key, zeta, zeta') of the last capillary cutoff evaluated here
     # (capillary.CapillaryConfig.cutoff)
     _cutoff: tuple = field(default=None, repr=False, compare=False)
     # the not-a-knot spline system on these nodes (profiles._SplineSystem)
@@ -212,6 +212,18 @@ class RadialGrid:
 
     # -- restriction --------------------------------------------------------
 
+    def radius_within(self, r_out: float) -> float:
+        """r_out as an outer radius inside this grid: r_max when r_out lies
+        within a relative ``TRUNCATION_TOL`` of it; InvalidArgument when
+        r_out lies beyond that."""
+        r_max = self.nodes[-1]
+        if abs(r_out - r_max) <= TRUNCATION_TOL * r_max:
+            return r_max
+        if r_out > r_max:
+            raise InvalidArgument(
+                f"truncation radius {r_out!r} lies beyond r_max = {r_max!r}")
+        return r_out
+
     def truncate(self, r_out: float) -> "RadialGrid":
         """Sub-grid covering [0, r_out]; appends r_out if it is not a node.
 
@@ -225,11 +237,9 @@ class RadialGrid:
         it, and the sub-grid is built from its own copy of the nodes.
         """
         x = self.nodes
-        if abs(r_out - x[-1]) <= TRUNCATION_TOL * x[-1]:
+        r_out = self.radius_within(r_out)
+        if r_out == x[-1]:
             return self
-        if r_out > x[-1]:
-            raise InvalidArgument(
-                f"truncation radius {r_out!r} lies beyond r_max = {x[-1]!r}")
         if r_out <= x[MIN_NODES]:
             raise InvalidArgument("truncation radius leaves too few nodes")
         m = int(np.searchsorted(x, r_out * (1.0 + 1e-14), "right"))

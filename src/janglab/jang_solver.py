@@ -31,8 +31,7 @@ from .errors import (AuditInapplicable, ContinuationFailure,
 from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        dq_frame_norm, graph_combination, graph_operator,
                        graph_terms, loglog_slope, ricci_eigenvalues)
-from .grids import (MIN_NODES, TRUNCATION_TOL, RadialGrid,
-                    _cumulative_trapezoid)
+from .grids import MIN_NODES, RadialGrid, _cumulative_trapezoid
 from .profiles import SampledProfile
 
 NEWTON_MAX_ITER = 60
@@ -355,10 +354,10 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     r_j is solved on ``base_grid.truncate(r_j)``: a view of the base grid
     when r_j is a node, and the base grid itself when r_j lies within a
     relative ``TRUNCATION_TOL`` of r_max; a schedule reaching beyond that
-    raises InvalidArgument.  The returned nodal u is
-    the last iterate at the base nodes it shares, and zero beyond them; when
-    the last radius is the base grid's r_max, it is that iterate itself,
-    with its spline.
+    raises InvalidArgument before any solve (``RadialGrid.radius_within``).
+    The returned nodal u is the last iterate at the base nodes it shares,
+    and zero beyond them; when the last radius is the base grid's r_max, it
+    is that iterate itself, with its spline.
 
     Every radius is one damped Newton solve at lambda = 1 (``_warm_solve``).
     The first starts from zero; for perturbed-dec data at n = 4 it takes 1-2
@@ -375,8 +374,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
         raise InvalidArgument("empty exhaustion schedule")
     if schedule[0] <= 32.0 * config.r0:
         raise InvalidArgument("every schedule radius must exceed 32 r0")
-    if schedule[-1] > base_grid.r_max * (1.0 + TRUNCATION_TOL):
-        raise InvalidArgument("schedule exceeds the base grid")
+    base_grid.radius_within(schedule[-1])
     R_c = schedule[0]
     compact = base_grid.nodes[base_grid.nodes <= R_c]
 

@@ -20,45 +20,30 @@ _gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 class AnalyticProfile:
-    """Profile defined by callables for f, f', f'', or by its jet.
+    """Profile defined by its jet.
 
     ``jet(r, order)`` gives the tuple (f, f', ..., f^(order)) at r, for
     order 0, 1 or 2, from one evaluation of what they share: a frame reads
-    a profile's value and derivatives through it.  A profile built
-    ``from_jet`` evaluates f, f' and f'' through its jet too, so each
-    formula lives in one place and every read carries the same bits.  A
-    profile keeps no evaluated array.
+    a profile's value and derivatives through it, and f, f' and f'' are
+    read from it too, so each formula lives in one place and every read
+    carries the same bits.  A profile keeps no evaluated array.
     """
 
-    def __init__(self, f, d1, d2):
-        self._f = f
-        self._d1 = d1
-        self._d2 = d2
-        self._jet = None
-
-    @classmethod
-    def from_jet(cls, jet) -> "AnalyticProfile":
-        """The profile whose ``jet(r, order)`` is the callable ``jet``."""
-        prof = cls(lambda r: jet(r, 0)[0], lambda r: jet(r, 1)[1],
-                   lambda r: jet(r, 2)[2])
-        prof._jet = jet
-        return prof
+    def __init__(self, jet):
+        self._jet = jet
 
     def __call__(self, r):
-        return self._f(np.asarray(r, dtype=float))
+        return self._jet(np.asarray(r, dtype=float), 0)[0]
 
     def deriv1(self, r):
-        return self._d1(np.asarray(r, dtype=float))
+        return self._jet(np.asarray(r, dtype=float), 1)[1]
 
     def deriv2(self, r):
-        return self._d2(np.asarray(r, dtype=float))
+        return self._jet(np.asarray(r, dtype=float), 2)[2]
 
     def jet(self, r, order: int = 2) -> tuple:
         """(f, f', ..., f^(order)) at r, for order 0, 1 or 2."""
-        r = np.asarray(r, dtype=float)
-        if self._jet is not None:
-            return self._jet(r, order)
-        return tuple(fn(r) for fn in (self._f, self._d1, self._d2)[:order + 1])
+        return self._jet(np.asarray(r, dtype=float), order)
 
     def deriv2_origin(self) -> float:
         """f''(0) of an even profile."""
@@ -239,5 +224,5 @@ class _SplineSystem:
 
 def constant_profile(value: float):
     c = float(value)
-    return AnalyticProfile.from_jet(lambda r, order: (
+    return AnalyticProfile(lambda r, order: (
         np.full_like(r, c), *(np.zeros_like(r) for _ in range(order))))

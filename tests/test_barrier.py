@@ -250,7 +250,8 @@ def test_r0_search_rejects_a_violation_beyond_twice_r0():
     grid = build_grid(128.0, 1024, "uniform")
     data = make_dataset("flat", 4, {})
     bump = lambda r: -0.5 * np.exp(-((r - 12.0) / 2.0) ** 2)
-    data.q_rad = data.q_tan = AnalyticProfile(bump, bump, bump)
+    data.q_rad = data.q_tan = AnalyticProfile(
+        lambda r, order: (bump(r),) * (order + 1))
     for r0 in (1.0, 2.0):
         minus, plus = barrier_inequality_audit(data, BarrierProfile(r0, 4), grid)
         bad = (minus >= 0.0) | (plus >= 0.0)

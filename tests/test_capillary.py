@@ -66,6 +66,29 @@ def test_cutoff_on_the_collar_only_keeps_every_bit(cap_config, policy,
     assert cfg.zeta(4.0 * r0) == 1.0 and cfg.zeta(8.0 * r0) == 0.0
 
 
+def test_kept_cutoff_follows_r0_and_the_cutoff_functions(cap_config):
+    grid = build_grid(512.0, 2048, "uniform")
+    view = grid.truncate(64.0 * cap_config.r0)
+    zeta, zeta_d1 = cap_config.cutoff(grid)
+    assert np.array_equal(zeta, cap_config.zeta(grid.nodes))
+    assert np.array_equal(zeta_d1, cap_config.zeta_d1(grid.nodes))
+    # another config of the same r0 reads the kept arrays
+    same = copy.copy(cap_config)
+    assert same.cutoff(grid)[0] is zeta
+    # a config whose zeta or zeta' is replaced evaluates its own, on the
+    # grid and on a view of it
+    for name in ("zeta", "zeta_d1"):
+        cfg = copy.copy(cap_config)
+        setattr(cfg, name, lambda r, fn=getattr(cfg, name): 2.0 * fn(r))
+        for g in (grid, view):
+            got = cfg.cutoff(g)
+            assert np.array_equal(got[0], cfg.zeta(g.nodes))
+            assert np.array_equal(got[1], cfg.zeta_d1(g.nodes))
+    moved = copy.copy(cap_config)
+    moved.r0 = 2.0 * cap_config.r0
+    assert np.array_equal(moved.cutoff(view)[0], moved.zeta(view.nodes))
+
+
 def test_selected_config_passes_independent_check(dec_data, cap_config,
                                                   base_grid):
     assert check_capillary_config(cap_config, dec_data, base_grid) == []

@@ -25,6 +25,12 @@ from janglab.grids import build_grid
 from janglab.profiles import AnalyticProfile, constant_profile
 
 
+def closed_forms(f, d1, d2):
+    """The analytic profile whose jet reads three separate closed forms."""
+    return AnalyticProfile(lambda r, order: tuple(
+        fn(r) for fn in (f, d1, d2)[:order + 1]))
+
+
 def sphere_dataset(n, n_intervals=512):
     """Round unit sphere: a = 1, c = (sin r / r)^2, closed-form derivatives."""
     def c(r):
@@ -44,7 +50,7 @@ def sphere_dataset(n, n_intervals=512):
         return np.where(r == 0.0, -2.0 / 3.0, out)
 
     grid = build_grid(3.0, n_intervals, "uniform")
-    prof = AnalyticProfile(c, dc, d2c)
+    prof = closed_forms(c, dc, d2c)
     data = dataset_from_samples(grid, np.ones_like(grid.nodes),
                                 prof(grid.nodes),
                                 np.zeros_like(grid.nodes),
@@ -123,10 +129,10 @@ def test_momentum_pure_trace_oracle():
     # so the radial frame component is (1-n) lambda'(r)/sqrt(a).
     grid = build_grid(64.0, 512, "uniform")
     n = 5
-    lam = AnalyticProfile(lambda r: np.exp(-(r / 3.0) ** 2),
-                          lambda r: -2.0 * r / 9.0 * np.exp(-(r / 3.0) ** 2),
-                          lambda r: (4.0 * r ** 2 / 81.0 - 2.0 / 9.0)
-                          * np.exp(-(r / 3.0) ** 2))
+    lam = closed_forms(lambda r: np.exp(-(r / 3.0) ** 2),
+                       lambda r: -2.0 * r / 9.0 * np.exp(-(r / 3.0) ** 2),
+                       lambda r: (4.0 * r ** 2 / 81.0 - 2.0 / 9.0)
+                       * np.exp(-(r / 3.0) ** 2))
     base = make_dataset("perturbed-dec", n, {"m": 1.0, "amplitude": 0.0},
                         grid=grid, seed=0)
     data = dataset_from_samples(grid, base.a(grid.nodes), base.c(grid.nodes),
@@ -145,13 +151,13 @@ def test_momentum_flat_metric_oracle():
     #   J_rad = (n-1) [ (q_r - q_t)/r - q_t' ].
     grid = build_grid(32.0, 512, "uniform")
     n = 4
-    qr = AnalyticProfile(lambda r: np.exp(-r ** 2),
-                         lambda r: -2.0 * r * np.exp(-r ** 2),
-                         lambda r: (4.0 * r ** 2 - 2.0) * np.exp(-r ** 2))
-    qt = AnalyticProfile(lambda r: (1.0 + r ** 2) * np.exp(-r ** 2),
-                         lambda r: -2.0 * r ** 3 * np.exp(-r ** 2),
-                         lambda r: (4.0 * r ** 4 - 6.0 * r ** 2)
-                         * np.exp(-r ** 2))
+    qr = closed_forms(lambda r: np.exp(-r ** 2),
+                      lambda r: -2.0 * r * np.exp(-r ** 2),
+                      lambda r: (4.0 * r ** 2 - 2.0) * np.exp(-r ** 2))
+    qt = closed_forms(lambda r: (1.0 + r ** 2) * np.exp(-r ** 2),
+                      lambda r: -2.0 * r ** 3 * np.exp(-r ** 2),
+                      lambda r: (4.0 * r ** 4 - 6.0 * r ** 2)
+                      * np.exp(-r ** 2))
     data = make_dataset("flat", n, {})
     data.q_rad, data.q_tan = qr, qt
     fields = constraint_fields(data, grid)
@@ -189,9 +195,9 @@ def test_dq_norm_pure_trace_oracle():
     # q = lambda g on flat space: |Dq|^2 = n |d lambda|^2 = n lambda'^2
     grid = build_grid(32.0, 512, "uniform")
     n = 4
-    lam = AnalyticProfile(lambda r: np.exp(-r ** 2),
-                          lambda r: -2.0 * r * np.exp(-r ** 2),
-                          lambda r: (4.0 * r ** 2 - 2.0) * np.exp(-r ** 2))
+    lam = closed_forms(lambda r: np.exp(-r ** 2),
+                       lambda r: -2.0 * r * np.exp(-r ** 2),
+                       lambda r: (4.0 * r ** 2 - 2.0) * np.exp(-r ** 2))
     data = make_dataset("flat", n, {})
     data.q_rad = data.q_tan = lam
     got = dq_frame_norm(data, grid)
@@ -409,11 +415,12 @@ def test_generation_matches_the_halving_reference(n, N, seed):
 def test_generation_evaluates_the_metric_once(monkeypatch):
     grid = build_grid(512.0, 8192, "uniform")
     calls, curvatures = [], []
-
-    def counted(self, r, order=2, jet=AnalyticProfile.jet):
-        calls.append((self, order, np.size(r)))
-        return jet(self, r, order)
-    monkeypatch.setattr(AnalyticProfile, "jet", counted)
+    for name in ("__call__", "deriv1", "deriv2", "jet"):
+        def counted(self, r, *order, fn=getattr(AnalyticProfile, name),
+                    name=name):
+            calls.append((self, name, order, np.size(r)))
+            return fn(self, r, *order)
+        monkeypatch.setattr(AnalyticProfile, name, counted)
     warped = janglab.geometry.warped_scalar_curvature
 
     def counted_curvature(frame, *args):
@@ -426,9 +433,9 @@ def test_generation_evaluates_the_metric_once(monkeypatch):
                         grid=grid, seed=98)
     # one jet of a gives a, a' and c'' = a''; the curvature is evaluated
     # once, and every rescale reads it
-    metric = [order for prof, order, size in calls
+    metric = [(name, order) for prof, name, order, size in calls
               if prof is data.a and size == grid.nodes.size]
-    assert metric == [2]
+    assert metric == [("jet", (2,))]
     assert len(curvatures) == 1
     frame = RadialFrame.on(data, grid)
     assert frame.c is frame.a and frame.dc is frame.da
@@ -437,8 +444,8 @@ def test_generation_evaluates_the_metric_once(monkeypatch):
     calls.clear()
     assert np.min(constraint_fields(data, grid).margin) > 0.0
     assert len(calls) == 2
-    assert {(prof, order) for prof, order, _ in calls} == {(data.q_rad, 1),
-                                                          (data.q_tan, 1)}
+    assert {(prof, name, order) for prof, name, order, _ in calls} == {
+        (data.q_rad, "jet", (1,)), (data.q_tan, "jet", (1,))}
     assert len(curvatures) == 1 and frame.R is constraint_fields(
         data, grid).R_g
     # the barrier stage reads the grid's frame and evaluates no profile

@@ -532,7 +532,7 @@ def test_exhaustion_radius_at_r_max_within_the_truncation_tolerance(
     assert near.u.tobytes() == exact.u.tobytes()
     # one beyond it is off the grid, even within the 1e-12 once accepted
     for r_out in (r_max * (1.0 + 5e-13), r_max * (1.0 + 1e-12)):
-        with pytest.raises(InvalidArgument, match="exceeds the base grid"):
+        with pytest.raises(InvalidArgument, match="beyond r_max"):
             exhaustion_solve(dec_data, cap_config, inner + [r_out], base_grid)
 
 
