@@ -9,6 +9,8 @@ beta function (DLMF 8.17):
 
 b, b' and b'' are all evaluated in closed form, which makes the second-order
 ODE satisfied by b a pure audit target rather than part of the construction.
+On a grid they depend on the nodes, r0 and n alone, so the grid keeps them
+(``BarrierProfile.on_grid``).
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from scipy.special import beta, betainc
 
 from .errors import DomainError, NoAdmissibleR0
 from .geometry import RadialFrame, RadialInitialData, graph_operator
-from .grids import RadialGrid
+from .grids import RadialGrid, _kept
 from .report import _float_csv
 
 _REL_EDGE = 1e-9
+# (r0, n) keys whose barrier values a grid keeps (``BarrierProfile.on_grid``);
+# the default candidates of an r_max = 512 grid are six
+KEPT_BARRIERS = 8
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,32 @@ class BarrierProfile:
         val = (self.r0 / p) * beta(a, 0.5) * betainc(a, 0.5, (s / self.r0) ** -p)
         return float(val[0]) if scalar else val
 
+    def on_grid(self, grid: RadialGrid, names, count=None):
+        """The closed forms ``names`` ("b", "bprime", "bsecond") at the
+        first ``count`` grid nodes in (r0 (1 + 1e-9), r_max], all of them
+        when None: one read-only array per name.
+
+        The grid keeps them per (r0, n), for the ``KEPT_BARRIERS`` keys
+        used last.  Each name is evaluated on the nodes asked for, and
+        again on more nodes when more are asked for.  The closed forms are
+        nodewise, so the values are bit for bit those of an evaluation at
+        the nodes asked for.
+        """
+        values = _kept(grid, "_barrier", (self.r0, self.n), KEPT_BARRIERS,
+                       dict)
+        nodes = grid.nodes
+        start = int(np.searchsorted(nodes, self.r0 * (1.0 + _REL_EDGE),
+                                    "right"))
+        stop = nodes.size if count is None else start + count
+        out = []
+        for name in names:
+            have = values.get(name)
+            if have is None or have.size < stop - start:
+                have = values[name] = getattr(self, name)(nodes[start:stop])
+                have.flags.writeable = False
+            out.append(have[:stop - start])
+        return out
+
     def _check_domain(self, s):
         if np.any(s - self.r0 < _REL_EDGE * self.r0):
             raise DomainError(
@@ -99,20 +130,28 @@ def barrier_inequality_audit(data: RadialInitialData, bp: BarrierProfile, r):
     Each is the capillary Jang operator at the radial graph of the barrier,
     Upsilon = b o r, reduced to the warped-product frame.  The audit passes
     when both profiles are strictly negative at every radius.  On a grid
-    ``r``, the grid's frame is read at the nodes in (r0 (1 + 1e-9), r_max].
+    ``r``, the grid's frame and barrier values are read at the nodes in
+    (r0 (1 + 1e-9), r_max].
     """
     if isinstance(r, RadialGrid):
         frame = RadialFrame.on(data, r).beyond(bp.r0 * (1.0 + _REL_EDGE))
-    else:
-        frame = RadialFrame(data, r)
-        if np.any(frame.r <= bp.r0):
-            raise DomainError("audit radii must all satisfy r > r0")
+        return _inequalities(frame, bp, r)
+    frame = RadialFrame(data, r)
+    if np.any(frame.r <= bp.r0):
+        raise DomainError("audit radii must all satisfy r > r0")
     return _inequalities(frame, bp)
 
 
-def _inequalities(frame: RadialFrame, bp: BarrierProfile):
-    """(-q, +q) left-hand sides at the frame's radii, node by node."""
-    b1, b2 = bp.bprime(frame.r), bp.bsecond(frame.r)
+def _inequalities(frame: RadialFrame, bp: BarrierProfile, grid=None):
+    """(-q, +q) left-hand sides at the frame's radii, node by node.
+
+    With ``grid``, the frame holds the leading nodes of the grid's in
+    (r0 (1 + 1e-9), r_max], and b', b'' are the grid's kept values there.
+    """
+    if grid is None:
+        b1, b2 = bp.bprime(frame.r), bp.bsecond(frame.r)
+    else:
+        b1, b2 = bp.on_grid(grid, ("bprime", "bsecond"), frame.r.size)
     # -q is lambda = 1, +q is lambda = -1
     return graph_operator(frame, b1, b2, 1.0), graph_operator(frame, b1, b2, -1.0)
 
@@ -140,6 +179,8 @@ def _search_r0(data: RadialInitialData, grid: RadialGrid, candidates):
     The operator is nodewise, so a violation at a candidate's nodes in
     (r0, 2 r0], where the barrier is steepest, rejects it before the whole
     grid is evaluated; a candidate that passes there is evaluated in full.
+    b' and b'' are the grid's kept values (``BarrierProfile.on_grid``), so
+    a rejected candidate evaluates them on its head only.
     """
     candidates = sorted(float(c) for c in candidates)
     if not candidates:
@@ -151,8 +192,8 @@ def _search_r0(data: RadialInitialData, grid: RadialGrid, candidates):
             frame = RadialFrame.on(data, grid).beyond(r0 * (1.0 + _REL_EDGE))
             head = frame._part(slice(
                 int(np.searchsorted(frame.r, 2.0 * r0, "right"))))
-            if _hold(*_inequalities(head, bp)):
-                minus, plus = _inequalities(frame, bp)
+            if _hold(*_inequalities(head, bp, grid)):
+                minus, plus = _inequalities(frame, bp, grid)
                 if _hold(minus, plus):
                     return r0, minus, plus
     raise NoAdmissibleR0(

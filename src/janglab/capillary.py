@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigFailure, DecViolation, GridTooShort
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
-                       evaluate_constraint_fields, radius_at_distance)
+                       evaluate_constraint_fields)
 from .grids import RadialGrid
 
 
@@ -116,9 +116,14 @@ class CapillaryConfig:
 
 
 def _collar_mask(data, grid, r_in, width):
-    """Nodes outside {r > r_in} within g-distance `width` of it."""
+    """Nodes outside {r > r_in} within g-distance `width` of it.
+
+    The edge radius is the frame's (``RadialFrame.radius_at_distance``):
+    evaluated once per (r_in, width) and dataset, and read by the selector
+    and the checker alike, each with its own r_in and width.
+    """
     r = grid.nodes
-    r_edge = radius_at_distance(data, r_in, width)
+    r_edge = RadialFrame.on(data, grid).radius_at_distance(r_in, width)
     return (r <= r_in) & (r >= r_edge)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
-from .grids import RadialGrid, build_grid
+from .grids import RadialGrid, _kept, build_grid
 from .profiles import AnalyticProfile, SampledProfile, constant_profile
 from .report import _float_csv
 
@@ -286,6 +286,8 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
+# (r_start, dist) pairs whose radius a frame keeps (RadialFrame.radius_at_distance)
+KEPT_EDGES = 4
 # the coefficients of a, c, n and origin_regular
 _METRIC = ("a", "da", "c", "dc", "d2c", "_sc", "f", "f1", "f2", "warp",
            "warp_a", "origin_d2", "R")
@@ -324,6 +326,8 @@ class RadialFrame:
         object.__setattr__(self, "_profiles", _profiles(self.data))
         object.__setattr__(self, "_whole", None)
         object.__setattr__(self, "_c_is_a", self.data.c is self.data.a)
+        # (r_start, dist) -> radius_at_distance(data, r_start, dist)
+        object.__setattr__(self, "_edges", None)
 
     @classmethod
     def on(cls, data: RadialInitialData, grid: RadialGrid) -> "RadialFrame":
@@ -384,6 +388,16 @@ class RadialFrame:
     @property
     def n(self) -> int:
         return self.data.n
+
+    def radius_at_distance(self, r_start: float, dist: float) -> float:
+        """``radius_at_distance(data, r_start, dist)``, an evaluated input
+        of the metric: kept with the frame for the ``KEPT_EDGES`` pairs
+        (r_start, dist) asked for last.  A cut frame asks its whole frame.
+        """
+        if self._whole is not None:
+            return self._whole[0].radius_at_distance(r_start, dist)
+        return _kept(self, "_edges", (r_start, dist), KEPT_EDGES,
+                     lambda: radius_at_distance(self.data, r_start, dist))
 
     def _jet(self, profile: str) -> dict:
         """Evaluate one jet of ``profile`` at r and keep each of its arrays
@@ -764,6 +778,19 @@ def loglog_slope(r, y, floor: float):
     return _line_fit(np.log(r[mask]), np.log(np.abs(y[mask])))[0]
 
 
+def _mass_term_fit(r, y, n: int) -> float:
+    """alpha of the least-squares fit y ~ alpha r^{2-n} + beta r^{-n}.
+
+    The second term takes up the next order of the expansion, which a
+    one-term fit would fold into alpha.  The 2 x 2 normal equations are
+    solved in closed form; every sum is np.sum, so no BLAS call enters.
+    """
+    x1, x2 = r ** (2.0 - n), r ** (-float(n))
+    s11, s12, s22 = np.sum(x1 * x1), np.sum(x1 * x2), np.sum(x2 * x2)
+    t1, t2 = np.sum(x1 * y), np.sum(x2 * y)
+    return float((t1 * s22 - t2 * s12) / (s11 * s22 - s12 * s12))
+
+
 def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     """Check the structural and asymptotic invariants of a dataset.
 
@@ -792,9 +819,15 @@ def validate_dataset(data: RadialInitialData, grid: RadialGrid) -> dict:
     outer = grid.outer_third_mask() & (r > 0)
     alpha = data.alpha_decl
     if alpha is None:
-        x = r[outer] ** (2.0 - n)
-        y = a[outer] - 1.0
-        alpha = float(np.sum(x * y) / np.sum(x * x))
+        # a - 1 and c - 1 must decay at least like the mass term: the
+        # two-term fit would take any slower tail into alpha and beta
+        for name, vals in (("a", a), ("c", c)):
+            slope = loglog_slope(r[outer], vals[outer] - 1.0, floor=1e-13)
+            if slope is not None and slope > 2.5 - n:
+                raise InvalidArgument(
+                    f"profile {name} decays at rate {slope:.2f} toward 1, "
+                    f"need {2 - n:.2f}")
+        alpha = _mass_term_fit(r[outer], a[outer] - 1.0, n)
     resid_a = a[outer] - 1.0 - alpha * r[outer] ** (2.0 - n)
     resid_c = c[outer] - 1.0 - alpha * r[outer] ** (2.0 - n)
     want = -(n - 2 + 2 * data.delta)

@@ -6,10 +6,11 @@ second order on uniform grids and on smoothly stretched (geometric) grids.
 
 What depends on the nodes alone is evaluated once per grid and kept on it:
 the stencil weights, the spline system, the coarsening, the frame of the
-last dataset and the last capillary cutoff.  A grid truncated at
-one of its nodes is a view: its nodes are a leading slice of the base
-grid's immutable buffer, its interior stencil rows are the base grid's,
-and its frame and cutoff are slices of the base grid's.
+last dataset, the last capillary cutoff and the barrier values of a few
+inner radii.  A grid truncated at one of its nodes is a view: its nodes
+are a leading slice of the base grid's immutable buffer, its stencil rows
+are the base grid's (the base grid keeps the outer row of each such
+truncation), and its frame and cutoff are slices of the base grid's.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import numpy as np
 from .errors import InvalidArgument
 
 MIN_NODES = 16
+# node counts whose outer one-sided stencil rows a grid keeps for the
+# truncations at its nodes (``RadialGrid._outer_rows``)
+KEPT_OUTER_ROWS = 16
 # relative distance within which a radius is taken to be r_max
 TRUNCATION_TOL = 1e-14
 
@@ -44,6 +48,23 @@ def _one_sided_weights(xs, x):
     on quadratics, as the rows of a (2, 3) array."""
     inv = np.linalg.inv(np.vander(xs - x, 3, increasing=True).T)
     return np.array([inv[:, 1], 2.0 * inv[:, 2]])
+
+
+def _kept(owner, attr: str, key, bound: int, make):
+    """The value kept for ``key`` in the dict ``owner.attr`` (None until
+    first use), made by ``make()`` when absent.  The dict holds the
+    ``bound`` keys used last."""
+    kept = getattr(owner, attr)
+    if kept is None:
+        kept = {}
+        object.__setattr__(owner, attr, kept)
+    value = kept.pop(key, None)
+    if value is None:
+        value = make()
+        if len(kept) >= bound:
+            del kept[next(iter(kept))]
+    kept[key] = value
+    return value
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -92,9 +113,9 @@ class RadialGrid:
     the origin.  ``nodes`` is the grid's own copy of the radii it was
     given, held in an immutable buffer: it is read-only and cannot be made
     writeable, so everything kept per grid (stencils, frame, cutoff, spline
-    system, coarsening, formatted CSV fields) stays true to it.  A
-    truncation at a node (``truncate``) views the leading nodes of that
-    buffer instead of copying them.
+    system, coarsening, barrier values, formatted CSV fields) stays true
+    to it.  A truncation at a node (``truncate``) views the leading nodes
+    of that buffer instead of copying them.
     """
 
     nodes: np.ndarray
@@ -112,6 +133,12 @@ class RadialGrid:
     _cutoff: tuple = field(default=None, repr=False, compare=False)
     # the not-a-knot spline system on these nodes (profiles._SplineSystem)
     _spline: object = field(default=None, repr=False, compare=False)
+    # (r0, n) -> {name: values} of the barrier values evaluated here
+    # (barrier.BarrierProfile.on_grid)
+    _barrier: dict = field(default=None, repr=False, compare=False)
+    # node count m -> the one-sided rows at node m - 1 of the truncation
+    # at that node (``_outer_rows``)
+    _outer: dict = field(default=None, repr=False, compare=False)
     # the grid whose leading nodes these are (``truncate`` at a node): the
     # nodes are a slice of that grid's
     _prefix_of: "RadialGrid | None" = field(default=None, repr=False,
@@ -170,22 +197,33 @@ class RadialGrid:
         one-sided rows of derivative k + 1 at the origin (on nodes 0, 1, 2)
         and at r_max (on the last three nodes).  A truncation at a node
         reads the base grid's interior rows and origin rows, which are its
-        own, and evaluates only its outer row.
+        own, and its outer row, which the base grid keeps.
         """
         if self._d1 is None:
             x = self.nodes
             if self._prefix_of is not None:
-                base_d1, base_d2, base_ends = self._prefix_of._weights()
+                base = self._prefix_of
+                base_d1, base_d2, base_ends = base._weights()
                 d1, d2 = base_d1[:, :x.size - 2], base_d2[:, :x.size - 2]
-                first = base_ends[:, 0]
+                first, last = base_ends[:, 0], base._outer_rows(x.size)
             else:
                 d1, d2 = _three_point_weights(x[:-2], x[1:-1], x[2:])
                 first = _one_sided_weights(x[:3], x[0])
-            ends = np.stack((first, _one_sided_weights(x[-3:], x[-1])), axis=1)
+                last = _one_sided_weights(x[-3:], x[-1])
+            ends = np.stack((first, last), axis=1)
             object.__setattr__(self, "_d1", d1)
             object.__setattr__(self, "_d2", d2)
             object.__setattr__(self, "_ends", ends)
         return self._d1, self._d2, self._ends
+
+    def _outer_rows(self, m: int) -> np.ndarray:
+        """The one-sided rows at node m - 1 on nodes m - 3 to m - 1: the
+        outer rows of the truncation at that node.  Kept per m for the
+        ``KEPT_OUTER_ROWS`` counts used last, so a truncation made again
+        evaluates none."""
+        x = self.nodes
+        return _kept(self, "_outer", m, KEPT_OUTER_ROWS,
+                     lambda: _one_sided_weights(x[m - 3:m], x[m - 1]))
 
     def deriv1(self, values: np.ndarray) -> np.ndarray:
         """Nodal first derivative of nodal values."""

@@ -472,9 +472,11 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
     tol = 1e-8 * scale
     entries = {}
 
-    # (i) |w| <= b(r) - b(r_j) on (r0, r_j]
-    sel = (r > r0 * (1.0 + 1e-9)) & (r <= r_out)
-    bvals = bp.b(r[sel])
+    # (i) |w| <= b(r) - b(r_j) on (r0, r_j], r0 the barrier's, with the
+    # grid's kept b
+    sel = slice(int(np.searchsorted(r, bp.r0 * (1.0 + 1e-9), "right")),
+                int(np.searchsorted(r, r_out, "right")))
+    [bvals] = bp.on_grid(grid, ("b",), sel.stop - sel.start)
     bound = bvals - bvals[-1]
     entries["barrier_envelope"] = _bound_entry(absw[sel], bound, tol, r[sel])
 

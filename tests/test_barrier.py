@@ -3,14 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 import janglab.barrier
-from janglab.barrier import (BarrierProfile, _search_r0, barrier_audit_passes,
-                             barrier_csv, barrier_inequality_audit,
-                             default_r0_candidates, find_r0, ode_residual,
-                             ode_residual_audit)
+from janglab.barrier import (KEPT_BARRIERS, BarrierProfile, _search_r0,
+                             barrier_audit_passes, barrier_csv,
+                             barrier_inequality_audit, default_r0_candidates,
+                             find_r0, ode_residual, ode_residual_audit)
 from janglab.errors import DomainError, NoAdmissibleR0
 from janglab.geometry import make_dataset
-from janglab.grids import build_grid
-from janglab.jang_solver import estimate_audits
+from janglab.grids import RadialGrid, build_grid
+from janglab.jang_solver import JangLimit, estimate_audits
 from janglab.profiles import AnalyticProfile
 
 
@@ -75,9 +75,16 @@ def test_estimate_audits_evaluates_barrier_once(dec_data, cap_config,
         return original(self, s)
 
     monkeypatch.setattr(BarrierProfile, "b", counting)
-    report = estimate_audits(dec_data, cap_config, jang_limit, barrier)
+    # the limit on a grid that keeps no barrier values yet
+    grid = RadialGrid(jang_limit.grid.nodes)
+    limit = JangLimit(u=jang_limit.u, grid=grid, trace=jang_limit.trace,
+                      outer_radius=jang_limit.outer_radius)
+    report = estimate_audits(dec_data, cap_config, limit, barrier)
     assert report["entries"]["barrier_envelope"]["passed"]
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
+    # the grid keeps b: a second audit there evaluates none
+    again = estimate_audits(dec_data, cap_config, limit, barrier)
+    assert again == report and len(calls) == 1
 
 
 def test_bprime_is_derivative_of_b():
@@ -225,9 +232,9 @@ def test_r0_search_with_prefix_rejection_matches_full_search(n, monkeypatch):
     evaluated = []
     inequalities = janglab.barrier._inequalities
 
-    def counted(frame, bp):
+    def counted(frame, bp, *grid):
         evaluated.append(bp.r0)
-        return inequalities(frame, bp)
+        return inequalities(frame, bp, *grid)
     monkeypatch.setattr(janglab.barrier, "_inequalities", counted)
     for seed in (0, 1, 2):
         m = 16.0 if seed == 2 else 1.0      # r0 = 16 for n = 4
@@ -263,3 +270,33 @@ def test_r0_search_rejects_a_violation_beyond_twice_r0():
     want = _search_every_candidate_in_full(data, grid, [1.0, 2.0, 8.0, 16.0])
     assert r0 == want[0] == 16.0
     assert np.array_equal(minus, want[1]) and np.array_equal(plus, want[2])
+
+
+@pytest.mark.parametrize("spec", [(2048, "uniform", None),
+                                  (2047, "geometric", 1.001)],
+                         ids=["uniform", "geometric-odd"])
+def test_kept_barrier_values_are_the_closed_forms_bit_for_bit(spec):
+    n_intervals, policy, stretch = spec
+    grid = build_grid(512.0, n_intervals, policy, stretch)
+    closed_forms = ("b", "bprime", "bsecond")
+    for n in (4, 5, 6, 7):
+        for r0 in default_r0_candidates(grid):
+            bp = BarrierProfile(r0, n)
+            s = grid.nodes[grid.nodes > r0 * (1.0 + 1e-9)]
+            # the head first, as the r0 search asks, then every node
+            head = bp.on_grid(grid, ("bprime",), np.count_nonzero(s <= 2 * r0))
+            kept = bp.on_grid(grid, closed_forms)
+            assert len(grid._barrier) <= KEPT_BARRIERS
+            assert np.shares_memory(kept[1], bp.on_grid(grid, ("bprime",))[0])
+            for name, values in zip(closed_forms, kept):
+                want = getattr(bp, name)(s)
+                assert values.shape == s.shape
+                assert np.array_equal(values.view(np.int64),
+                                      want.view(np.int64))
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+            assert np.array_equal(head[0], kept[1][:head[0].size])
+    # the keys used last are kept, the oldest dropped
+    assert list(grid._barrier)[-1] == (r0, 7)
+    assert len(grid._barrier) == KEPT_BARRIERS

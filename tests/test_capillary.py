@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import janglab.geometry
 from janglab.barrier import default_r0_candidates, find_r0
 from janglab.capillary import (CapillaryConfig, _collar_mask,
                                check_capillary_config,
@@ -223,3 +225,34 @@ def test_collar_mask_matches_the_quad_search(grid, n):
         mask = _collar_mask(data, grid, r_in, width)
         assert np.array_equal(mask, (r <= r_in) & (r >= want))
         assert np.any(mask)
+
+
+@pytest.mark.parametrize("field, factor", [("s0", 0.5), ("s0", 4.0),
+                                           ("r0", 0.9)])
+def test_checker_evaluates_the_collar_edge_of_its_own_config(
+        dec_data, field, factor, monkeypatch):
+    grid = build_grid(512.0, 2048, "uniform")
+    cfg = select_capillary_config(dec_data, find_r0(dec_data, grid, [1.0, 2.0]),
+                                  grid)
+    # the selection's edge, kept with the grid's frame
+    edge = radius_at_distance(dec_data, 8.0 * cfg.r0, 2.0 * cfg.s0)
+    changed = dataclasses.replace(cfg, **{field: getattr(cfg, field) * factor})
+    edges = []
+    radius = janglab.geometry.radius_at_distance
+
+    def counted(data, r_start, dist):
+        edges.append((r_start, dist))
+        return radius(data, r_start, dist)
+    monkeypatch.setattr(janglab.geometry, "radius_at_distance", counted)
+    got = check_capillary_config(changed, dec_data, grid)
+    assert edges == [(8.0 * changed.r0, 2.0 * changed.s0)]
+    # the verdict of a grid that keeps nothing
+    fresh = build_grid(512.0, 2048, "uniform")
+    assert got == check_capillary_config(changed, dec_data, fresh)
+    # the selection's edge would give the other collar verdict, so a keep
+    # keyed on the dataset alone fails here
+    r = grid.nodes
+    stale = (r <= 8.0 * changed.r0) & (r >= edge)
+    stale_fails = bool(np.any(stale)) and not np.all(
+        changed.Q[stale] > 128.0 / (changed.s1 * changed.s0))
+    assert any("collar" in p for p in got) != stale_fails

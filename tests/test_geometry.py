@@ -508,6 +508,39 @@ def test_validate_dataset_rejects_origin_slope(base_grid):
         validate_dataset(data, base_grid)
 
 
+def _power_profile(power):
+    """(1 + r^2)^(power/2), even, with its closed-form slopes."""
+    def jet(r, order):
+        w = 1.0 + r ** 2
+        out = [w ** (0.5 * power), power * r * w ** (0.5 * power - 1.0)]
+        out.append(power * (w ** (0.5 * power - 1.0) + (power - 2.0) * r ** 2
+                            * w ** (0.5 * power - 2.0)))
+        return tuple(out[:order + 1])
+    return AnalyticProfile(jet)
+
+
+def test_validate_dataset_fits_alpha_beside_the_next_order_term():
+    # trapped n = 5 data: a = c = (1 + 8 (1 + r^2)^{-3/2})^{4/3}, whose
+    # expansion 1 + (32/3) r^{-3} + O(r^{-5}) a one-term fit cannot separate
+    a = _conformal_power(16, 5, regularized=True)
+    q = _power_profile(-7.0)
+    data = RadialInitialData(n=5, a=a, c=a, q_rad=q, q_tan=q)
+    grid = build_grid(512.0, 4096, "uniform")
+    report = validate_dataset(data, grid)
+    assert abs(report["alpha"] - 32.0 / 3.0) < 1e-6
+    assert abs(report["slope_a"] + 5.0) < 0.01
+    assert report["slope_c"] == report["slope_a"]
+
+
+def test_validate_dataset_rejects_slow_decay_without_declared_alpha():
+    # a - 1 ~ 0.3 r^{-1/2}: no mass term and next-order term fit that
+    a = _tail_sum_profile([(0.3, -0.5)])
+    slow = RadialInitialData(n=4, a=a, c=a, q_rad=constant_profile(0.0),
+                             q_tan=constant_profile(0.0))
+    with pytest.raises(InvalidArgument, match="profile a decays at rate"):
+        validate_dataset(slow, build_grid(512.0, 2048, "uniform"))
+
+
 def test_dataset_json_roundtrip_is_deterministic(dec_data, base_grid):
     spec = dec_data.spec_dict(base_grid)
     rebuilt, grid2 = dataset_from_json(spec)

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 
+import janglab.barrier
 import janglab.capillary
 import janglab.geometry
 import janglab.jang_metric
@@ -13,8 +14,9 @@ from janglab.geometry import make_dataset
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_metric import xi_norm_sq
 from janglab.mass import positivity_experiment
-from janglab.pipeline import exhaustion_schedule, run_pipeline_on
+from janglab.pipeline import default_grid, exhaustion_schedule, run_pipeline_on
 from janglab.profiles import AnalyticProfile, SampledProfile
+from janglab.report import _json_bytes, solution_csv_from_results
 
 
 def test_exhaustion_schedule_fills_a_cut_schedule():
@@ -202,3 +204,58 @@ def test_a_certified_grid_is_freed_without_the_cycle_collector():
         assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+def _certified(m, grid):
+    """(results JSON without arrays, solution.csv, r0) of seed 7 at mass m."""
+    data = make_dataset("perturbed-dec", 4, {"m": m, "amplitude": 0.05},
+                        grid=grid, seed=7)
+    results = run_pipeline_on(data, grid, seed=7)
+    csv = solution_csv_from_results(results)
+    del results["arrays"]
+    return _json_bytes(results), csv, results["barrier"]["r0"]
+
+
+def test_what_a_grid_keeps_never_changes_a_result():
+    # r0 changes and comes back on one grid: each certification writes what
+    # it writes on a grid that keeps nothing
+    grid = default_grid()
+    for m, r0 in ((0.5, 1.0), (1.5, 2.0), (2.0, 4.0), (0.5, 1.0), (1.5, 2.0)):
+        got = _certified(m, grid)
+        assert got[2] == r0
+        assert got == _certified(m, default_grid())
+    # seed 501 of this batch has r0 = 4
+    rows = positivity_experiment(4, 20, 500, grid)["rows"]
+    fresh = [positivity_experiment(4, 1, 500 + k, default_grid())["rows"][0]
+             for k in range(20)]
+    assert _json_bytes(rows) == _json_bytes(fresh)
+
+
+def test_a_batch_evaluates_b_once_per_radius_and_each_collar_edge_once(
+        monkeypatch):
+    b_keys, edges, certified = [], [], []
+    b = janglab.barrier.BarrierProfile.b
+    radius = janglab.geometry.radius_at_distance
+    run = janglab.pipeline.run_pipeline_on
+
+    def counted_b(self, s):
+        b_keys.append((self.r0, self.n))
+        return b(self, s)
+
+    def counted_radius(data, r_start, dist):
+        edges.append((r_start, dist))
+        return radius(data, r_start, dist)
+
+    def counted_run(*args, **kwargs):
+        certified.append(run(*args, **kwargs))
+        return certified[-1]
+    monkeypatch.setattr(janglab.barrier.BarrierProfile, "b", counted_b)
+    monkeypatch.setattr(janglab.geometry, "radius_at_distance", counted_radius)
+    monkeypatch.setattr(janglab.pipeline, "run_pipeline_on", counted_run)
+    report = positivity_experiment(4, 20, 500, default_grid())
+    assert report["passed"] and len(certified) == 20
+    r0s = [res["barrier"]["r0"] for res in certified]
+    assert {1.0, 2.0, 4.0} <= set(r0s)
+    assert b_keys == list(dict.fromkeys((r0, 4) for r0 in r0s))
+    assert edges == [(8.0 * res["config"]["r0"], 2.0 * res["config"]["s0"])
+                     for res in certified]
