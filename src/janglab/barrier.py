@@ -10,7 +10,7 @@ beta function (DLMF 8.17):
 b, b' and b'' are all evaluated in closed form, which makes the second-order
 ODE satisfied by b a pure audit target rather than part of the construction.
 On a grid they depend on the nodes, r0 and n alone, so the grid keeps them
-(``BarrierProfile.on_grid``).
+per (r0, n) for its life (``BarrierProfile.on_grid``).
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from scipy.special import beta, betainc
 
 from .errors import DomainError, NoAdmissibleR0
 from .geometry import RadialFrame, RadialInitialData, graph_operator
-from .grids import RadialGrid, _kept
+from .grids import RadialGrid
 from .report import _float_csv
 
 _REL_EDGE = 1e-9
-# (r0, n) keys whose barrier values a grid keeps (``BarrierProfile.on_grid``);
-# the default candidates of an r_max = 512 grid are six
-KEPT_BARRIERS = 8
 
 
 @dataclass(frozen=True)
@@ -77,14 +74,13 @@ class BarrierProfile:
         first ``count`` grid nodes in (r0 (1 + 1e-9), r_max], all of them
         when None: one read-only array per name.
 
-        The grid keeps them per (r0, n), for the ``KEPT_BARRIERS`` keys
-        used last.  Each name is evaluated on the nodes asked for, and
-        again on more nodes when more are asked for.  The closed forms are
-        nodewise, so the values are bit for bit those of an evaluation at
-        the nodes asked for.
+        The grid keeps them per (r0, n) for its life
+        (``RadialGrid.kept``).  Each name is evaluated on the nodes asked
+        for, and again on more nodes when more are asked for.  The closed
+        forms are nodewise, so the values are bit for bit those of an
+        evaluation at the nodes asked for.
         """
-        values = _kept(grid, "_barrier", (self.r0, self.n), KEPT_BARRIERS,
-                       dict)
+        values = grid.kept(("barrier", self.r0, self.n), dict)
         nodes = grid.nodes
         start = int(np.searchsorted(nodes, self.r0 * (1.0 + _REL_EDGE),
                                     "right"))

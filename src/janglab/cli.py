@@ -82,6 +82,9 @@ def load_config(args) -> dict:
         if key in cfg and not _positive_numbers(cfg[key]):
             raise InvalidArgument(f"config {key!r} must be a non-empty list "
                                   f"of positive finite numbers")
+    # the exhaustion radii f r0 must exceed 32 r0
+    if any(f <= 32 for f in cfg.get("schedule_factors", ())):
+        raise InvalidArgument("config 'schedule_factors' must each exceed 32")
     for section, key in INTEGER_FIELDS:
         value = cfg.get(section, {}).get(key, 0)
         if isinstance(value, bool) or not isinstance(value, int):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
-from .grids import RadialGrid, _kept, build_grid
+from .grids import RadialGrid, build_grid
 from .profiles import AnalyticProfile, SampledProfile, constant_profile
 from .report import _float_csv
 
@@ -286,8 +286,6 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
-# (r_start, dist) pairs whose radius a frame keeps (RadialFrame.radius_at_distance)
-KEPT_EDGES = 4
 # the coefficients of a, c, n and origin_regular
 _METRIC = ("a", "da", "c", "dc", "d2c", "_sc", "f", "f1", "f2", "warp",
            "warp_a", "origin_d2", "R")
@@ -327,7 +325,7 @@ class RadialFrame:
         object.__setattr__(self, "_whole", None)
         object.__setattr__(self, "_c_is_a", self.data.c is self.data.a)
         # (r_start, dist) -> radius_at_distance(data, r_start, dist)
-        object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_edges", {})
 
     @classmethod
     def on(cls, data: RadialInitialData, grid: RadialGrid) -> "RadialFrame":
@@ -391,13 +389,15 @@ class RadialFrame:
 
     def radius_at_distance(self, r_start: float, dist: float) -> float:
         """``radius_at_distance(data, r_start, dist)``, an evaluated input
-        of the metric: kept with the frame for the ``KEPT_EDGES`` pairs
-        (r_start, dist) asked for last.  A cut frame asks its whole frame.
+        of the metric: kept with the frame per (r_start, dist).  A cut
+        frame asks its whole frame.
         """
         if self._whole is not None:
             return self._whole[0].radius_at_distance(r_start, dist)
-        return _kept(self, "_edges", (r_start, dist), KEPT_EDGES,
-                     lambda: radius_at_distance(self.data, r_start, dist))
+        edges = self._edges
+        if (r_start, dist) not in edges:
+            edges[r_start, dist] = radius_at_distance(self.data, r_start, dist)
+        return edges[r_start, dist]
 
     def _jet(self, profile: str) -> dict:
         """Evaluate one jet of ``profile`` at r and keep each of its arrays
@@ -558,6 +558,19 @@ def _origin_curvature(frame: RadialFrame, A0, A2):
     return n * (n - 1) * (A2 - 3.0 * frame.origin_d2[1]) / (2.0 * A0 ** 2)
 
 
+def _warped_curvature(frame: RadialFrame, A, dA):
+    """(1 - f'^2/A, f''/A - f' A'/(2A^2)) of ``A dr^2 + c r^2 sigma`` at the
+    frame radii, with the warping radius f = r sqrt(c).
+
+    The first over f^2 is the sectional curvature of a tangential plane,
+    minus the second over f that of a radial plane; every curvature of the
+    metric is built from these two.
+    """
+    f1 = frame.f1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 - f1 ** 2 / A, frame.f2 / A - f1 * dA / (2.0 * A ** 2)
+
+
 def warped_scalar_curvature(frame: RadialFrame, A, dA, A2_origin) -> np.ndarray:
     """Scalar curvature of ``A dr^2 + c r^2 sigma`` at the frame radii (r_0 = 0).
 
@@ -565,10 +578,11 @@ def warped_scalar_curvature(frame: RadialFrame, A, dA, A2_origin) -> np.ndarray:
         R = (n-1)(n-2) (1 - f'^2/A)/f^2 - 2(n-1) (f''/A - f' A'/(2A^2))/f
     and the even-profile limit at r = 0.  Origin-singular data get NaN there.
     """
-    n, f, f1 = frame.n, frame.f, frame.f1
+    n, f = frame.n, frame.f
+    tangential, radial = _warped_curvature(frame, A, dA)
     with np.errstate(divide="ignore", invalid="ignore"):
-        R = ((n - 1) * (n - 2) * (1.0 - f1 ** 2 / A) / f ** 2
-             - 2.0 * (n - 1) * (frame.f2 / A - f1 * dA / (2.0 * A ** 2)) / f)
+        R = ((n - 1) * (n - 2) * tangential / f ** 2
+             - 2.0 * (n - 1) * radial / f)
     R[0] = _origin_curvature(frame, A[0], A2_origin)
     return R
 
@@ -727,11 +741,12 @@ def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):
     n = data.n
     frame = RadialFrame.on(data, grid)
     frame.check_metric()
-    a, f, f1 = frame.a, frame.f, frame.f1
+    a, f = frame.a, frame.f
+    tangential, radial = _warped_curvature(frame, a, frame.da)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fss_over_f = (frame.f2 / a - f1 * frame.da / (2.0 * a ** 2)) / f
+        fss_over_f = radial / f
         ric_rad = -(n - 1) * fss_over_f
-        ric_tan = -fss_over_f + (n - 2) * (1.0 - f1 ** 2 / a) / f ** 2
+        ric_tan = -fss_over_f + (n - 2) * tangential / f ** 2
     # isotropy at a smooth center: every Ricci eigenvalue equals R/n there
     ric_rad[0] = ric_tan[0] = _origin_curvature(frame, a[0], frame.origin_d2[0]) / n
     return ric_rad, ric_tan

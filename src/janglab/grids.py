@@ -4,13 +4,15 @@ All fields live on a one-dimensional grid of radii ``0 = r_0 < r_1 < ... < r_N``
 Derivatives use three-point stencils that are exact on quadratics, so they are
 second order on uniform grids and on smoothly stretched (geometric) grids.
 
-What depends on the nodes alone is evaluated once per grid and kept on it:
-the stencil weights, the spline system, the coarsening, the frame of the
-last dataset, the last capillary cutoff and the barrier values of a few
-inner radii.  A grid truncated at one of its nodes is a view: its nodes
-are a leading slice of the base grid's immutable buffer, its stencil rows
-are the base grid's (the base grid keeps the outer row of each such
-truncation), and its frame and cutoff are slices of the base grid's.
+What depends on the nodes alone, plus a key its owner chooses, is made on
+first use and kept in one store on the grid for the grid's life
+(``RadialGrid.kept``): the stencil weights, the coarsening, the spline
+system, the capillary cutoff per r0 and the barrier values per (r0, n).
+The frame of the last dataset is kept apart, as it is replaced when the
+dataset changes.  A grid truncated at one of its nodes is a view: its
+nodes are a leading slice of the base grid's immutable buffer, its
+interior and origin stencil rows are the base grid's, and its frame and
+cutoff are slices of the base grid's.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import numpy as np
 from .errors import InvalidArgument
 
 MIN_NODES = 16
-# node counts whose outer one-sided stencil rows a grid keeps for the
-# truncations at its nodes (``RadialGrid._outer_rows``)
-KEPT_OUTER_ROWS = 16
 # relative distance within which a radius is taken to be r_max
 TRUNCATION_TOL = 1e-14
 
@@ -48,23 +47,6 @@ def _one_sided_weights(xs, x):
     on quadratics, as the rows of a (2, 3) array."""
     inv = np.linalg.inv(np.vander(xs - x, 3, increasing=True).T)
     return np.array([inv[:, 1], 2.0 * inv[:, 2]])
-
-
-def _kept(owner, attr: str, key, bound: int, make):
-    """The value kept for ``key`` in the dict ``owner.attr`` (None until
-    first use), made by ``make()`` when absent.  The dict holds the
-    ``bound`` keys used last."""
-    kept = getattr(owner, attr)
-    if kept is None:
-        kept = {}
-        object.__setattr__(owner, attr, kept)
-    value = kept.pop(key, None)
-    if value is None:
-        value = make()
-        if len(kept) >= bound:
-            del kept[next(iter(kept))]
-    kept[key] = value
-    return value
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -121,35 +103,18 @@ class RadialGrid:
     nodes: np.ndarray
     policy: str = "uniform"
     stretch: float = 1.0
-    # stencil weights (``_weights``): first and second derivative rows of
-    # the interior nodes, and the one-sided rows of the two end nodes
-    _d1: np.ndarray = field(default=None, repr=False, compare=False)
-    _d2: np.ndarray = field(default=None, repr=False, compare=False)
-    _ends: np.ndarray = field(default=None, repr=False, compare=False)
+    # key -> the value kept for it (``kept``)
+    _keeps: dict = field(default_factory=dict, repr=False, compare=False)
     # the frame of the last dataset evaluated here (geometry.RadialFrame.on)
     _frame: object = field(default=None, repr=False, compare=False)
-    # (key, zeta, zeta') of the last capillary cutoff evaluated here
-    # (capillary.CapillaryConfig.cutoff)
-    _cutoff: tuple = field(default=None, repr=False, compare=False)
-    # the not-a-knot spline system on these nodes (profiles._SplineSystem)
-    _spline: object = field(default=None, repr=False, compare=False)
-    # (r0, n) -> {name: values} of the barrier values evaluated here
-    # (barrier.BarrierProfile.on_grid)
-    _barrier: dict = field(default=None, repr=False, compare=False)
-    # node count m -> the one-sided rows at node m - 1 of the truncation
-    # at that node (``_outer_rows``)
-    _outer: dict = field(default=None, repr=False, compare=False)
     # the grid whose leading nodes these are (``truncate`` at a node): the
     # nodes are a slice of that grid's
     _prefix_of: "RadialGrid | None" = field(default=None, repr=False,
                                             compare=False)
     # the grid whose even-numbered nodes these are (a weak reference: that
-    # grid keeps this one in _coarse)
+    # grid keeps this one as its coarsening)
     _stride_of: "weakref.ref | None" = field(default=None, repr=False,
                                              compare=False)
-    # this grid's coarsening, built on first use
-    _coarse: "RadialGrid | None" = field(default=None, repr=False,
-                                         compare=False)
 
     def __post_init__(self):
         if self._prefix_of is not None:     # a view, made by truncate
@@ -186,6 +151,17 @@ class RadialGrid:
         base = self._stride_of() if self._stride_of is not None else None
         return None if base is None else (base, slice(None, None, 2))
 
+    def kept(self, key, make):
+        """The value kept on this grid for ``key``: ``make()`` on first use,
+        then the same object for as long as the grid lives.  The key names
+        its owner (``"spline"``, ``("barrier", r0, n)``), and the value
+        depends on nothing but the nodes and the key."""
+        keeps = self._keeps
+        value = keeps.get(key)
+        if value is None:
+            value = keeps[key] = make()
+        return value
+
     # -- derivative stencils ------------------------------------------------
 
     def _weights(self):
@@ -197,33 +173,21 @@ class RadialGrid:
         one-sided rows of derivative k + 1 at the origin (on nodes 0, 1, 2)
         and at r_max (on the last three nodes).  A truncation at a node
         reads the base grid's interior rows and origin rows, which are its
-        own, and its outer row, which the base grid keeps.
+        own, and evaluates its outer rows.
         """
-        if self._d1 is None:
-            x = self.nodes
-            if self._prefix_of is not None:
-                base = self._prefix_of
-                base_d1, base_d2, base_ends = base._weights()
-                d1, d2 = base_d1[:, :x.size - 2], base_d2[:, :x.size - 2]
-                first, last = base_ends[:, 0], base._outer_rows(x.size)
-            else:
-                d1, d2 = _three_point_weights(x[:-2], x[1:-1], x[2:])
-                first = _one_sided_weights(x[:3], x[0])
-                last = _one_sided_weights(x[-3:], x[-1])
-            ends = np.stack((first, last), axis=1)
-            object.__setattr__(self, "_d1", d1)
-            object.__setattr__(self, "_d2", d2)
-            object.__setattr__(self, "_ends", ends)
-        return self._d1, self._d2, self._ends
+        return self.kept("weights", self._evaluate_weights)
 
-    def _outer_rows(self, m: int) -> np.ndarray:
-        """The one-sided rows at node m - 1 on nodes m - 3 to m - 1: the
-        outer rows of the truncation at that node.  Kept per m for the
-        ``KEPT_OUTER_ROWS`` counts used last, so a truncation made again
-        evaluates none."""
+    def _evaluate_weights(self):
         x = self.nodes
-        return _kept(self, "_outer", m, KEPT_OUTER_ROWS,
-                     lambda: _one_sided_weights(x[m - 3:m], x[m - 1]))
+        last = _one_sided_weights(x[-3:], x[-1])
+        if self._prefix_of is not None:
+            base_d1, base_d2, base_ends = self._prefix_of._weights()
+            d1, d2 = base_d1[:, :x.size - 2], base_d2[:, :x.size - 2]
+            first = base_ends[:, 0]
+        else:
+            d1, d2 = _three_point_weights(x[:-2], x[1:-1], x[2:])
+            first = _one_sided_weights(x[:3], x[0])
+        return d1, d2, np.stack((first, last), axis=1)
 
     def deriv1(self, values: np.ndarray) -> np.ndarray:
         """Nodal first derivative of nodal values."""
@@ -269,8 +233,9 @@ class RadialGrid:
         whose sub-grid is the grid itself, with everything kept on it; a
         radius beyond that raises InvalidArgument.  When r_out is a node,
         the sub-grid is a view of this grid: its nodes are a leading slice
-        of these (neither copied nor checked again), and its stencils,
-        frames (``geometry.RadialFrame.on``) and cutoff read this grid's.
+        of these (neither copied nor checked again), and its interior
+        and origin stencil rows, frames (``geometry.RadialFrame.on``) and
+        cutoff read this grid's.
         Otherwise a node within a relative 1e-14 of r_out is moved onto
         it, and the sub-grid is built from its own copy of the nodes.
         """
@@ -298,23 +263,22 @@ class RadialGrid:
         even N its frames read every other value of this grid's frame
         (``geometry.RadialFrame.on``); for odd N they are evaluated.
         """
-        if self._coarse is None:
+        def make():
             nodes, stride_of = self.nodes[::2], weakref.ref(self)
             if self.n_intervals % 2:
                 nodes, stride_of = np.append(nodes, self.nodes[-1]), None
-            object.__setattr__(self, "_coarse", RadialGrid(
-                nodes, policy="coarsened", stretch=self.stretch,
-                _stride_of=stride_of))
-        return self._coarse
+            return RadialGrid(nodes, policy="coarsened", stretch=self.stretch,
+                              _stride_of=stride_of)
+        return self.kept("coarse", make)
 
     def _keep_frame(self, frame) -> None:
         """Hold ``frame`` as this grid's frame.  The frames of its even
         coarsenings read the frame it replaces, so they are dropped."""
         object.__setattr__(self, "_frame", frame)
-        coarse = self._coarse
+        coarse = self._keeps.get("coarse")
         while coarse is not None and coarse._stride_of is not None:
             object.__setattr__(coarse, "_frame", None)
-            coarse = coarse._coarse
+            coarse = coarse._keeps.get("coarse")
 
     def outer_third_mask(self) -> np.ndarray:
         """Boolean mask selecting radii in the outer third of [0, r_max]."""

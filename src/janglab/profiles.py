@@ -68,10 +68,8 @@ class SampledProfile:
         self._slopes = None
 
     def _system(self) -> "_SplineSystem":
-        grid = self.grid
-        if grid._spline is None:   # one spline system per grid
-            object.__setattr__(grid, "_spline", _SplineSystem(grid.nodes))
-        return grid._spline
+        grid = self.grid    # one spline system per grid
+        return grid.kept("spline", lambda: _SplineSystem(grid.nodes))
 
     def slopes(self) -> np.ndarray:
         """The spline's slopes at the nodes, solved for once."""
@@ -90,7 +88,7 @@ class SampledProfile:
 
     def _eval(self, r, order):
         r = np.asarray(r, dtype=float)
-        grid, coarse = self.grid, self.grid._coarse
+        grid, coarse = self.grid, self.grid._keeps.get("coarse")
         if r is grid.nodes:
             return self._at_nodes(order)
         if coarse is not None and r is coarse.nodes:
@@ -173,13 +171,14 @@ class _SplineSystem:
     """scipy's not-a-knot ``CubicSpline`` on one grid's nodes.
 
     The spacings and end factors depend on the nodes alone, so a grid
-    builds them once (``RadialGrid._spline``).  ``slopes(y)`` assembles
-    CubicSpline's right-hand side and calls the LAPACK routine
-    (``gtsv``) that its ``solve_banded((1, 1), ...)`` calls, and
-    ``spline(y, s)`` forms its Hermite coefficients: the result equals
-    ``CubicSpline(nodes, y)`` bit for bit.  The three diagonals are formed
-    per solve, which overwrites them: keeping them would hold three arrays
-    of the grid's size for as long as the grid lives.
+    builds them once and keeps them (``SampledProfile._system``).
+    ``slopes(y)`` assembles CubicSpline's right-hand side and calls the
+    LAPACK routine (``gtsv``) that its ``solve_banded((1, 1), ...)``
+    calls, and ``spline(y, s)`` forms its Hermite coefficients: the
+    result equals ``CubicSpline(nodes, y)`` bit for bit.  The three
+    diagonals are formed per solve, which overwrites them: keeping them
+    would hold three arrays of the grid's size for as long as the grid
+    lives.
     """
 
     def __init__(self, x: np.ndarray):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import janglab.barrier
-from janglab.barrier import (KEPT_BARRIERS, BarrierProfile, _search_r0,
+from janglab.barrier import (BarrierProfile, _search_r0,
                              barrier_audit_passes, barrier_csv,
                              barrier_inequality_audit, default_r0_candidates,
                              find_r0, ode_residual, ode_residual_audit)
@@ -286,7 +286,6 @@ def test_kept_barrier_values_are_the_closed_forms_bit_for_bit(spec):
             # the head first, as the r0 search asks, then every node
             head = bp.on_grid(grid, ("bprime",), np.count_nonzero(s <= 2 * r0))
             kept = bp.on_grid(grid, closed_forms)
-            assert len(grid._barrier) <= KEPT_BARRIERS
             assert np.shares_memory(kept[1], bp.on_grid(grid, ("bprime",))[0])
             for name, values in zip(closed_forms, kept):
                 want = getattr(bp, name)(s)
@@ -297,6 +296,7 @@ def test_kept_barrier_values_are_the_closed_forms_bit_for_bit(spec):
                 with pytest.raises(ValueError):
                     values[0] = 0.0
             assert np.array_equal(head[0], kept[1][:head[0].size])
-    # the keys used last are kept, the oldest dropped
-    assert list(grid._barrier)[-1] == (r0, 7)
-    assert len(grid._barrier) == KEPT_BARRIERS
+    # every (r0, n) asked for stays kept
+    assert [key for key in grid._keeps if key[0] == "barrier"] == [
+        ("barrier", r0, n) for n in (4, 5, 6, 7)
+        for r0 in default_r0_candidates(grid)]

@@ -153,12 +153,14 @@ def test_non_object_config_section_is_config_error(tmp_path, capsys, command,
     ("schedule_factors", None),
     ("schedule_factors", []),
     ("schedule_factors", [64, -128]),
+    # every exhaustion radius f r0 must exceed 32 r0
+    ("schedule_factors", [8, 16, 32]),
     ("r0_candidates", "x"),
     ("r0_candidates", [1.0, "2"]),
     ("r0_candidates", [True]),
     ("r0_candidates", [float("inf")]),
 ], ids=["factors-number", "factors-null", "factors-empty", "factors-negative",
-        "r0-string", "r0-string-item", "r0-bool", "r0-inf"])
+        "factors-at-most-32", "r0-string", "r0-string-item", "r0-bool", "r0-inf"])
 def test_bad_top_level_list_is_config_error(tmp_path, capsys, key, value):
     for command in ("barrier", "solve", "audit", "pipeline"):
         code, out = run(tmp_path, command, cfg={**GOOD, key: value},

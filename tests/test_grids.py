@@ -8,7 +8,7 @@ from janglab.barrier import default_r0_candidates
 from janglab.capillary import CapillaryConfig
 from janglab.errors import InvalidArgument
 from janglab.geometry import make_dataset
-from janglab.grids import (KEPT_OUTER_ROWS, MIN_NODES, TRUNCATION_TOL,
+from janglab.grids import (MIN_NODES, TRUNCATION_TOL,
                            RadialGrid,
                            _cumulative_trapezoid, _simpson,
                            _three_point_weights, build_grid,
@@ -260,29 +260,3 @@ def test_trapezoid_and_simpson_equal_scipy_bit_for_bit(policy, n_intervals):
         assert np.array_equal(_cumulative_trapezoid(y, r).view(np.int64),
                               want.view(np.int64))
         assert _simpson(y, r) == float(simpson(y, x=r))
-
-
-def test_a_truncation_made_again_evaluates_no_inverse(monkeypatch):
-    grid = build_grid(512.0, 2048, "uniform")
-    r = grid.nodes
-    values = np.sin(r / 7.0) * np.exp(-r / 50.0)
-    first = grid.truncate(128.0)
-    m = first.nodes.size
-    want = (first.deriv1(values[:m]), first.deriv2(values[:m]))
-    inverses = []
-    inv = np.linalg.inv
-
-    def counted(matrix):
-        inverses.append(matrix)
-        return inv(matrix)
-    monkeypatch.setattr(np.linalg, "inv", counted)
-    again = grid.truncate(128.0)
-    assert again is not first and again._prefix_of is grid
-    got = (again.deriv1(values[:m]), again.deriv2(values[:m]))
-    assert inverses == []
-    assert all(_bits(x) == _bits(y) for x, y in zip(got, want))
-    # the grid keeps the outer rows of the counts used last, and no more
-    for k in range(KEPT_OUTER_ROWS + 3):
-        grid.truncate(r[100 + k])._weights()
-    assert len(grid._outer) == KEPT_OUTER_ROWS
-    assert m not in grid._outer and 100 + KEPT_OUTER_ROWS + 3 in grid._outer

@@ -10,6 +10,7 @@ import janglab.geometry
 import janglab.jang_metric
 import janglab.pipeline
 import janglab.profiles
+from janglab.barrier import default_r0_candidates
 from janglab.geometry import make_dataset
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_metric import xi_norm_sq
@@ -252,10 +253,20 @@ def test_a_batch_evaluates_b_once_per_radius_and_each_collar_edge_once(
     monkeypatch.setattr(janglab.barrier.BarrierProfile, "b", counted_b)
     monkeypatch.setattr(janglab.geometry, "radius_at_distance", counted_radius)
     monkeypatch.setattr(janglab.pipeline, "run_pipeline_on", counted_run)
-    report = positivity_experiment(4, 20, 500, default_grid())
+    grid = default_grid()
+    report = positivity_experiment(4, 20, 500, grid)
     assert report["passed"] and len(certified) == 20
     r0s = [res["barrier"]["r0"] for res in certified]
     assert {1.0, 2.0, 4.0} <= set(r0s)
     assert b_keys == list(dict.fromkeys((r0, 4) for r0 in r0s))
     assert edges == [(8.0 * res["config"]["r0"], 2.0 * res["config"]["s0"])
                      for res in certified]
+    # the first r0, certified again after more than 8 other (r0, n) keys,
+    # evaluates no b
+    for n in (5, 6):
+        for r0 in default_r0_candidates(grid):
+            janglab.barrier.BarrierProfile(r0, n).on_grid(grid, ("b",), 8)
+    assert len(set(b_keys)) > 8 + 1
+    assert positivity_experiment(4, 1, 500, grid)["passed"]
+    assert certified[-1]["barrier"]["r0"] == r0s[0]
+    assert b_keys.count((r0s[0], 4)) == 1

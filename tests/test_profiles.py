@@ -151,7 +151,8 @@ def test_each_grid_builds_one_spline_system(monkeypatch):
             prof(0.5 * grid.r_max)
     assert len(built) == len(grids)
     assert all(x is grid.nodes for x, grid in zip(built, grids))
-    assert all(isinstance(grid._spline, _SplineSystem) for grid in grids)
+    assert all(isinstance(grid._keeps["spline"], _SplineSystem)
+               for grid in grids)
 
 
 def test_spline_rejects_non_finite_values():
