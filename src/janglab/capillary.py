@@ -127,9 +127,9 @@ def select_capillary_config(data: RadialInitialData, r0: float,
                             grid: RadialGrid) -> CapillaryConfig:
     """Construct a capillary configuration for a strict-DEC dataset.
 
-    Raises GridTooShort when the grid ends before 64 r0, DecViolation when
-    min(margin) <= 0 and ConfigFailure when the constructed parameters fail
-    the independent invariant check.
+    Raises GridTooShort when the grid ends before 64 r0 or has no node in
+    (4 r0, 8 r0), DecViolation when min(margin) <= 0 and ConfigFailure when
+    the constructed parameters fail the independent invariant check.
     """
     if grid.r_max < 64.0 * r0:
         raise GridTooShort(
@@ -150,6 +150,10 @@ def select_capillary_config(data: RadialInitialData, r0: float,
     dz2 = cfg.dzeta_norm_sq(data, grid)
     zeta = cfg.cutoff(grid)[0]
     supp = dz2 > 0.0
+    if not np.any(supp):
+        h = np.diff(r)[np.searchsorted(r, 4.0 * r0, "right") - 1]
+        raise GridTooShort(f"capillary selection at r0 = {r0:g} has no node "
+                           f"in the collar (4 r0, 8 r0), node spacing {h:g}")
     cfg.kappa0 = float(np.sqrt(np.min(margin[supp] / (4.0 * dz2[supp]))))
 
     qn = frame.q_norm

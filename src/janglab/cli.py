@@ -1,9 +1,9 @@
 """Command-line driver: configuration ingestion and pipeline orchestration.
 
 Subcommands: gen, barrier, solve, audit, mass, pipeline, experiment.
-Exit codes: 0 success, 2 configuration error, 3 energy-condition violation,
-4 solver failure, 5 audit failure (artifacts are still written).
-The output directory comes from --out, overridden by $JANGLAB_OUT.
+Exit codes (``EXITS``): 0 success, 2 configuration error (nothing written),
+3 energy-condition violation, 4 solver failure, 5 audit failure (artifacts
+are still written).  Output goes to $JANGLAB_OUT if set, else to --out.
 """
 
 from __future__ import annotations
@@ -17,39 +17,82 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import jang_solver
+from . import errors, jang_solver
 from .barrier import (BarrierProfile, barrier_csv, find_r0,
                       default_r0_candidates)
 from .capillary import select_capillary_config
-from .errors import (ConfigFailure, ContinuationFailure, DecViolation,
-                     ExhaustionNonconvergence, GenerationFailure,
-                     GridTooShort, InvalidArgument, JanglabError,
-                     NewtonDivergence, NoAdmissibleR0, NumericalDegeneracy,
-                     SingularJacobian)
 from .geometry import make_dataset, validate_dataset
 from .grids import build_grid
 from .mass import experiment_csv, fit_alpha, positivity_experiment
-from .pipeline import SCHEDULE_FACTORS, exhaustion_schedule, run_pipeline_on
+from .pipeline import (DEFAULT_N_INTERVALS, DEFAULT_R_MAX, SCHEDULE_FACTORS,
+                       exhaustion_schedule, run_pipeline_on)
 from .report import _csv_blocks, emit_report, write_artifact
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DEC = 3
-EXIT_SOLVER = 4
-EXIT_AUDIT = 5
+EXIT_OK, EXIT_CONFIG, EXIT_DEC, EXIT_SOLVER, EXIT_AUDIT = 0, 2, 3, 4, 5
 
-# config fields read as integers: a float, string or bool is rejected, not
-# truncated or coerced into a run nobody asked for
-INTEGER_FIELDS = (("grid", "n_intervals"), ("dataset", "n"),
-                  ("dataset", "seed"), ("experiment", "n"),
-                  ("experiment", "count"), ("experiment", "seed"))
-# config fields read as positive finite numbers, when present
-NUMBER_FIELDS = (("grid", "r_max"), ("grid", "stretch"))
+# A failed run exits with the code of the first row naming its error's class
+# (GridTooShort is an InvalidArgument).  An OSError is a config file that
+# cannot be read or an --out that cannot be written (IOFailure).  Any other
+# error is a defect, and its traceback is shown.
+EXITS = (
+    ((errors.DecViolation,), "energy-condition violation", EXIT_DEC),
+    ((errors.GridTooShort, errors.GenerationFailure, errors.NoAdmissibleR0,
+      errors.ConfigFailure, errors.NumericalDegeneracy,
+      errors.NewtonDivergence, errors.SingularJacobian,
+      errors.ContinuationFailure, errors.ExhaustionNonconvergence),
+     "solver failure", EXIT_SOLVER),
+    ((errors.InvalidArgument, OSError, json.JSONDecodeError),
+     "configuration error", EXIT_CONFIG),
+    ((errors.JanglabError,), "audit failure", EXIT_AUDIT),
+)
+_FAILURES = tuple(c for classes, _, _ in EXITS for c in classes)
 
-SOLVER_ERRORS = (ContinuationFailure, ExhaustionNonconvergence,
-                 NewtonDivergence, NoAdmissibleR0, SingularJacobian,
-                 GenerationFailure, NumericalDegeneracy, ConfigFailure,
-                 GridTooShort)
+
+def _number(value, above=0.0) -> bool:
+    """A finite JSON number (not a bool) above ``above``."""
+    return type(value) in (int, float) and above < value < math.inf
+
+
+def _numbers(value, above=0.0) -> bool:
+    """A non-empty JSON list of numbers above ``above``."""
+    return (type(value) is list and value != []
+            and all(_number(v, above) for v in value))
+
+
+def _natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# Each config field that main reads: (check, what its value must be,
+# default).  A check is a predicate or the exact JSON type, so no float or
+# bool is coerced into a run nobody asked for.  An absent field takes its
+# default, or a function of the config.  "*" is each key of its section.
+FIELDS = {
+    "grid": (dict, "a JSON object", {}),
+    "grid.r_max": (_number, "a positive finite number", DEFAULT_R_MAX),
+    "grid.n_intervals": (int, "an integer", DEFAULT_N_INTERVALS),
+    "grid.policy": (str, "a string", "uniform"),
+    "grid.stretch": (_number, "a positive finite number", None),
+    "dataset": (dict, "a JSON object", {}),
+    "dataset.family": (str, "a string", "perturbed-dec"),
+    "dataset.n": (int, "an integer", 4),
+    "dataset.seed": (_natural, "a nonnegative integer", 0),
+    "dataset.params": (dict, "a JSON object", {}),
+    "dataset.params.*": (lambda v: _number(v, -math.inf), "a finite number",
+                         None),
+    "experiment": (dict, "a JSON object", {}),
+    "experiment.n": (int, "an integer", 4),
+    "experiment.count": (int, "an integer", 20),
+    "experiment.seed": (_natural, "a nonnegative integer",
+                        lambda cfg: cfg.get("dataset", {}).get("seed", 1)),
+    # each exhaustion radius f r0 must exceed 32 r0
+    "schedule_factors": (lambda v: _numbers(v, 32.0),
+                         "a non-empty list of numbers that each exceed 32",
+                         SCHEDULE_FACTORS),
+    # absent: the grid's default_r0_candidates
+    "r0_candidates": (_numbers, "a non-empty list of positive finite numbers",
+                      None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,175 +112,126 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> dict:
+    """The config with the --seed and --grid-n overrides, checked by FIELDS."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise InvalidArgument("config root must be a JSON object")
-    for key in ("grid", "dataset", "experiment"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise InvalidArgument(f"config {key!r} must be a JSON object")
-    for key in ("schedule_factors", "r0_candidates"):
-        if key in cfg and not _positive_numbers(cfg[key]):
-            raise InvalidArgument(f"config {key!r} must be a non-empty list "
-                                  f"of positive finite numbers")
-    # the exhaustion radii f r0 must exceed 32 r0
-    if any(f <= 32 for f in cfg.get("schedule_factors", ())):
-        raise InvalidArgument("config 'schedule_factors' must each exceed 32")
-    for section, key in INTEGER_FIELDS:
-        value = cfg.get(section, {}).get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidArgument(f"config '{section}.{key}' must be an "
-                                  f"integer")
-    for section, key in NUMBER_FIELDS:
-        fields = cfg.get(section, {})
-        if key in fields and not _positive_number(fields[key]):
-            raise InvalidArgument(f"config '{section}.{key}' must be a "
-                                  f"positive finite number")
-    params = cfg.get("dataset", {}).get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidArgument("config 'dataset.params' must be a JSON object")
-    for key, value in params.items():
-        if not _finite_number(value):
-            raise InvalidArgument(f"config 'dataset.params.{key}' must be a "
-                                  f"finite number")
-    if args.seed is not None:
-        cfg.setdefault("dataset", {})["seed"] = args.seed
-    if args.grid_n is not None:
-        cfg.setdefault("grid", {})["n_intervals"] = args.grid_n
+    if type(cfg) is not dict:
+        raise errors.InvalidArgument("config root must be a JSON object")
+    for section, key, value in (("dataset", "seed", args.seed),
+                                ("grid", "n_intervals", args.grid_n)):
+        # a section that is not an object is refused below
+        if value is not None and type(cfg.setdefault(section, {})) is dict:
+            cfg[section][key] = value
+    for name, (check, what, _) in FIELDS.items():
+        for key, value in _present(cfg, name):
+            if not (type(value) is check if type(check) is type
+                    else check(value)):
+                raise errors.InvalidArgument(f"config {key!r} must be {what}")
     return cfg
 
 
-def _finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -math.inf < value < math.inf)
+def _present(cfg: dict, name: str) -> list:
+    """(dotted key, value) for each value of field ``name`` in the config."""
+    found = [((), cfg)]
+    for part in name.split("."):
+        found = [((*path, key), section[key]) for path, section in found
+                 for key in (section if part == "*" else (part,))
+                 if key in section]
+    return [(".".join(path), value) for path, value in found]
 
 
-def _positive_number(value) -> bool:
-    return _finite_number(value) and value > 0
-
-
-def _positive_numbers(value) -> bool:
-    return (isinstance(value, list) and len(value) > 0
-            and all(_positive_number(v) for v in value))
+def _setting(cfg: dict, name: str):
+    """The value of field ``name``, or its default."""
+    for _, value in _present(cfg, name):
+        return value
+    default = FIELDS[name][2]
+    return default(cfg) if callable(default) else default
 
 
 def resolve_out(args) -> str:
     return os.environ.get("JANGLAB_OUT") or args.out
 
 
-def _grid_from_config(cfg):
-    g = cfg.get("grid", {})
-    policy = g.get("policy", "uniform")
-    return build_grid(g.get("r_max", 512.0),
-                      g.get("n_intervals", 2048),
-                      policy, g.get("stretch"))
-
-
-def _dataset_from_config(cfg, grid):
-    ds = cfg.get("dataset", {})
-    family = ds.get("family", "perturbed-dec")
-    n = ds.get("n", 4)
-    return make_dataset(family, n, ds.get("params", {}), grid=grid,
-                        seed=ds.get("seed", 0))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = resolve_out(args)
+    cfg = None
     try:
         cfg = load_config(args)
-    except (OSError, json.JSONDecodeError, InvalidArgument) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _run(args, cfg, out)
+    except _FAILURES as exc:
+        return _exit(exc, cfg, out)
 
-    try:
-        grid = _grid_from_config(cfg)
-        if args.command == "experiment":
-            exp = cfg.get("experiment", {})
-            seed = args.seed if args.seed is not None else exp.get(
-                "seed", cfg.get("dataset", {}).get("seed", 1))
-            report = positivity_experiment(
-                exp.get("n", 4), exp.get("count", 20), seed,
-                grid=grid)
-            write_artifact(out, "experiment.csv", experiment_csv(report))
-            write_artifact(out, "experiment.json", report)
-            return EXIT_OK if report["passed"] else EXIT_AUDIT
-        data = _dataset_from_config(cfg, grid)
-    except (InvalidArgument, KeyError, ValueError, TypeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DecViolation, *SOLVER_ERRORS) as exc:
-        return _failed(exc, cfg, out)
 
-    seed = cfg.get("dataset", {}).get("seed", 0)
-    try:
-        if args.command == "gen":
-            validation = validate_dataset(data, grid)
-            write_artifact(out, "dataset.json", data.spec_dict(grid))
-            write_artifact(out, "profiles.csv", data.profiles_csv(grid))
-            write_artifact(out, "validation.json", validation)
-            return EXIT_OK
+def _run(args, cfg: dict, out: str) -> int:
+    grid = build_grid(*(_setting(cfg, "grid." + key) for key in
+                        ("r_max", "n_intervals", "policy", "stretch")))
+    if args.command == "experiment":
+        seed = _setting(cfg, "experiment.seed")
+        report = positivity_experiment(
+            _setting(cfg, "experiment.n"), _setting(cfg, "experiment.count"),
+            seed if args.seed is None else args.seed, grid=grid)
+        write_artifact(out, "experiment.csv", experiment_csv(report))
+        write_artifact(out, "experiment.json", report)
+        return EXIT_OK if report["passed"] else EXIT_AUDIT
 
-        if args.command == "barrier":
-            r0 = find_r0(data, grid, cfg.get("r0_candidates")
-                         or default_r0_candidates(grid))
-            bp = BarrierProfile(r0=r0, n=data.n)
-            samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
-            write_artifact(out, "barrier.csv", barrier_csv(bp, samples))
-            write_artifact(out, "barrier.json", {"r0": r0, "n": data.n})
-            return EXIT_OK
-
-        if args.command == "mass":
-            alpha, fit = fit_alpha(data, grid)
-            write_artifact(out, "mass.json", {"alpha": alpha,
-                                              "fit": asdict(fit)})
-            return EXIT_OK
-
-        if args.command == "solve":
-            r0 = find_r0(data, grid, cfg.get("r0_candidates")
-                         or default_r0_candidates(grid))
-            config = select_capillary_config(data, r0, grid)
-            schedule = exhaustion_schedule(
-                r0, grid.r_max,
-                cfg.get("schedule_factors", SCHEDULE_FACTORS))
-            limit = jang_solver.exhaustion_solve(data, config, schedule, grid)
-            write_artifact(out, "solution.csv",
-                           _csv_blocks(("r", "u"), (grid.nodes, limit.u)))
-            write_artifact(out, "trace.json", {"trace": limit.trace,
-                                               "schedule": schedule})
-            return EXIT_OK
-
+    seed = _setting(cfg, "dataset.seed")
+    data = make_dataset(*(_setting(cfg, "dataset." + key) for key in
+                          ("family", "n", "params")), grid=grid, seed=seed)
+    candidates = (_setting(cfg, "r0_candidates")
+                  or default_r0_candidates(grid))
+    factors, passed = _setting(cfg, "schedule_factors"), True
+    if args.command == "gen":
+        validation = validate_dataset(data, grid)
+        files = {"dataset.json": data.spec_dict(grid),
+                 "profiles.csv": data.profiles_csv(grid),
+                 "validation.json": validation}
+    elif args.command == "mass":
+        alpha, fit = fit_alpha(data, grid)
+        files = {"mass.json": {"alpha": alpha, "fit": asdict(fit)}}
+    elif args.command == "barrier":
+        r0 = find_r0(data, grid, candidates)
+        samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
+        files = {"barrier.csv": barrier_csv(BarrierProfile(r0=r0, n=data.n),
+                                            samples),
+                 "barrier.json": {"r0": r0, "n": data.n}}
+    elif args.command == "solve":
+        r0 = find_r0(data, grid, candidates)
+        config = select_capillary_config(data, r0, grid)
+        schedule = exhaustion_schedule(r0, grid.r_max, factors)
+        limit = jang_solver.exhaustion_solve(data, config, schedule, grid)
+        files = {"solution.csv": _csv_blocks(("r", "u"),
+                                             (grid.nodes, limit.u)),
+                 "trace.json": {"trace": limit.trace, "schedule": schedule}}
+    else:
         # audit and pipeline both run the full chain; audit emits only the
         # audit report, pipeline emits everything
-        results = run_pipeline_on(
-            data, grid, seed=seed,
-            schedule_factors=cfg.get("schedule_factors", SCHEDULE_FACTORS),
-            r0_candidates=cfg.get("r0_candidates"))
+        results = run_pipeline_on(data, grid, seed, factors, candidates)
         results["config_echo"] = cfg
-        if args.command == "audit":
-            write_artifact(out, "audits.json",
-                           {k: v for k, v in results.items()
-                            if k != "arrays"})
-        else:
+        passed, files = results["audits_passed"], {}
+        if args.command == "pipeline":
             emit_report(results, out)
-        return EXIT_OK if results["audits_passed"] else EXIT_AUDIT
+        else:
+            files["audits.json"] = {k: v for k, v in results.items()
+                                    if k != "arrays"}
+    for name, payload in files.items():
+        write_artifact(out, name, payload)
+    return EXIT_OK if passed else EXIT_AUDIT
 
-    except JanglabError as exc:
-        return _failed(exc, cfg, out)
 
-
-def _failed(exc: JanglabError, cfg: dict, out: str) -> int:
-    """Report a failed run on stderr and in error.json; return its exit code."""
-    if isinstance(exc, DecViolation):
-        label, code = "energy-condition violation", EXIT_DEC
-    elif isinstance(exc, SOLVER_ERRORS):
-        label, code = "solver failure", EXIT_SOLVER
-    else:
-        label, code = "audit failure", EXIT_AUDIT
+def _exit(exc: Exception, cfg: dict, out: str) -> int:
+    """Report a failed run on stderr and, unless its code is 2, in error.json
+    (a failure to write that is reported next); return its ``EXITS`` code."""
+    label, code = next((label, code) for classes, label, code in EXITS
+                       if isinstance(exc, classes))
     print(f"{label}: {exc}", file=sys.stderr)
-    emit_report({"error": str(exc), "config_echo": cfg}, out)
+    if code != EXIT_CONFIG:
+        try:
+            emit_report({"error": str(exc), "config_echo": cfg}, out)
+        except errors.IOFailure as failure:
+            return _exit(failure, cfg, out)
     return code
 
 

@@ -10,7 +10,7 @@ class InvalidArgument(JanglabError, ValueError):
 
 
 class GridTooShort(InvalidArgument):
-    """The grid ends before a radius that the chosen r0 needs."""
+    """The grid is too short or too coarse for the chosen r0."""
 
 
 class GenerationFailure(JanglabError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import GridTooShort, InvalidArgument
 
 MIN_NODES = 16
 # relative distance within which a radius is taken to be r_max
@@ -230,12 +230,12 @@ class RadialGrid:
         """Sub-grid covering [0, r_out]; appends r_out if it is not a node.
 
         A radius within a relative ``TRUNCATION_TOL`` of r_max is r_max,
-        whose sub-grid is the grid itself, with everything kept on it; a
-        radius beyond that raises InvalidArgument.  When r_out is a node,
-        the sub-grid is a view of this grid: its nodes are a leading slice
-        of these (neither copied nor checked again), and its interior
-        and origin stencil rows, frames (``geometry.RadialFrame.on``) and
-        cutoff read this grid's.
+        whose sub-grid is the grid itself, with everything kept on it; one
+        beyond raises InvalidArgument, and one up to node ``MIN_NODES``
+        GridTooShort.  When r_out is a node, the sub-grid is a view of this
+        grid: its nodes are a leading slice of these (neither copied nor
+        checked again), and its interior and origin stencil rows, frames
+        (``geometry.RadialFrame.on``) and cutoff read this grid's.
         Otherwise a node within a relative 1e-14 of r_out is moved onto
         it, and the sub-grid is built from its own copy of the nodes.
         """
@@ -244,7 +244,7 @@ class RadialGrid:
         if r_out == x[-1]:
             return self
         if r_out <= x[MIN_NODES]:
-            raise InvalidArgument("truncation radius leaves too few nodes")
+            raise GridTooShort(f"truncation radius {r_out:g} leaves too few nodes")
         m = int(np.searchsorted(x, r_out * (1.0 + 1e-14), "right"))
         if x[m - 1] == r_out:
             return RadialGrid(x[:m], policy="truncated", stretch=self.stretch,

@@ -344,3 +344,40 @@ def test_cli_loads_only_scipy_linalg_and_special(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[-2] == f"{EXIT_OK} []"
+
+
+@pytest.mark.parametrize("cfg, extra, out, code, lines, written", [
+    # at N = 128 the nodes sit on 4 r0 and 8 r0, none inside the collar
+    (GOOD, ("--grid-n", "128"), "out", EXIT_SOLVER,
+     ["solver failure: capillary selection at r0 = 1 has no node"],
+     {"error.json", "manifest.json"}),
+    # at N = 100 the first exhaustion radius 64 r0 lies below node 16
+    (GOOD, ("--grid-n", "100"), "out", EXIT_SOLVER,
+     ["solver failure: truncation radius 64 leaves too few nodes"],
+     {"error.json", "manifest.json"}),
+    (GOOD, (), "file/sub", EXIT_CONFIG,
+     ["configuration error: cannot write audits.json"], None),
+    # the failure comes first, then the error.json that could not be written
+    ({"dataset": {"family": "flat", "n": 4}}, (), "file/sub", EXIT_CONFIG,
+     ["energy-condition violation: strict DEC fails",
+      "configuration error: cannot write error.json"], None),
+], ids=["collar-without-node", "truncation-near-origin", "unwritable-out",
+        "unwritable-error-json"])
+def test_each_failure_exits_with_its_documented_code(tmp_path, capsys, cfg,
+                                                     extra, out, code, lines,
+                                                     written):
+    # main returns the code: an error escaping it would fail this test
+    (tmp_path / "file").write_text("")
+    got, out_dir = run(tmp_path, "pipeline", cfg=cfg, extra=extra, out=out)
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err
+    err = err.splitlines()
+    assert len(err) == len(lines)
+    assert all(line.startswith(want) for line, want in zip(err, lines)), err
+    if written is None:
+        assert not os.path.exists(out_dir)
+    else:
+        assert set(os.listdir(out_dir)) == written
+        error = json.loads((tmp_path / out / "error.json").read_text())
+        assert error["error"] == err[0].split(": ", 1)[1]
