@@ -305,7 +305,12 @@ def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
         if abs(stretch - 1.0) < 1e-14:
             return build_grid(r_max, n_intervals, "uniform")
         # h0 * (s^N - 1)/(s - 1) = r_max
-        h0 = r_max * (stretch - 1.0) / (stretch ** n_intervals - 1.0)
+        try:
+            h0 = r_max * (stretch - 1.0) / (stretch ** n_intervals - 1.0)
+        except OverflowError:
+            raise InvalidArgument(
+                f"geometric stretch {stretch} overflows over {n_intervals} "
+                f"intervals: stretch ** N is not a finite float") from None
         h = h0 * stretch ** np.arange(n_intervals)
         nodes = np.concatenate(([0.0], np.cumsum(h)))
         nodes[-1] = r_max
