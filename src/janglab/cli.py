@@ -179,6 +179,26 @@ def _keep_freed_heap() -> None:
             mallopt(_M_TRIM_THRESHOLD, _KEPT_HEAP_BYTES)
 
 
+# The grid of the last run and the grid settings it was built from.  A run
+# on the same settings reuses it, with everything it keeps (stencils,
+# coarsening, spline system, cutoffs, barrier values) and the formatted
+# fields of its nodes (``report._kept``); a run on other settings replaces
+# it, so at most one grid is kept.  Library calls never read it.
+_last_grid = {"settings": None, "grid": None}
+
+
+def _grid(cfg: dict):
+    """The grid of the config's grid settings, built only when they are not
+    the last run's."""
+    settings = tuple(_setting(cfg, "grid." + key) for key in
+                     ("r_max", "n_intervals", "policy", "stretch"))
+    if settings != _last_grid["settings"]:
+        # the old grid goes before the new one is built
+        _last_grid.update(settings=None, grid=None)
+        _last_grid.update(grid=build_grid(*settings), settings=settings)
+    return _last_grid["grid"]
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
     args = build_parser().parse_args(argv)
@@ -189,11 +209,14 @@ def main(argv=None) -> int:
         return _run(args, cfg, out)
     except _FAILURES as exc:
         return _exit(exc, cfg, out)
+    finally:
+        # the kept grid keeps no dataset past its run
+        if _last_grid["grid"] is not None:
+            _last_grid["grid"]._drop_frames()
 
 
 def _run(args, cfg: dict, out: str) -> int:
-    grid = build_grid(*(_setting(cfg, "grid." + key) for key in
-                        ("r_max", "n_intervals", "policy", "stretch")))
+    grid = _grid(cfg)
     if args.command == "experiment":
         seed = _setting(cfg, "experiment.seed")
         report = positivity_experiment(

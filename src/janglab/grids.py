@@ -280,9 +280,25 @@ class RadialGrid:
             object.__setattr__(coarse, "_frame", None)
             coarse = coarse._keeps.get("coarse")
 
+    def _drop_frames(self) -> None:
+        """Drop the frames of this grid and of every coarsening (at odd N
+        a coarsening's frame is its own, which ``_keep_frame`` leaves), so
+        that no dataset stays reachable from the grid.  What the grid
+        keeps (``kept``) stays."""
+        grid = self
+        while grid is not None:
+            object.__setattr__(grid, "_frame", None)
+            grid = grid._keeps.get("coarse")
+
     def outer_third_mask(self) -> np.ndarray:
         """Boolean mask selecting radii in the outer third of [0, r_max]."""
         return self.nodes >= (2.0 / 3.0) * self.r_max
+
+
+# the smallest spacing a grid may have, relative to r_max: the origin
+# stencil weight 1/h_1^2 in units of 1/r_max^2, (r_max/h_1)^2, is a finite
+# float only above it
+MIN_REL_SPACING = 1.0 / np.sqrt(np.finfo(float).max)     # about 7.5e-155
 
 
 def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
@@ -290,7 +306,12 @@ def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
     """Build a radial grid on [0, r_max] with N intervals.
 
     Geometric spacing uses ``h_{i+1} = stretch * h_i``, so nodes concentrate
-    near the origin for stretch > 1.
+    near the origin for stretch > 1.  A geometric grid whose smallest
+    spacing lies below ``MIN_REL_SPACING * r_max`` (about 7.5e-155 r_max,
+    where (r_max/h_1)^2 stops being a finite float) raises
+    InvalidArgument: its origin stencil weight 1/h_1^2 would overflow.  At
+    N = 2048 that refuses stretch 1.2 (h_1 = 1.4e-163 r_max) and keeps
+    1.18 (1.1e-148 r_max).
     """
     if r_max <= 0.0:
         raise InvalidArgument(f"r_max must be positive, got {r_max}")
@@ -312,6 +333,13 @@ def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
                 f"geometric stretch {stretch} overflows over {n_intervals} "
                 f"intervals: stretch ** N is not a finite float") from None
         h = h0 * stretch ** np.arange(n_intervals)
+        smallest = h.min()
+        if smallest < MIN_REL_SPACING * r_max:
+            raise InvalidArgument(
+                f"geometric stretch {stretch} over {n_intervals} intervals "
+                f"gives a spacing of {smallest / r_max:.3g} r_max, below "
+                f"{MIN_REL_SPACING:.3g} r_max: the origin stencil weight "
+                f"1/h^2 is not a finite float")
         nodes = np.concatenate(([0.0], np.cumsum(h)))
         nodes[-1] = r_max
         return RadialGrid(nodes, policy="geometric", stretch=float(stretch))

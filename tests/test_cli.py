@@ -1,14 +1,18 @@
 import ctypes
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import janglab.cli
 from janglab.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_DEC, EXIT_OK,
                          EXIT_SOLVER, build_parser, main, resolve_out)
+from janglab.grids import build_grid
 
 GOOD = {"dataset": {"family": "perturbed-dec", "n": 4, "seed": 7,
                     "params": {"m": 1.0, "amplitude": 0.05}}}
@@ -372,8 +376,15 @@ def test_cli_loads_only_scipy_linalg_and_special(tmp_path):
     # a UTF-16 byte-order mark: a config file must be UTF-8
     (b"\xff\xfe{}", (), "out", EXIT_CONFIG,
      ["configuration error: 'utf-8' codec can't decode byte 0xff"], None),
+    # the first of 2048 spacings is 2e-300 r_max: the origin stencil weight
+    # 1/h^2 overflows, and generation used to blame the data (exit 4)
+    ({"grid": {"policy": "geometric", "stretch": 1.4}}, (), "out",
+     EXIT_CONFIG,
+     ["configuration error: geometric stretch 1.4 over 2048 intervals gives "
+      "a spacing of 2.15e-300 r_max"], None),
 ], ids=["collar-without-node", "truncation-near-origin", "unwritable-out",
-        "unwritable-error-json", "stretch-overflow", "config-not-utf8"])
+        "unwritable-error-json", "stretch-overflow", "config-not-utf8",
+        "stretch-underflow"])
 def test_each_failure_exits_with_its_documented_code(tmp_path, capsys, cfg,
                                                      extra, out, code, lines,
                                                      written):
@@ -413,3 +424,56 @@ def test_cli_runs_reuse_the_heap_they_free(tmp_path):
     for name in ("solution.csv", "manifest.json"):
         assert ((tmp_path / "run0" / name).read_bytes()
                 == (tmp_path / "run2" / name).read_bytes()), name
+
+
+UNIFORM = {"r_max": 512.0, "n_intervals": 2048}
+# an odd N, whose coarsening holds a frame of its own
+ODD = {"r_max": 512.0, "n_intervals": 2047}
+GEOMETRIC = {**UNIFORM, "policy": "geometric", "stretch": 1.001}
+
+
+def test_cli_runs_on_one_grid_config_share_one_grid(tmp_path, monkeypatch):
+    # main keeps the grid of its last run: a run on the same grid settings
+    # builds none, writes what a run on a new grid writes, and leaves no
+    # frame (no dataset) on the kept grid or its coarsening
+    built = []
+
+    def counted(*settings):
+        built.append(settings)
+        return build_grid(*settings)
+    monkeypatch.setattr(janglab.cli, "build_grid", counted)
+    monkeypatch.setattr(janglab.cli, "_last_grid",
+                        {"settings": None, "grid": None})
+    for k, grid in enumerate((UNIFORM, UNIFORM, ODD, GEOMETRIC, UNIFORM)):
+        code, _ = run(tmp_path, "pipeline", cfg={**GOOD, "grid": grid},
+                      out=f"run{k}")
+        assert code == EXIT_OK
+        if k == 1:
+            assert len(built) == 1
+        kept = janglab.cli._last_grid["grid"]
+        assert kept._frame is None and kept._keeps["coarse"]._frame is None
+    # each run on other settings builds, the policy alone counting too; the
+    # last run follows one on other settings, so its grid is new
+    assert len(built) == 4 and built[3] == built[0]
+    for name in ("solution.csv", "manifest.json"):
+        assert ((tmp_path / "run1" / name).read_bytes()
+                == (tmp_path / "run4" / name).read_bytes()), name
+
+
+def test_cli_frees_the_grid_of_other_settings(tmp_path):
+    # a run on other grid settings replaces the kept grid, which is freed
+    # without the cycle collector, coarsening included
+    code, _ = run(tmp_path, "pipeline", cfg={**GOOD, "grid": UNIFORM},
+                  out="one")
+    assert code == EXIT_OK
+    kept = janglab.cli._last_grid["grid"]
+    refs = [weakref.ref(kept), weakref.ref(kept._keeps["coarse"])]
+    del kept
+    gc.disable()
+    try:
+        code, _ = run(tmp_path, "pipeline", cfg={**GOOD, "grid": ODD},
+                      out="two")
+        assert code == EXIT_OK
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

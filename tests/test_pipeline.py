@@ -3,6 +3,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 
 import janglab.barrier
 import janglab.capillary
@@ -169,6 +170,23 @@ def test_failed_shielding_is_recorded_not_raised(dec_data, base_grid,
     assert results["shielding"]["six"][5] is False
     assert results["audits_passed"] is False
     assert results["stability"]["passed"] and results["consequence"]["passed"]
+
+
+@pytest.mark.parametrize("hole", [np.nan, np.inf])
+def test_a_margin_that_is_not_finite_fails_the_consequence_audit(
+        dec_data, base_grid, monkeypatch, hole):
+    # a NaN or +inf margin on the outer half of the grid decides nothing,
+    # so it cannot pass
+    audit = janglab.pipeline.consequence_audit
+
+    def holed(*args):
+        margin = audit(*args).copy()
+        margin[1000:] = hole
+        return margin
+    monkeypatch.setattr(janglab.pipeline, "consequence_audit", holed)
+    results = run_pipeline_on(dec_data, base_grid, seed=7)
+    assert results["consequence"]["passed"] is False
+    assert results["audits_passed"] is False
 
 
 def test_both_coarse_copies_end_at_r_max_on_odd_grids(monkeypatch):
