@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     finally:
         # the kept grid keeps no dataset past its run
         if _last_grid["grid"] is not None:
-            _last_grid["grid"]._drop_frames()
+            _last_grid["grid"]._keep_frame(None)
 
 
 def _run(args, cfg: dict, out: str) -> int:

@@ -273,32 +273,26 @@ class RadialGrid:
 
     def _keep_frame(self, frame) -> None:
         """Hold ``frame`` as this grid's frame.  The frames of its even
-        coarsenings read the frame it replaces, so they are dropped."""
+        coarsenings read the frame it replaces, so they are dropped;
+        ``None`` drops every coarsening's frame (at odd N a coarsening's
+        frame is its own), so that no dataset stays reachable from the
+        grid.  What the grid keeps (``kept``) stays."""
         object.__setattr__(self, "_frame", frame)
         coarse = self._keeps.get("coarse")
-        while coarse is not None and coarse._stride_of is not None:
+        while coarse is not None and (frame is None
+                                      or coarse._stride_of is not None):
             object.__setattr__(coarse, "_frame", None)
             coarse = coarse._keeps.get("coarse")
-
-    def _drop_frames(self) -> None:
-        """Drop the frames of this grid and of every coarsening (at odd N
-        a coarsening's frame is its own, which ``_keep_frame`` leaves), so
-        that no dataset stays reachable from the grid.  What the grid
-        keeps (``kept``) stays."""
-        grid = self
-        while grid is not None:
-            object.__setattr__(grid, "_frame", None)
-            grid = grid._keeps.get("coarse")
 
     def outer_third_mask(self) -> np.ndarray:
         """Boolean mask selecting radii in the outer third of [0, r_max]."""
         return self.nodes >= (2.0 / 3.0) * self.r_max
 
 
-# the smallest spacing a grid may have, relative to r_max: the origin
-# stencil weight 1/h_1^2 in units of 1/r_max^2, (r_max/h_1)^2, is a finite
-# float only above it
-MIN_REL_SPACING = 1.0 / np.sqrt(np.finfo(float).max)     # about 7.5e-155
+# the smallest spacing a grid may have: above it the product of any two
+# spacings is a normal float, so every stencil weight (at most about
+# 2/(h h')) is finite
+MIN_SPACING = float(np.sqrt(np.finfo(float).tiny))     # about 1.49e-154
 
 
 def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
@@ -306,18 +300,21 @@ def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
     """Build a radial grid on [0, r_max] with N intervals.
 
     Geometric spacing uses ``h_{i+1} = stretch * h_i``, so nodes concentrate
-    near the origin for stretch > 1.  A geometric grid whose smallest
-    spacing lies below ``MIN_REL_SPACING * r_max`` (about 7.5e-155 r_max,
-    where (r_max/h_1)^2 stops being a finite float) raises
-    InvalidArgument: its origin stencil weight 1/h_1^2 would overflow.  At
-    N = 2048 that refuses stretch 1.2 (h_1 = 1.4e-163 r_max) and keeps
-    1.18 (1.1e-148 r_max).
+    near the origin for stretch > 1.  A grid whose smallest spacing lies
+    below ``MIN_SPACING`` (about 1.49e-154, the square root of the smallest
+    normal float) raises InvalidArgument.  Above it every stencil weight is
+    finite; from about 0.7 ``MIN_SPACING`` down, the weight -2/(h_1 h_2)
+    at the first interior node overflows.  The floor is absolute, as the
+    weights are.  On [0, 512] with N = 2048 it refuses stretch 1.195
+    (h_1 = 3.5e-157) and keeps 1.19 (h_1 = 1.9e-153).
     """
     if r_max <= 0.0:
         raise InvalidArgument(f"r_max must be positive, got {r_max}")
     if n_intervals < MIN_NODES:
         raise InvalidArgument(f"need N >= {MIN_NODES}, got {n_intervals}")
     if policy == "uniform":
+        _check_spacing(r_max / n_intervals, f"r_max {r_max} over "
+                       f"{n_intervals} intervals")
         nodes = np.linspace(0.0, r_max, n_intervals + 1)
         return RadialGrid(nodes, policy="uniform", stretch=1.0)
     if policy == "geometric":
@@ -333,17 +330,19 @@ def build_grid(r_max: float, n_intervals: int, policy: str = "uniform",
                 f"geometric stretch {stretch} overflows over {n_intervals} "
                 f"intervals: stretch ** N is not a finite float") from None
         h = h0 * stretch ** np.arange(n_intervals)
-        smallest = h.min()
-        if smallest < MIN_REL_SPACING * r_max:
-            raise InvalidArgument(
-                f"geometric stretch {stretch} over {n_intervals} intervals "
-                f"gives a spacing of {smallest / r_max:.3g} r_max, below "
-                f"{MIN_REL_SPACING:.3g} r_max: the origin stencil weight "
-                f"1/h^2 is not a finite float")
+        _check_spacing(h.min(), f"geometric stretch {stretch} over "
+                       f"{n_intervals} intervals")
         nodes = np.concatenate(([0.0], np.cumsum(h)))
         nodes[-1] = r_max
         return RadialGrid(nodes, policy="geometric", stretch=float(stretch))
     raise InvalidArgument(f"unknown spacing policy {policy!r}")
+
+
+def _check_spacing(smallest: float, what: str) -> None:
+    if smallest < MIN_SPACING:
+        raise InvalidArgument(
+            f"{what} gives a spacing of {smallest:.3g}, below the "
+            f"{MIN_SPACING:.3g} that keeps its stencil weights finite")
 
 
 def geometric_stretch_for(r_max: float, n_intervals: int, h0: float) -> float:

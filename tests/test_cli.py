@@ -18,6 +18,13 @@ GOOD = {"dataset": {"family": "perturbed-dec", "n": 4, "seed": 7,
                     "params": {"m": 1.0, "amplitude": 0.05}}}
 
 
+@pytest.fixture(autouse=True)
+def no_kept_grid(monkeypatch):
+    # main keeps the grid of its last run: each test starts without one
+    monkeypatch.setattr(janglab.cli, "_last_grid",
+                        {"settings": None, "grid": None})
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     if isinstance(payload, bytes):
@@ -376,12 +383,12 @@ def test_cli_loads_only_scipy_linalg_and_special(tmp_path):
     # a UTF-16 byte-order mark: a config file must be UTF-8
     (b"\xff\xfe{}", (), "out", EXIT_CONFIG,
      ["configuration error: 'utf-8' codec can't decode byte 0xff"], None),
-    # the first of 2048 spacings is 2e-300 r_max: the origin stencil weight
-    # 1/h^2 overflows, and generation used to blame the data (exit 4)
+    # the first of 2048 spacings is 1.1e-297: the stencil weights near the
+    # origin overflow, and generation used to blame the data (exit 4)
     ({"grid": {"policy": "geometric", "stretch": 1.4}}, (), "out",
      EXIT_CONFIG,
      ["configuration error: geometric stretch 1.4 over 2048 intervals gives "
-      "a spacing of 2.15e-300 r_max"], None),
+      "a spacing of 1.1e-297, below the 1.49e-154"], None),
 ], ids=["collar-without-node", "truncation-near-origin", "unwritable-out",
         "unwritable-error-json", "stretch-overflow", "config-not-utf8",
         "stretch-underflow"])
@@ -409,13 +416,15 @@ def test_cli_runs_reuse_the_heap_they_free(tmp_path):
     # main keeps the heap that one run's stages free, so a third N = 8192
     # pipeline in one process takes next to no fresh zero-filled pages
     # (about 2,300 minor faults with glibc's default trim threshold), and
-    # the reused memory changes no byte of what it writes
+    # the reused memory changes no byte of what it writes.  Each run builds
+    # its grid, so what the grid keeps is rebuilt on the reused heap too.
     resource = pytest.importorskip("resource")
     if not hasattr(ctypes.CDLL(None), "mallopt"):
         pytest.skip("the C library has no mallopt")
     for k, n in enumerate((5, 6, 5)):
         cfg = {"grid": {"r_max": 512.0, "n_intervals": 8192},
                "dataset": {**GOOD["dataset"], "n": n}}
+        janglab.cli._last_grid.update(settings=None, grid=None)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         code, _ = run(tmp_path, "pipeline", cfg=cfg, out=f"run{k}")
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -442,8 +451,6 @@ def test_cli_runs_on_one_grid_config_share_one_grid(tmp_path, monkeypatch):
         built.append(settings)
         return build_grid(*settings)
     monkeypatch.setattr(janglab.cli, "build_grid", counted)
-    monkeypatch.setattr(janglab.cli, "_last_grid",
-                        {"settings": None, "grid": None})
     for k, grid in enumerate((UNIFORM, UNIFORM, ODD, GEOMETRIC, UNIFORM)):
         code, _ = run(tmp_path, "pipeline", cfg={**GOOD, "grid": grid},
                       out=f"run{k}")

@@ -8,7 +8,7 @@ from janglab.barrier import default_r0_candidates
 from janglab.capillary import CapillaryConfig
 from janglab.errors import InvalidArgument
 from janglab.geometry import make_dataset
-from janglab.grids import (MIN_NODES, TRUNCATION_TOL,
+from janglab.grids import (MIN_NODES, MIN_SPACING, TRUNCATION_TOL,
                            RadialGrid,
                            _cumulative_trapezoid, _simpson,
                            _three_point_weights, build_grid,
@@ -219,6 +219,25 @@ def test_grid_keeps_its_own_read_only_nodes():
     assert not np.shares_memory(RadialGrid(built.nodes).nodes, built.nodes)
 
 
+@pytest.mark.parametrize("r_max", [1e-10, 512.0, 1e10])
+def test_spacing_floor_is_where_stencil_weights_overflow(r_max):
+    # whatever r_max, a first spacing just above MIN_SPACING gives finite
+    # stencil weights and one just below is refused; at half of it the
+    # weights would overflow
+    n = 1024
+    kept = build_grid(r_max, n, "geometric",
+                      geometric_stretch_for(r_max, n, 1.1 * MIN_SPACING))
+    assert all(np.isfinite(w).all() for w in kept._weights())
+    with pytest.raises(InvalidArgument, match="below the 1.49e-154"):
+        build_grid(r_max, n, "geometric",
+                   geometric_stretch_for(r_max, n, 0.9 * MIN_SPACING))
+    stretch = geometric_stretch_for(r_max, n, 0.5 * MIN_SPACING)
+    h = r_max * (stretch - 1.0) / (stretch ** n - 1.0) * stretch ** np.arange(3)
+    x = np.concatenate(([0.0], np.cumsum(h)))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(_three_point_weights(x[0], x[1], x[2])[1]).all()
+
+
 def test_outer_third_mask():
     g = build_grid(9.0, 18, "uniform")
     mask = g.outer_third_mask()
@@ -233,6 +252,8 @@ def test_grid_rejects_bad_inputs():
         build_grid(1.0, MIN_NODES - 1)
     with pytest.raises(InvalidArgument):
         build_grid(1.0, 32, "geometric")        # stretch missing
+    with pytest.raises(InvalidArgument, match="below the 1.49e-154"):
+        build_grid(32 * 0.9 * MIN_SPACING, 32)  # spacing under the floor
     with pytest.raises(InvalidArgument):
         RadialGrid(np.linspace(1.0, 2.0, 33))   # first node not 0
     with pytest.raises(InvalidArgument):
