@@ -3,9 +3,9 @@ solves, graph-geometry positivity audits, and mass-parameter extraction on
 rotationally symmetric asymptotically flat initial data.
 """
 
-from .barrier import (BarrierProfile, barrier_audit_passes, barrier_csv,
-                      barrier_inequality_audit, default_r0_candidates,
-                      find_r0, ode_residual, ode_residual_audit)
+from .barrier import (BarrierProfile, barrier_csv, barrier_inequality_audit,
+                      default_r0_candidates, find_r0, ode_residual,
+                      ode_residual_audit)
 from .capillary import (CapillaryConfig, check_capillary_config,
                         select_capillary_config)
 from .errors import JanglabError

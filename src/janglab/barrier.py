@@ -24,6 +24,7 @@ from .errors import DomainError, NoAdmissibleR0
 from .geometry import RadialFrame, RadialInitialData, graph_operator
 from .grids import RadialGrid
 from .report import _float_csv
+from .verdicts import nodewise
 
 _REL_EDGE = 1e-9
 
@@ -152,14 +153,6 @@ def _inequalities(frame: RadialFrame, bp: BarrierProfile, grid=None):
     return graph_operator(frame, b1, b2, 1.0), graph_operator(frame, b1, b2, -1.0)
 
 
-def _hold(minus, plus) -> bool:
-    return bool(np.all(minus < 0.0) and np.all(plus < 0.0))
-
-
-def barrier_audit_passes(data, bp, r) -> bool:
-    return _hold(*barrier_inequality_audit(data, bp, r))
-
-
 def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
     """Smallest candidate inner radius making both barrier inequalities pass.
 
@@ -169,8 +162,9 @@ def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:
 
 
 def _search_r0(data: RadialInitialData, grid: RadialGrid, candidates):
-    """``find_r0``'s r0 with the passing audit there: (r0, minus, plus), as
-    ``barrier_inequality_audit`` returns them at r0 on the grid.
+    """``find_r0``'s r0 with the passing audit there: (r0, minus, plus,
+    verdict), as ``barrier_inequality_audit`` returns them at r0 on the
+    grid, and the verdict on -max(minus, plus) > 0.
 
     The operator is nodewise, so a violation at a candidate's nodes in
     (r0, 2 r0], where the barrier is steepest, rejects it before the whole
@@ -188,10 +182,13 @@ def _search_r0(data: RadialInitialData, grid: RadialGrid, candidates):
             frame = RadialFrame.on(data, grid).beyond(r0 * (1.0 + _REL_EDGE))
             head = frame._part(slice(
                 int(np.searchsorted(frame.r, 2.0 * r0, "right"))))
-            if _hold(*_inequalities(head, bp, grid)):
+            if nodewise(-np.maximum(*_inequalities(head, bp, grid)), head.r,
+                        strict=True).passed:
                 minus, plus = _inequalities(frame, bp, grid)
-                if _hold(minus, plus):
-                    return r0, minus, plus
+                verdict = nodewise(-np.maximum(minus, plus), frame.r,
+                                   strict=True)
+                if verdict.passed:
+                    return r0, minus, plus, verdict
     raise NoAdmissibleR0(
         "no candidate passes the barrier inequalities; decay hypotheses "
         "may fail or the grid may be too short")

@@ -16,6 +16,7 @@ from .errors import ConfigFailure, DecViolation, GridTooShort
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
                        evaluate_constraint_fields)
 from .grids import RadialGrid
+from .verdicts import nodewise
 
 
 def smoothstep(x):
@@ -138,11 +139,12 @@ def select_capillary_config(data: RadialInitialData, r0: float,
             f"{grid.r_max:g}")
     fields = constraint_fields(data, grid)
     margin = fields.margin
-    if not np.all(np.isfinite(margin)) or np.min(margin) <= 0.0:
-        raise DecViolation(
-            f"strict DEC fails: min margin = {np.nanmin(margin):.3e}")
     n = data.n
     r = grid.nodes
+    dec = nodewise(margin, r, strict=True, show={"margin": margin})
+    if not dec.passed:
+        raise DecViolation("strict DEC fails: margin {margin:.3e} at "
+                           "r = {node_radius!r}".format(**dec.first_violation))
     cfg = CapillaryConfig(r0=r0, kappa0=1.0, kappa1=1.0, Q=None,
                           s0=r0 / 4.0, s1=0.0, tau=1.0, n=n, delta=data.delta)
 
@@ -194,14 +196,20 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
     shares no construction logic with select_capillary_config.  It reads
     the evaluated inputs kept per grid (the frame coefficients, the scalar
     curvature among them, and the cutoff), and evaluates its own margin.
-    Returns a list of violation descriptions (empty = pass).
+    Returns a list of violation descriptions (empty = pass), each nodewise
+    one naming the first radius where it fails.
     """
     problems = []
     r = grid.nodes
     n = cfg.n
+
+    def check(what, margin, radii, **rule):
+        fails = nodewise(margin, radii, **rule).first_violation
+        if fails is not None:
+            problems.append(f"{what} (first at r = {fails['node_radius']!r})")
+
     zeta = cfg.cutoff(grid)[0]
-    if np.any((zeta < 0.0) | (zeta > 1.0)):
-        problems.append("zeta leaves [0, 1]")
+    check("zeta leaves [0, 1]", np.minimum(zeta, 1.0 - zeta), r)
     if np.any(zeta[r > 8.0 * cfg.r0] != 0.0):
         problems.append("zeta must vanish on r > 8 r0")
     if np.any(zeta[r <= 4.0 * cfg.r0] != 1.0):
@@ -213,25 +221,23 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
         return problems
     frame = RadialFrame.on(data, grid)
     margin = evaluate_constraint_fields(frame).margin
-    if np.any(q_vals <= 0.0):
-        problems.append("Q must be strictly positive")
+    check("Q must be strictly positive", q_vals, r, strict=True)
     lhs = (margin - cfg.kappa0 ** 2 * cfg.dzeta_norm_sq(data, grid)
            - cfg.kappa1 * zeta ** 2 * n * frame.q_norm)
-    if np.any(lhs < q_vals):
-        problems.append("margin - kappa terms >= Q fails at some node")
+    check("margin - kappa terms >= Q fails", lhs - q_vals, r)
 
     # Q <= C (1+r)^{-n-2 delta}: the ratio to the tail must stay bounded on
     # the outer third (no growth beyond its inner-edge value)
     outer = grid.outer_third_mask()
     ratio = q_vals[outer] * (1.0 + r[outer]) ** (n + 2.0 * cfg.delta)
-    if np.max(ratio) > 2.0 * ratio[0] + 1e-300:
-        problems.append("Q does not respect the (1+r)^{-n-2 delta} tail bound")
+    check("Q does not respect the (1+r)^{-n-2 delta} tail bound",
+          2.0 * ratio[0] + 1e-300 - ratio, r[outer])
 
     if cfg.s1 < cfg.s0:
         problems.append("s1 < s0")
     collar = _collar_mask(data, grid, 8.0 * cfg.r0, 2.0 * cfg.s0)
-    if np.any(collar) and not np.all(q_vals[collar] > 128.0 / (cfg.s1 * cfg.s0)):
-        problems.append("collar condition Q > 128/(s1 s0) fails")
+    check("collar condition Q > 128/(s1 s0) fails",
+          q_vals[collar] - 128.0 / (cfg.s1 * cfg.s0), r[collar], strict=True)
 
     L = 2.0 ** (10 - 3 * n) * cfg.r0 + cfg.s1 + 2.0 * cfg.s0
     if L > cfg.smallness_budget * (1.0 + 1e-12):

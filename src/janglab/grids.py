@@ -346,14 +346,24 @@ def _check_spacing(smallest: float, what: str) -> None:
 
 
 def geometric_stretch_for(r_max: float, n_intervals: int, h0: float) -> float:
-    """Stretch factor whose geometric grid on [0, r_max] starts with spacing h0."""
+    """Stretch factor whose geometric grid on [0, r_max] starts with spacing h0.
+
+    The bisection stays below 2 and below 2^(1000/N), so every power
+    stretch ** N it forms is finite; an h0 that only a larger stretch
+    reaches raises InvalidArgument.
+    """
     if not 0.0 < h0 < r_max / n_intervals:
         raise InvalidArgument("h0 must lie in (0, r_max/N)")
-    lo, hi = 1.0 + 1e-12, 2.0
+
+    def first(s):
+        return r_max * (s - 1.0) / (s ** n_intervals - 1.0)
+    lo, hi = 1.0 + 1e-12, min(2.0, 2.0 ** (1000.0 / n_intervals))
+    if first(hi) > h0:
+        raise InvalidArgument(f"h0 = {h0:g} over {n_intervals} intervals "
+                              f"needs a stretch above {hi:g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        first = r_max * (mid - 1.0) / (mid ** n_intervals - 1.0)
-        if first > h0:
+        if first(mid) > h0:
             lo = mid
         else:
             hi = mid

@@ -12,7 +12,7 @@ weight that localizes positivity to a region containing the asymptotic end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
@@ -24,8 +24,11 @@ from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
 from .grids import RadialGrid, _cumulative_trapezoid, _simpson
 from .jang_solver import JangLimit
 from .profiles import SampledProfile
+from .verdicts import nodewise
 
 PHI_POLE_THRESHOLD = -1.0e6
+IDENTITY_TOL = 1e-3         # on the max relative identity error
+CONSEQUENCE_TOL = 1e-8      # on the margin, relative to max(1, max |margin|)
 
 _pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
 
@@ -185,7 +188,8 @@ def schoen_yau_audit(data: RadialInitialData, config: CapillaryConfig,
     """Max relative identity error on the geometry's grid plus its order.
 
     The error is the max-norm of (LHS - RHS) divided by the max-norm of the
-    sides; the order compares the working grid against its two-fold
+    sides, and the audit passes when it is below ``IDENTITY_TOL``; the
+    order compares the working grid against its two-fold
     coarsening (the finite-difference truncation scales with h^2), on which
     the geometry is rebuilt from u's spline at the coarse nodes: u's nodal
     values there, and r_max's from the last interval's cubic.
@@ -203,6 +207,7 @@ def schoen_yau_audit(data: RadialInitialData, config: CapillaryConfig,
     else:
         order = float(np.log2(max(err_coarse, 1e-300) / err_fine))
     return {"max_rel_err": err_fine, "order": order,
+            "passed": bool(err_fine < IDENTITY_TOL),
             "max_rel_err_coarse": err_coarse,
             "lhs": lhs, "rhs": rhs}
 
@@ -237,6 +242,12 @@ def consequence_audit(data: RadialInitialData, config: CapillaryConfig,
     return geo.effective - rhs
 
 
+def _consequence_verdict(margin: np.ndarray, grid: RadialGrid):
+    """margin >= -CONSEQUENCE_TOL max(1, max |margin|) at every node."""
+    tol = CONSEQUENCE_TOL * max(1.0, float(np.max(np.abs(margin))))
+    return nodewise(margin, grid.nodes, tol, show={"margin": margin})
+
+
 def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
                           metric: str = "check") -> np.ndarray:
     """Arc-length distance from each node to the region {r > threshold}.
@@ -261,26 +272,29 @@ def neighborhood_audit(data: RadialInitialData, config: CapillaryConfig,
     collar of width s1 + 2 s0; (ii) the graph-metric 2 s0 collar is contained
     in the base-metric one and Q exceeds 128/(s1 s0) there.
     """
+    r = geo.grid.nodes
     d_check = _distance_to_exterior(data, geo, config.E0_threshold, "check")
     d_base = _distance_to_exterior(data, geo, config.E0_threshold, "base")
     width = config.collar_width_total
 
     mask_i = d_check < width
     bound_i = config.smallness_budget
-    sup_u = float(np.max(np.abs(geo.u.values[mask_i])))
-    ok_i = sup_u <= bound_i
+    abs_u = np.abs(geo.u.values[mask_i])
+    sup_u = float(np.max(abs_u))
+    ok_i = nodewise(bound_i - abs_u, r[mask_i]).passed
 
     inner = (d_check > 0.0) & (d_check < 2.0 * config.s0)
     # containment: graph distance dominates base distance node by node
-    ok_contain = bool(np.all(d_check >= d_base * (1.0 - 1e-12)))
+    ok_contain = nodewise(d_check - d_base * (1.0 - 1e-12), r).passed
     qmin = float(np.min(config.Q[inner])) if np.any(inner) else math.inf
-    ok_q = qmin > 128.0 / (config.s1 * config.s0)
+    ok_q = nodewise(config.Q[inner] - 128.0 / (config.s1 * config.s0),
+                    r[inner], strict=True).passed
 
-    return {"passed": bool(ok_i and ok_contain and ok_q),
-            "solution_bound": {"passed": bool(ok_i), "sup": sup_u,
+    return {"passed": ok_i and ok_contain and ok_q,
+            "solution_bound": {"passed": ok_i, "sup": sup_u,
                                "bound": bound_i},
             "collar_containment": {"passed": ok_contain},
-            "collar_density": {"passed": bool(ok_q), "min_Q": qmin,
+            "collar_density": {"passed": ok_q, "min_Q": qmin,
                                "bound": 128.0 / (config.s1 * config.s0)}}
 
 
@@ -362,7 +376,8 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
                     grid: RadialGrid) -> dict:
     """Re-check the six defining properties of the shielding construction.
 
-    Works from the stored nodal values (so tampered inputs are caught):
+    Works from the stored nodal values (so tampered inputs are caught);
+    bullets 2, 3, 4 and 6 name their first failing node:
     1. E contains the closure of the exterior region E0;
     2. E lies inside the graph-metric collar of width s1 + 2 s0 (or the
        construction width for synthetic data);
@@ -377,21 +392,21 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     phi = sd.Phi
     q_hat = sd.Q_hat
     q = config.Q
-    in_E = r > sd.E_outer_radius
+    in_E = (r > sd.E_outer_radius) | sd.boundary_empty   # E holds r = 0 then
     on_E0 = r > config.E0_threshold
     bullets = {}
 
     bullets["contains_exterior"] = {
-        "passed": bool(sd.E_outer_radius < config.E0_threshold
-                       and np.all(in_E[on_E0]))}
-    bullets["inside_collar"] = {
-        "passed": bool(np.all(d[in_E] <= sd.width * (1.0 + 1e-12)))}
+        "passed": bool(sd.E_outer_radius < config.E0_threshold)}
+    r_E, r_E0 = r[in_E], r[on_E0]
+    bullets["inside_collar"] = asdict(
+        nodewise(sd.width * (1.0 + 1e-12) - d[in_E], r_E))
     tol3 = 1e-14 * max(1.0, float(np.max(np.abs(q))))
-    bullets["trivial_on_exterior"] = {
-        "passed": bool(np.all(np.abs(phi[on_E0]) == 0.0)
-                       and np.all(np.abs(q_hat[on_E0] - 0.5 * q[on_E0]) <= tol3))}
-    bullets["signs_on_E"] = {
-        "passed": bool(np.all(phi[in_E] <= 0.0) and np.all(q_hat[in_E] > 0.0))}
+    bullets["trivial_on_exterior"] = asdict(
+        nodewise(-np.abs(phi[on_E0]), r_E0)
+        & nodewise(-np.abs(q_hat[on_E0] - 0.5 * q[on_E0]), r_E0, tol3))
+    bullets["signs_on_E"] = asdict(nodewise(-phi[in_E], r_E)
+                                   & nodewise(q_hat[in_E], r_E, strict=True))
     if sd.boundary_empty:
         bullets["pole_at_boundary"] = {"passed": True, "vacuous": True,
                                        "note": "E covers the whole grid"}
@@ -408,18 +423,14 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     # Q_hat profiles is still caught by the comparison below
     dphi_dd = np.abs(sd.dphi_of_d(np.minimum(d, sd.width * (1.0 - 1e-15))))
     interior = in_E & (d > 0.0) & (d < sd.width)
-    x = q + 0.5 * phi ** 2 - 2.0 * dphi_dd
+    x = (q + 0.5 * phi ** 2 - 2.0 * dphi_dd)[interior]
     scale = max(1.0, float(np.max(np.abs(q_hat[np.isfinite(q_hat)]))))
-    # one mask gives the verdict and its first violation; NaN fails
-    bad = interior & ~((x >= 2.0 * q_hat - 1e-6 * np.maximum(scale, np.abs(x)))
-                       & (x > 0.0))
-    first6 = None
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        first6 = {"node_radius": float(r[i]), "x": float(x[i]),
-                  "q_hat": float(q_hat[i])}
-    bullets["reduced_density_bound"] = {"passed": not bool(np.any(bad)),
-                                        "first_violation": first6}
+    shown = {"x": x, "q_hat": q_hat[interior]}
+    r_in = r[interior]
+    bullets["reduced_density_bound"] = asdict(
+        nodewise(x - 2.0 * shown["q_hat"], r_in,
+                 1e-6 * np.maximum(scale, np.abs(x)), show=shown)
+        & nodewise(x, r_in, strict=True, show=shown))
 
     return {"passed": all(b["passed"] for b in bullets.values()),
             "bullets": bullets,

@@ -18,7 +18,7 @@ the continuation from the same start only when that solve fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -33,6 +33,7 @@ from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        graph_terms, loglog_slope, ricci_eigenvalues)
 from .grids import MIN_NODES, RadialGrid, _cumulative_trapezoid
 from .profiles import SampledProfile
+from .verdicts import nodewise
 
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_DAMPING_FAILURES = 30
@@ -477,13 +478,18 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
     sel = slice(int(np.searchsorted(r, bp.r0 * (1.0 + 1e-9), "right")),
                 int(np.searchsorted(r, r_out, "right")))
     [bvals] = bp.on_grid(grid, ("b",), sel.stop - sel.start)
-    bound = bvals - bvals[-1]
-    entries["barrier_envelope"] = _bound_entry(absw[sel], bound, tol, r[sel])
-
     # (ii) |w| <= 2 r0^{n-2} r^{3-n} on (2 r0, r_j]
     sel2 = (r > 2.0 * r0) & (r <= r_out)
-    bound2 = 2.0 * r0 ** (n - 2) * r[sel2] ** (3 - n)
-    entries["decay_envelope"] = _bound_entry(absw[sel2], bound2, tol, r[sel2])
+    envelopes = {
+        "barrier_envelope": (sel, bvals - bvals[-1]),
+        "decay_envelope": (sel2, 2.0 * r0 ** (n - 2) * r[sel2] ** (3 - n))}
+    for name, (part, bound) in envelopes.items():
+        vals = absw[part]
+        verdict = nodewise(bound - vals, r[part], tol,
+                           show={"value": vals, "bound": bound})
+        entries[name] = {"sup": float(np.max(vals)),
+                         "max_excess": float(np.max(vals - bound)),
+                         **asdict(verdict)}
 
     # (iii) sup |w| <= max(2^{4-n} r0, tau^{-2} sup n|q|)
     qn = RadialFrame.on(data, grid).q_norm
@@ -501,6 +507,14 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
         "passed": bool(np.max(sups) <= 1.05 * med + tol),
         "sup": float(np.max(sups)), "bound": 1.05 * med,
         "per_radius": sups.tolist(), "first_violation": None}
+
+    # (v) and (vi) read w's spline, which holds finite values only
+    finite = nodewise(w, r, np.inf)
+    if not finite.passed:
+        note = f"w not finite at r = {finite.first_violation['node_radius']!r}"
+        for name in ("decay_rates", "gradient_ball"):
+            entries[name] = {"note": note, **asdict(finite)}
+        return {"passed": False, "entries": entries}
 
     # (v) log-log decay of |u| and |u'| on the far window
     wprof = result.profile()
@@ -534,19 +548,6 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
             "entries": entries}
 
 
-def _bound_entry(vals, bound, tol, radii):
-    bad = vals > bound + tol
-    first = None
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        first = {"node_radius": float(radii[i]), "value": float(vals[i]),
-                 "bound": float(bound[i])}
-    return {"passed": not np.any(bad),
-            "sup": float(np.max(vals)) if vals.size else 0.0,
-            "max_excess": float(np.max(vals - bound)) if vals.size else 0.0,
-            "first_violation": first}
-
-
 def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
                         wprof: SampledProfile) -> dict:
     """Exponential-weight gradient audit on the geodesic ball of radius
@@ -556,7 +557,10 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
     psi = 2 C0 sigma^{-1} (2 d(p, .)^2 - sigma^2), C0 = sup_ball |w| / sigma.
     A is the smallest value >= 4 making the hypothesis inequalities hold.
     The pass criterion is stability of the supremum within 10% between the
-    working grid and its two-fold coarsening.
+    working grid and its two-fold coarsening.  A Ricci value that is not
+    finite at a ball node fails the audit, and its note names the radius;
+    the origin of origin-singular data, whose curvature is NaN, is the one
+    node left out.
     """
     grid = wprof.grid
     sigma = center = 4.0 * config.r0
@@ -564,6 +568,10 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
     fine = _ball_supremum_data(data, config, wprof, grid, center, sigma)
     if fine is None:
         raise AuditInapplicable("geodesic ball contains too few grid nodes")
+    ricci = fine["ricci"].first_violation
+    if ricci is not None:
+        return {"passed": False, "first_violation": ricci,
+                "note": f"Ricci value not finite at r = {ricci['node_radius']!r}"}
 
     C0 = fine["C0"]
     if C0 < 1e-300:
@@ -614,7 +622,15 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
 
     # hypothesis inequalities -> smallest admissible A on the ball
     ric_rad, ric_tan = ricci_eigenvalues(data, local)
-    ric_min = float(np.nanmin(np.minimum(ric_rad[ball], ric_tan[ball])))
+    rad, tan = ric_rad[ball], ric_tan[ball]
+    ric = np.minimum(rad, tan)
+    singular = [0] if ball[0] and not data.origin_regular else []
+    # every Ricci value is finite: ric >= -inf, decided where it is defined
+    ricci = nodewise(ric, r[ball], np.inf, exclude=singular,
+                     show={"ric_rad": rad, "ric_tan": tan})
+    if not ricci.passed:
+        return {"ricci": ricci}
+    ric_min = float(np.min(ric[len(singular):]))
     qn = frame.q_norm
     dqn = dq_frame_norm(data, local)
     n = data.n
@@ -642,7 +658,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
         4.0 * sigma * C0 * float(np.max(n * hess_norm[ball])),
         float(np.max(cutoff_load[ball])) / sigma,
     )
-    return {"C0": C0, "required_A": required_A,
+    return {"ricci": ricci, "C0": C0, "required_A": required_A,
             "r_nodes": grid.nodes, "cum": cum, "d_center": d_center,
             "r_lo": float(np.min(r[ball])), "r_hi": float(np.max(r[ball]))}
 

@@ -17,10 +17,10 @@ from .barrier import (BarrierProfile, _search_r0, default_r0_candidates,
 from .capillary import select_capillary_config
 from .geometry import constraint_fields, make_dataset, validate_dataset
 from .grids import RadialGrid, build_grid
-from .jang_metric import (build_graph_geometry, build_shielding,
-                          consequence_audit, neighborhood_audit,
-                          schoen_yau_audit, shielding_audit, stability_audit,
-                          xi_norm_sq)
+from .jang_metric import (_consequence_verdict, build_graph_geometry,
+                          build_shielding, consequence_audit,
+                          neighborhood_audit, schoen_yau_audit,
+                          shielding_audit, stability_audit, xi_norm_sq)
 from .jang_solver import estimate_audits, exhaustion_solve
 from .mass import fit_alpha, fit_decay_exponent
 
@@ -72,8 +72,8 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     validation = validate_dataset(data, grid)
 
     # the search's passing audit at r0 is the barrier report's
-    r0, minus, plus = _search_r0(data, grid,
-                                 r0_candidates or default_r0_candidates(grid))
+    r0, minus, plus, verdict = _search_r0(
+        data, grid, r0_candidates or default_r0_candidates(grid))
     bp = BarrierProfile(r0=r0, n=data.n)
     ode_samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
     barrier_report = {
@@ -81,7 +81,7 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
         "ode_max_residual": ode_residual_audit(bp, ode_samples),
         "inequality_max_minus": float(np.max(minus)),
         "inequality_max_plus": float(np.max(plus)),
-        "passed": bool(np.all(minus < 0.0) and np.all(plus < 0.0)),
+        "passed": verdict.passed,
     }
 
     config = select_capillary_config(data, r0, grid)
@@ -92,11 +92,8 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     estimates = estimate_audits(data, config, limit, bp)
     identity = schoen_yau_audit(data, config, geo)
     cons = consequence_audit(data, config, geo)
-    # a margin that is not finite somewhere fails: NaN and inf decide nothing
-    cons_scale = max(1.0, float(np.max(np.abs(cons))))
     cons_report = {"min_margin": float(np.min(cons)),
-                   "passed": bool(np.all(np.isfinite(cons))
-                                  and np.min(cons) >= -1e-8 * cons_scale)}
+                   "passed": _consequence_verdict(cons, grid).passed}
     neighborhoods = neighborhood_audit(data, config, geo)
     shielding = shielding_audit(build_shielding(data, config, geo),
                                 config, grid)
@@ -113,11 +110,9 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
         except Exception as exc:
             decay[name] = {"error": str(exc)}
 
-    audits_passed = bool(barrier_report["passed"] and estimates["passed"]
-                         and identity["max_rel_err"] < 1e-3
-                         and cons_report["passed"]
-                         and neighborhoods["passed"] and shielding["passed"]
-                         and stability["passed"])
+    audits_passed = all(audit["passed"] for audit in (
+        barrier_report, estimates, identity, cons_report, neighborhoods,
+        shielding, stability))
     return {
         "family": data.family, "n": data.n, "seed": seed,
         "params": data.params,

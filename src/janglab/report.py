@@ -20,8 +20,27 @@ from .errors import IOFailure
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2, default=_coerce)
-            + "\n").encode()
+    """Strict JSON: a float that is not finite is written as null.  Only a
+    payload that holds one is walked and dumped a second time."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, default=_coerce,
+                          allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2,
+                          default=_coerce, allow_nan=False)
+    return (text + "\n").encode()
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 def _coerce(obj):

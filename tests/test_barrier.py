@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import janglab.barrier
-from janglab.barrier import (BarrierProfile, _search_r0,
-                             barrier_audit_passes, barrier_csv,
+from janglab.barrier import (BarrierProfile, _search_r0, barrier_csv,
                              barrier_inequality_audit, default_r0_candidates,
                              find_r0, ode_residual, ode_residual_audit)
 from janglab.errors import DomainError, NoAdmissibleR0
@@ -12,6 +11,7 @@ from janglab.geometry import make_dataset
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_solver import JangLimit, estimate_audits
 from janglab.profiles import AnalyticProfile
+from janglab.verdicts import nodewise
 
 
 def test_bprime_closed_form_matches_direct_quadrature_derivative():
@@ -153,7 +153,7 @@ def test_barrier_inequality_strict_on_vacuum_data():
     minus, plus = barrier_inequality_audit(data, bp, exterior)
     assert np.max(minus) < 0.0
     assert np.max(plus) < 0.0
-    assert barrier_audit_passes(data, bp, exterior)
+    assert nodewise(-np.maximum(minus, plus), exterior, strict=True).passed
     # on the grid the audit reads the grid's frame, sliced: the same bits
     on_grid = barrier_inequality_audit(data, bp, grid)
     assert all(np.array_equal(x, y) for x, y in zip(on_grid, (minus, plus)))
@@ -244,8 +244,9 @@ def test_r0_search_with_prefix_rejection_matches_full_search(n, monkeypatch):
         evaluated.clear()
         got = _search_r0(data, grid, candidates)
         assert got[0] == want[0]
-        for x, y in zip(got[1:], want[1:]):
+        for x, y in zip(got[1:3], want[1:]):
             assert np.array_equal(x.view(np.int64), y.view(np.int64))
+        assert got[3].passed and got[3].first_violation is None
         # each rejected candidate was evaluated on its prefix only
         assert evaluated == [c for c in candidates if c < got[0]] + [got[0]] * 2
 
@@ -266,7 +267,8 @@ def test_r0_search_rejects_a_violation_beyond_twice_r0():
         assert grid.nodes[grid.nodes > r0][np.argmax(bad)] > 2.0 * r0
     with pytest.raises(NoAdmissibleR0):
         _search_r0(data, grid, [1.0, 2.0])
-    r0, minus, plus = _search_r0(data, grid, [1.0, 2.0, 8.0, 16.0])
+    r0, minus, plus, verdict = _search_r0(data, grid, [1.0, 2.0, 8.0, 16.0])
+    assert verdict.passed
     want = _search_every_candidate_in_full(data, grid, [1.0, 2.0, 8.0, 16.0])
     assert r0 == want[0] == 16.0
     assert np.array_equal(minus, want[1]) and np.array_equal(plus, want[2])

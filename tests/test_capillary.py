@@ -172,6 +172,23 @@ def test_checker_flags_tampered_parameters(dec_data, cap_config, base_grid):
     assert any("one value per grid node" in p for p in problems5)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.5, 3.0), (100.0, 200.0),
+                                    (400.0, 512.0)])
+def test_checker_flags_a_density_that_is_not_finite(dec_data, cap_config,
+                                                    base_grid, lo, hi):
+    # NaN compares false, so a NaN Q passed every nodewise test of the
+    # checker; each problem now names the first node where it fails
+    import copy
+    bad = copy.copy(cap_config)
+    bad.Q = cap_config.Q.copy()
+    r = base_grid.nodes
+    bad.Q[(r > lo) & (r < hi)] = np.nan
+    first = repr(float(r[r > lo][0]))
+    problems = check_capillary_config(bad, dec_data, base_grid)
+    assert f"Q must be strictly positive (first at r = {first})" in problems
+    assert all(p.endswith(f"(first at r = {first})") for p in problems)
+
+
 def test_config_derived_properties(cap_config):
     assert cap_config.E0_threshold == 8.0 * cap_config.r0
     assert cap_config.collar_width_total == cap_config.s1 + 2.0 * cap_config.s0

@@ -33,9 +33,18 @@ def test_geometric_grid_constant_ratio():
 
 
 def test_geometric_stretch_for_hits_first_spacing():
-    s = geometric_stretch_for(100.0, 64, 0.1)
-    g = build_grid(100.0, 64, "geometric", stretch=s)
-    assert abs(g.spacings[0] - 0.1) < 1e-6
+    # from N = 1751 on, 2.0 ** N is not a finite float: the bisection must
+    # not form it
+    for r_max, n, h0 in ((100.0, 64, 0.1), (512.0, 2048, 1e-3),
+                         (512.0, 32768, 1e-4)):
+        s = geometric_stretch_for(r_max, n, h0)
+        g = build_grid(r_max, n, "geometric", stretch=s)
+        assert abs(g.spacings[0] - h0) < 1e-6 * h0
+
+
+def test_geometric_stretch_for_refuses_a_spacing_no_finite_power_reaches():
+    with pytest.raises(InvalidArgument, match="needs a stretch above 2"):
+        geometric_stretch_for(512.0, 64, 1e-300)
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5), c=st.floats(-5, 5))
@@ -224,7 +233,7 @@ def test_spacing_floor_is_where_stencil_weights_overflow(r_max):
     # whatever r_max, a first spacing just above MIN_SPACING gives finite
     # stencil weights and one just below is refused; at half of it the
     # weights would overflow
-    n = 1024
+    n = 2048
     kept = build_grid(r_max, n, "geometric",
                       geometric_stretch_for(r_max, n, 1.1 * MIN_SPACING))
     assert all(np.isfinite(w).all() for w in kept._weights())

@@ -10,7 +10,7 @@ from janglab.capillary import CapillaryConfig, select_capillary_config
 from janglab.errors import (AuditInapplicable, ExhaustionNonconvergence,
                             InvalidArgument, NewtonDivergence,
                             SingularJacobian)
-from janglab.geometry import RadialFrame, make_dataset
+from janglab.geometry import RadialFrame, RadialInitialData, make_dataset
 from janglab.grids import RadialGrid, build_grid
 from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP, EXHAUSTION_TOL,
                                  NEWTON_MAX_DAMPING_FAILURES, NEWTON_MAX_ITER,
@@ -20,7 +20,7 @@ from janglab.jang_solver import (ARMIJO_C, CONTINUATION_STEP, EXHAUSTION_TOL,
                                  newton_solve, _System, _transfer)
 from janglab.mass import fit_decay_exponent
 from janglab.pipeline import exhaustion_schedule
-from janglab.profiles import SampledProfile
+from janglab.profiles import SampledProfile, constant_profile
 
 
 def capillary_residual(data, config, state):
@@ -597,6 +597,58 @@ def test_gradient_ball_audit_needs_enough_nodes(dec_data, base_grid,
     config = synthetic_config(grid=base_grid, r0=0.05)
     with pytest.raises(AuditInapplicable):
         gradient_ball_audit(dec_data, config, jang_limit.profile())
+
+
+def _ricci_with_holes(holes):
+    """ricci_eigenvalues with NaN at the radii ``holes`` selects."""
+    ricci = janglab.jang_solver.ricci_eigenvalues
+
+    def holed(data, grid):
+        out = [v.copy() for v in ricci(data, grid)]
+        for v in out:
+            v[holes(grid.nodes)] = np.nan
+        return tuple(out)
+    return holed
+
+
+def test_gradient_ball_fails_on_a_ricci_value_that_is_not_finite(
+        dec_data, cap_config, jang_limit, monkeypatch):
+    # NaN Ricci values on the ball nodes in (2, 6) used to drop out of the
+    # minimum that sizes A, so the audit passed with A unchanged
+    monkeypatch.setattr(janglab.jang_solver, "ricci_eigenvalues",
+                        _ricci_with_holes(lambda r: (r > 2.0) & (r < 6.0)))
+    rep = gradient_ball_audit(dec_data, cap_config, jang_limit.profile())
+    assert rep["passed"] is False
+    first = rep["first_violation"]["node_radius"]
+    assert 2.0 < first < 2.0 + 0.25 + 1e-12
+    assert rep["note"] == f"Ricci value not finite at r = {first!r}"
+
+
+@pytest.mark.parametrize("origin_regular", [True, False])
+def test_gradient_ball_leaves_out_only_a_singular_origin(base_grid,
+                                                         origin_regular,
+                                                         monkeypatch):
+    # on 0.8 (dr^2 + r^2 sigma) the ball about r = 4 of radius 4 holds the
+    # origin; data declared origin-singular have NaN curvature there, the
+    # one value the audit leaves out
+    flat = constant_profile(0.0)
+    data = RadialInitialData(n=4, a=constant_profile(0.8),
+                             c=constant_profile(0.8), q_rad=flat, q_tan=flat,
+                             origin_regular=origin_regular)
+    config = synthetic_config(grid=base_grid)
+    u = SampledProfile(base_grid, 1e-3 * np.exp(-base_grid.nodes))
+    ball = janglab.jang_solver._ball_supremum_data(data, config, u, base_grid,
+                                                   4.0, 4.0)
+    assert ball["r_lo"] == 0.0
+    ric_rad = janglab.jang_solver.ricci_eigenvalues(data, base_grid)[0]
+    assert np.isnan(ric_rad[0]) != origin_regular
+    assert gradient_ball_audit(data, config, u)["passed"]
+    # any other ball node is decided, also the first one off the origin
+    monkeypatch.setattr(janglab.jang_solver, "ricci_eigenvalues",
+                        _ricci_with_holes(lambda r: r == r[1]))
+    rep = gradient_ball_audit(data, config, u)
+    assert not rep["passed"]
+    assert rep["first_violation"]["node_radius"] == base_grid.nodes[1]
 
 
 

@@ -1,5 +1,6 @@
 import functools
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -18,7 +19,8 @@ from janglab.jang_metric import xi_norm_sq
 from janglab.mass import positivity_experiment
 from janglab.pipeline import default_grid, exhaustion_schedule, run_pipeline_on
 from janglab.profiles import AnalyticProfile, SampledProfile
-from janglab.report import _json_bytes, solution_csv_from_results
+from janglab.report import (_json_bytes, emit_report,
+                            solution_csv_from_results)
 
 
 def test_exhaustion_schedule_fills_a_cut_schedule():
@@ -174,9 +176,9 @@ def test_failed_shielding_is_recorded_not_raised(dec_data, base_grid,
 
 @pytest.mark.parametrize("hole", [np.nan, np.inf])
 def test_a_margin_that_is_not_finite_fails_the_consequence_audit(
-        dec_data, base_grid, monkeypatch, hole):
+        dec_data, base_grid, monkeypatch, hole, tmp_path):
     # a NaN or +inf margin on the outer half of the grid decides nothing,
-    # so it cannot pass
+    # so it cannot pass; audits.json stays strict JSON, with null for it
     audit = janglab.pipeline.consequence_audit
 
     def holed(*args):
@@ -187,6 +189,15 @@ def test_a_margin_that_is_not_finite_fails_the_consequence_audit(
     results = run_pipeline_on(dec_data, base_grid, seed=7)
     assert results["consequence"]["passed"] is False
     assert results["audits_passed"] is False
+    emit_report(results, str(tmp_path))
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    audits = json.loads((tmp_path / "audits.json").read_text(),
+                        parse_constant=refuse)
+    want = results["consequence"]["min_margin"]
+    assert audits["consequence"] == {
+        "min_margin": None if np.isnan(want) else want, "passed": False}
 
 
 def test_both_coarse_copies_end_at_r_max_on_odd_grids(monkeypatch):

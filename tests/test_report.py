@@ -35,6 +35,20 @@ def test_write_artifact_serializes_numpy_types(tmp_path):
     assert back == {"v": 1.5, "k": 3, "arr": [1.0, 2.0], "flag": True}
 
 
+def test_write_artifact_writes_non_finite_floats_as_null(tmp_path):
+    # strict JSON has no NaN or Infinity; json.loads would take them
+    payload = {"v": np.nan, "w": np.float32(np.inf), "arr": np.array(
+        [[1.0, -np.inf]]), "t": (2.5, float("nan")), "k": np.int64(3)}
+    write_artifact(str(tmp_path), "nan.json", payload)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    back = json.loads((tmp_path / "nan.json").read_text(),
+                      parse_constant=refuse)
+    assert back == {"v": None, "w": None, "arr": [[1.0, None]],
+                    "t": [2.5, None], "k": 3}
+
+
 def test_write_artifact_raises_on_unwritable_target(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("file in the way")
