@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import beta, betainc
 
 from .errors import DomainError, NoAdmissibleR0
-from .geometry import RadialFrame, RadialInitialData, graph_operator
+from .geometry import (RadialFrame, RadialInitialData, graph_combination,
+                       graph_terms)
 from .grids import RadialGrid
 from .report import _float_csv
 from .verdicts import nodewise
@@ -149,8 +150,10 @@ def _inequalities(frame: RadialFrame, bp: BarrierProfile, grid=None):
         b1, b2 = bp.bprime(frame.r), bp.bsecond(frame.r)
     else:
         b1, b2 = bp.on_grid(grid, ("bprime", "bsecond"), frame.r.size)
-    # -q is lambda = 1, +q is lambda = -1
-    return graph_operator(frame, b1, b2, 1.0), graph_operator(frame, b1, b2, -1.0)
+    # -q is lambda = 1, +q is lambda = -1; both share b's graph terms
+    terms = graph_terms(frame, b1, b2)
+    return (graph_combination(frame, terms, 1.0),
+            graph_combination(frame, terms, -1.0))
 
 
 def find_r0(data: RadialInitialData, grid: RadialGrid, candidates) -> float:

@@ -287,8 +287,8 @@ def _read_only(values) -> np.ndarray:
 
 
 # the coefficients of a, c, n and origin_regular
-_METRIC = ("a", "da", "c", "dc", "d2c", "_sc", "f", "f1", "f2", "warp",
-           "warp_a", "origin_d2", "R")
+_METRIC = ("a", "da", "half_dlog_a", "c", "dc", "d2c", "_sc", "f", "f1",
+           "f2", "warp", "warp_a", "origin_d2", "R")
 # the coefficients that one jet of each profile gives, in order
 _JETS = {"a": ("a", "da"), "c": ("c", "dc", "d2c"),
          "q_rad": ("q_rad", "dq_rad"), "q_tan": ("q_tan", "dq_tan")}
@@ -454,6 +454,11 @@ class RadialFrame:
             return dc / sc + r * self.d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
 
     @_coefficient
+    def half_dlog_a(self):
+        """a'/(2a), the Christoffel symbol of the radial direction."""
+        return self.da / (2.0 * self.a)
+
+    @_coefficient
     def warp(self):
         r, c, dc = self.r, self.c, self.dc
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -528,19 +533,45 @@ class GraphTerms:
 
 
 def graph_terms(frame: RadialFrame, p, s) -> GraphTerms:
-    """Evaluate the lambda-free pieces of ``graph_operator`` once."""
-    a = frame.a
-    P = 1.0 + p ** 2 / a
+    """Evaluate the lambda-free pieces of ``graph_operator`` once.
+
+    Each array is written in place, with the operations of
+    ``1 + p^2/a`` and ``s - a'/(2a) p`` in that order.
+    """
+    P = np.square(p)
+    P /= frame.a
+    P += 1.0
     if not np.all(np.isfinite(P)):
         raise NumericalDegeneracy("1 + |dw|^2 overflowed")
-    return GraphTerms(p=p, P=P, P_m32=P ** -1.5, P_m12=P ** -0.5,
-                      hess=s - frame.da / (2.0 * a) * p)
+    hess = np.multiply(frame.half_dlog_a, p)
+    np.subtract(s, hess, out=hess)
+    return GraphTerms(p=p, P=P, P_m32=np.power(P, -1.5),
+                      P_m12=np.power(P, -0.5), hess=hess)
 
 
-def graph_combination(frame: RadialFrame, t: GraphTerms, lam: float) -> np.ndarray:
-    """Combine precomputed graph terms with the momentum coupling lam."""
-    return (t.P_m32 * t.hess / frame.a - lam * frame.q_rad / t.P
-            + (frame.n - 1) * (t.P_m12 * frame.warp_a * t.p - lam * frame.q_tan))
+def graph_combination(frame: RadialFrame, t: GraphTerms, lam: float,
+                      lam_q=None) -> np.ndarray:
+    """Combine precomputed graph terms with the momentum coupling lam.
+
+    ``lam_q`` is (lam q_rad, lam q_tan) when already formed.  The sum
+
+        P^{-3/2} hess / a - lam q_rad / P
+            + (n - 1) (P^{-1/2} warp_a p - lam q_tan)
+
+    is accumulated in place, in that order.
+    """
+    lam_qr, lam_qt = ((lam * frame.q_rad, lam * frame.q_tan)
+                      if lam_q is None else lam_q)
+    out = np.multiply(t.P_m32, t.hess)
+    out /= frame.a
+    term = np.divide(lam_qr, t.P)
+    out -= term
+    np.multiply(t.P_m12, frame.warp_a, out=term)
+    term *= t.p
+    term -= lam_qt
+    term *= frame.n - 1
+    out += term
+    return out
 
 
 def graph_operator(frame: RadialFrame, p, s, lam: float) -> np.ndarray:

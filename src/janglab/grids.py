@@ -7,7 +7,8 @@ second order on uniform grids and on smoothly stretched (geometric) grids.
 What depends on the nodes alone, plus a key its owner chooses, is made on
 first use and kept in one store on the grid for the grid's life
 (``RadialGrid.kept``): the stencil weights, the coarsening, the spline
-system, the capillary cutoff per r0 and the barrier values per (r0, n).
+system, the Simpson weights, the capillary cutoff per r0 and the barrier
+values per (r0, n).
 The frame of the last dataset is kept apart, as it is replaced when the
 dataset changes.  A grid truncated at one of its nodes is a view: its
 nodes are a leading slice of the base grid's immutable buffer, its
@@ -60,28 +61,49 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of y over strictly increasing x.
-
-    scipy 1.17's ``simpson(y, x=x)`` for 1-D y, with the same operations:
-    Simpson's rule on pairs of intervals, and for an even number of points
-    Cartwright's correction on the last interval.
-    """
-    m = y.size
+def _simpson_weights(x: np.ndarray):
+    """The factors of ``_simpson`` that depend on x alone: per pair of
+    intervals the factor hsum/6 and the weights of its three values, and
+    for an even number of points Cartwright's three end weights (else
+    None)."""
+    m = x.size
     h = np.diff(x)
     stop = m - 2 if m % 2 else m - 3
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
     hsum, hprod = h0 + h1, h0 * h1
     h0divh1 = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if m % 2 == 0:
-        # one-element arrays, so that the powers take numpy's array loops
-        hm2, hm1 = h[-2:-1], h[-1:]
-        alpha = (2 * hm1 ** 2 + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
-        beta = (hm1 ** 2 + 3.0 * hm2 * hm1) / (6 * hm2)
-        eta = 1 * hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
+    pairs = (hsum / 6.0, 2.0 - 1.0 / h0divh1, hsum * (hsum / hprod),
+             2.0 - h0divh1)
+    if m % 2:
+        return pairs, None
+    # one-element arrays, so that the powers take numpy's array loops
+    hm2, hm1 = h[-2:-1], h[-1:]
+    alpha = (2 * hm1 ** 2 + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
+    beta = (hm1 ** 2 + 3.0 * hm2 * hm1) / (6 * hm2)
+    eta = 1 * hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
+    return pairs, (alpha, beta, eta)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray, weights=None) -> float:
+    """Composite Simpson integral of y over strictly increasing x.
+
+    scipy 1.17's ``simpson(y, x=x)`` for 1-D y, with the same operations:
+    Simpson's rule on pairs of intervals, and for an even number of points
+    Cartwright's correction on the last interval.  ``weights`` are
+    ``_simpson_weights(x)`` when already evaluated.
+    """
+    (scale, w0, w1, w2), end = (_simpson_weights(x) if weights is None
+                                else weights)
+    stop = 2 * w0.size - 1
+    # hsum/6 (y0 w0 + y1 w1 + y2 w2), the products summed left to right
+    terms = np.multiply(y[0:stop:2], w0)
+    term = np.multiply(y[1:stop + 1:2], w1)
+    terms += term
+    terms += np.multiply(y[2:stop + 2:2], w2, out=term)
+    terms *= scale
+    result = np.sum(terms)
+    if end is not None:
+        alpha, beta, eta = end
         result = result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
     return float(result)
 
@@ -202,7 +224,11 @@ class RadialGrid:
         w, (first, last) = weights[which], weights[2][which]
         v = np.asarray(values, dtype=float)
         out = np.empty_like(v)
-        out[1:-1] = w[0] * v[:-2] + w[1] * v[1:-1] + w[2] * v[2:]
+        # w0 v0 + w1 v1 + w2 v2, summed left to right into out
+        mid, term = out[1:-1], np.empty(v.size - 2)
+        np.multiply(w[0], v[:-2], out=mid)
+        mid += np.multiply(w[1], v[1:-1], out=term)
+        mid += np.multiply(w[2], v[2:], out=term)
         out[0] = first @ v[:3]
         out[-1] = last @ v[-3:]
         return out

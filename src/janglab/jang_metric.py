@@ -21,7 +21,8 @@ from .capillary import CapillaryConfig, smoothstep, smoothstep_d1
 from .errors import InvalidArgument, NumericalDegeneracy
 from .geometry import (RadialFrame, RadialInitialData, constraint_fields,
                        warped_scalar_curvature)
-from .grids import RadialGrid, _cumulative_trapezoid, _simpson
+from .grids import (RadialGrid, _cumulative_trapezoid, _simpson,
+                    _simpson_weights)
 from .jang_solver import JangLimit
 from .profiles import SampledProfile
 from .verdicts import nodewise
@@ -96,13 +97,14 @@ def build_graph_geometry(data: RadialInitialData, config: CapillaryConfig,
     frame = RadialFrame.on(data, grid)
     a, da = frame.a, frame.da
 
-    a_check = a + du ** 2
-    da_check = da + 2.0 * du * d2u
+    du2, d_du2 = du ** 2, 2.0 * du * d2u   # (u'^2, (u'^2)')
+    a_check = a + du2
+    da_check = da + d_du2
     P = a_check / a                      # 1 + |du|_g^2
     if not (np.all(np.isfinite(a_check)) and np.all(np.isfinite(da_check))):
         raise NumericalDegeneracy("non-finite graph-metric derivatives")
 
-    dlogP = (2.0 * du * d2u / a - du ** 2 * da / a ** 2) / P
+    dlogP = (d_du2 / a - du2 * da / a ** 2) / P
     xi = 0.5 * dlogP - P ** -0.5 * frame.q_rad * du
 
     # the graph only changes the radial coefficient: a_check dr^2 + c r^2 sigma
@@ -150,7 +152,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
     r = grid.nodes
     uv = geo.u.values
     frame = RadialFrame.on(data, grid)
-    a, da, c, dc = frame.a, frame.da, frame.c, frame.dc
+    a, c, dc = frame.a, frame.c, frame.dc
     du, d2u = geo.du, geo.d2u
     a_check = geo.g_check_rr
     P = a_check / a
@@ -165,19 +167,22 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
         dtheta = config.tau ** 2 * (2.0 * zeta * dzeta * uv + zeta ** 2 * du)
 
     qr, qt = frame.q_rad, frame.q_tan
-    B = c * r ** 2
-    dB = dc * r ** 2 + 2.0 * c * r
-    h_rr = P ** -0.5 * (d2u - da / (2.0 * a) * du) - a * qr
+    r2 = r ** 2
+    B = c * r2
+    dB = dc * r2 + 2.0 * c * r
+    P_m12 = P ** -0.5
+    h_rr = P_m12 * (d2u - frame.half_dlog_a * du) - a * qr
     with np.errstate(divide="ignore", invalid="ignore"):
-        Ht_over_B = P ** -0.5 * (dB / (2.0 * a * B)) * du - qt
+        Ht_over_B = P_m12 * (dB / (2.0 * a * B)) * du - qt
     # origin: du/r -> d2u(0), dB/(2B) -> 1/r
     Ht_over_B[0] = d2u[0] / a[0] - qt[0]
     hess_sq = 0.5 * ((h_rr / a_check) ** 2 + (n - 1) * Ht_over_B ** 2)
     tr_q_check = a * qr / a_check + (n - 1) * qt
 
+    slope = P_m12 * du
     rhs = (hess_sq + fields.mu
-           - P ** -0.5 * du * fields.J_rad / np.sqrt(a)
-           + P ** -0.5 * du * dtheta / a
+           - slope * fields.J_rad / np.sqrt(a)
+           + slope * dtheta / a
            + 0.5 * theta ** 2 + theta * tr_q_check)
     return geo.effective, rhs
 
@@ -359,13 +364,21 @@ def build_shielding(data: RadialInitialData, config: CapillaryConfig,
     sd = ShieldingData(
         E_outer_radius=0.0, Phi=None, Q_hat=None, d_profile=d, width=L,
         transition=t, boundary_empty=bool(d[0] < L))
-    in_E = d < L
-    phi = np.where(in_E, sd.phi_of_d(np.minimum(d, L * (1.0 - 1e-15))), -np.inf)
-    dphi = np.where(in_E, sd.dphi_of_d(np.minimum(d, L * (1.0 - 1e-15))), 0.0)
+    in_E, off_E0 = d < L, d > 0.0
+    # Phi is a function of d alone, evaluated node by node only in the
+    # collar 0 < d < L.  E0 (d = +0.0) takes its value at 0; off E, Phi is
+    # 0 and Q_hat is (Q + inf)/2 where d >= L, Q/2 where d is NaN.
+    collar = np.flatnonzero(in_E & off_E0)
+    depth = np.minimum(d[collar], L * (1.0 - 1e-15))
+    phi, dphi = sd.phi_of_d(depth), sd.dphi_of_d(depth)
     q = config.Q
-    x = q + 0.5 * phi ** 2 - 2.0 * np.abs(dphi)
-    sd.Phi = np.where(in_E, phi, 0.0)
-    sd.Q_hat = np.where(d > 0.0, 0.5 * x, 0.5 * q)
+    sd.Phi = np.zeros(d.size)
+    sd.Phi[in_E] = sd.phi_of_d(np.zeros(1))[0]
+    sd.Phi[collar] = phi
+    sd.Q_hat = 0.5 * q
+    beyond_E = np.flatnonzero(off_E0 & ~in_E)
+    sd.Q_hat[beyond_E] = 0.5 * (q[beyond_E] + np.inf)
+    sd.Q_hat[collar] = 0.5 * (q[collar] + 0.5 * phi ** 2 - 2.0 * np.abs(dphi))
     if not sd.boundary_empty:
         outside = r[~in_E]
         sd.E_outer_radius = float(np.max(outside)) if outside.size else 0.0
@@ -381,7 +394,8 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     1. E contains the closure of the exterior region E0;
     2. E lies inside the graph-metric collar of width s1 + 2 s0 (or the
        construction width for synthetic data);
-    3. Phi = 0 and Q_hat = Q/2 on E0;
+    3. Phi = 0 and Q_hat = Q/2 on the closure of E0, r >= 8 r0 (the node
+       at 8 r0 has depth 0, so no other bullet decides it);
     4. Phi <= 0 and Q_hat > 0 on E;
     5. Phi diverges to -infinity at the boundary of E (vacuous when the
        boundary is empty, i.e. the pole depth exceeds the grid);
@@ -393,7 +407,7 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     q_hat = sd.Q_hat
     q = config.Q
     in_E = (r > sd.E_outer_radius) | sd.boundary_empty   # E holds r = 0 then
-    on_E0 = r > config.E0_threshold
+    on_E0 = r >= config.E0_threshold          # the closure of E0
     bullets = {}
 
     bullets["contains_exterior"] = {
@@ -421,9 +435,10 @@ def shielding_audit(sd: ShieldingData, config: CapillaryConfig,
     # recomputation is ill-posed near the pole, where Phi spans many orders
     # of magnitude between adjacent nodes); tampering with the nodal Phi or
     # Q_hat profiles is still caught by the comparison below
-    dphi_dd = np.abs(sd.dphi_of_d(np.minimum(d, sd.width * (1.0 - 1e-15))))
-    interior = in_E & (d > 0.0) & (d < sd.width)
-    x = (q + 0.5 * phi ** 2 - 2.0 * dphi_dd)[interior]
+    interior = np.flatnonzero(in_E & (d > 0.0) & (d < sd.width))
+    dphi_dd = np.abs(sd.dphi_of_d(np.minimum(d[interior],
+                                             sd.width * (1.0 - 1e-15))))
+    x = q[interior] + 0.5 * phi[interior] ** 2 - 2.0 * dphi_dd
     scale = max(1.0, float(np.max(np.abs(q_hat[np.isfinite(q_hat)]))))
     shown = {"x": x, "q_hat": q_hat[interior]}
     r_in = r[interior]
@@ -527,12 +542,15 @@ def stability_audit(data: RadialInitialData, config: CapillaryConfig,
                   + np.sum(np.abs(pot) * mass * phi ** 2)) / norm
     bound = -(1e-8 * sigma + roundoff)
 
-    # second opinion: the Simpson quadratic form on phi
+    # second opinion: the Simpson quadratic form on phi, with the grid's
+    # kept Simpson weights
     dphi = SampledProfile(grid, phi).deriv1(r)
     kinetic = dphi ** 2 / a_check
-    norm_s = _simpson(phi ** 2 * vol, r)
-    form_s = _simpson((kinetic + pot * phi ** 2) * vol, r) / norm_s
-    sigma_s = _simpson((kinetic + np.abs(pot) * phi ** 2) * vol, r) / norm_s
+    weights = grid.kept("simpson", lambda: _simpson_weights(r))
+    norm_s = _simpson(phi ** 2 * vol, r, weights)
+    form_s = _simpson((kinetic + pot * phi ** 2) * vol, r, weights) / norm_s
+    sigma_s = _simpson((kinetic + np.abs(pot) * phi ** 2) * vol, r,
+                       weights) / norm_s
     gap = abs(form_s - lam)
     gap_bound = 0.1 * sigma_s + roundoff
 

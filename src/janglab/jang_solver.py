@@ -18,6 +18,7 @@ the continuation from the same start only when that solve fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .barrier import BarrierProfile
 from .capillary import CapillaryConfig
 from .errors import (AuditInapplicable, ContinuationFailure,
                      ExhaustionNonconvergence, InvalidArgument,
-                     NewtonDivergence, SingularJacobian)
+                     NewtonDivergence, NumericalDegeneracy, SingularJacobian)
 from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        dq_frame_norm, graph_combination, graph_operator,
                        graph_terms, loglog_slope, ricci_eigenvalues)
@@ -44,6 +45,9 @@ CONTINUATION_MIN_STEP = 1.0 / 256.0
 EXHAUSTION_TOL = 1e-8
 
 _gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+# what a solve at one exhaustion radius can raise
+_SOLVER_ERRORS = (ContinuationFailure, NewtonDivergence, NumericalDegeneracy,
+                  SingularJacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +128,10 @@ def _origin_row(out, frame, w, lam, grid):
 class _System:
     """The discrete problem on one grid, with its lambda-free data fixed.
 
-    The frame and the cutoff are the grid's; tau^2 zeta^2 and max |q| are
-    evaluated once.  ``terms``
-    evaluates the graph terms of one iterate, which its residual and its
-    Jacobian then share at any lambda.
+    The frame and the cutoff are the grid's; tau^2 zeta^2, max |q| and
+    (n - 1) warp_a are evaluated once, and lam q_rad, lam q_tan once per
+    lambda.  ``terms`` evaluates the graph terms of one iterate, which its
+    residual and its Jacobian then share at any lambda.
     """
 
     def __init__(self, frame: RadialFrame, config: CapillaryConfig,
@@ -137,12 +141,22 @@ class _System:
         self.tau2 = config.tau ** 2
         self.cap = self.tau2 * config.cutoff(grid)[0] ** 2
         self.q_max = float(np.max(np.abs(frame.q_norm)))
+        self.tan_weight = (frame.n - 1) * frame.warp_a
+        self._lam_q = (None, None)
 
     def terms(self, w) -> GraphTerms:
         return graph_terms(self.frame, self.grid.deriv1(w), self.grid.deriv2(w))
 
+    def lam_q(self, lam):
+        """(lam q_rad, lam q_tan), formed once per lambda."""
+        key = (lam, math.copysign(1.0, lam))
+        if self._lam_q[0] != key:
+            frame = self.frame
+            self._lam_q = key, (lam * frame.q_rad, lam * frame.q_tan)
+        return self._lam_q[1]
+
     def residual(self, w, t: GraphTerms, lam):
-        res = graph_combination(self.frame, t, lam)
+        res = graph_combination(self.frame, t, lam, self.lam_q(lam))
         _origin_row(res, self.frame, w, lam, self.grid)
         res -= self.cap * w
         res[-1] = w[-1]  # Dirichlet row
@@ -154,28 +168,53 @@ class _System:
         return TOL_NEWTON * max(1.0, scale)
 
     def tridiagonal(self, t: GraphTerms, lam):
-        """(sub, diagonal, super) of the residual's Jacobian at the iterate t."""
+        """(sub, diagonal, super) of the residual's Jacobian at the iterate t.
+
+        With F the graph combination, dF/ds = P^{-3/2}/a and
+
+            dF/dp = (-3 (p/a) P^{-5/2} hess - P^{-3/2} a'/(2a)) / a
+                    + lam q_rad P^{-2} (2 p/a)
+                    + (n - 1) warp_a (P^{-1/2} - p^2 P^{-3/2}/a),
+
+        each accumulated in place in that order.
+        """
         frame, grid = self.frame, self.grid
-        n = frame.n
-        a, da, warp, qr = frame.a, frame.da, frame.warp_a, frame.q_rad
+        a = frame.a
         d1, d2, _ = grid._weights()
-        p, P, hess = t.p, t.P, t.hess
-        a1 = da / (2.0 * a)
+        p, P = t.p, t.P
 
-        dF_ds = t.P_m32 / a
-        dF_dp = ((-3.0 * (p / a) * P ** -2.5 * hess - t.P_m32 * a1) / a
-                 + lam * qr * P ** -2.0 * (2.0 * p / a)
-                 + (n - 1) * warp * (t.P_m12 - p ** 2 * t.P_m32 / a))
+        dF_ds = np.divide(t.P_m32, a)
+        dF_dp = np.divide(p, a)
+        dF_dp *= -3.0
+        term = np.power(P, -2.5)
+        dF_dp *= term
+        dF_dp *= t.hess
+        dF_dp -= np.multiply(t.P_m32, frame.half_dlog_a, out=term)
+        dF_dp /= a
+        np.power(P, -2.0, out=term)
+        term *= self.lam_q(lam)[0]
+        slope = np.multiply(2.0, p)
+        slope /= a
+        term *= slope
+        dF_dp += term
+        np.square(p, out=term)
+        term *= t.P_m32
+        term /= a
+        np.subtract(t.P_m12, term, out=term)
+        term *= self.tan_weight
+        dF_dp += term
 
-        # interior rows couple (i-1, i, i+1) through the stencils
-        ds, dp = dF_ds[1:-1], dF_dp[1:-1]
+        # interior rows couple (i-1, i, i+1) through the stencils:
+        # ds d2[k] + dp d1[k], in place
+        ds, dp, scratch = dF_ds[1:-1], dF_dp[1:-1], term[1:-1]
         m = p.size
         sub, diag, sup = np.empty(m - 1), np.empty(m), np.empty(m - 1)
-        sub[:-1] = ds * d2[0] + dp * d1[0]
-        diag[1:-1] = ds * d2[1] + dp * d1[1] - self.cap[1:-1]
-        sup[1:] = ds * d2[2] + dp * d1[2]
+        for k, row in enumerate((sub[:-1], diag[1:-1], sup[1:])):
+            np.multiply(ds, d2[k], out=row)
+            row += np.multiply(dp, d1[k], out=scratch)
+        diag[1:-1] -= self.cap[1:-1]
         # origin row: F_0 = 2 n (w_1 - w_0)/(r_1^2 a_0) - lam tr q(0) - cap_0 w_0
-        k = 2.0 * n / (grid.nodes[1] ** 2 * a[0])
+        k = 2.0 * frame.n / (grid.nodes[1] ** 2 * a[0])
         diag[0] = -k - self.cap[0]
         sup[0] = k
         # Dirichlet row
@@ -247,7 +286,8 @@ def _newton(system: _System, lam: float, w: np.ndarray,
         t = 1.0
         accepted = False
         for _ in range(NEWTON_MAX_DAMPING_FAILURES):
-            trial = w + t * step
+            trial = np.multiply(t, step)
+            trial += w
             trial_terms = system.terms(trial)
             trial_res = system.residual(trial, trial_terms, lam)
             trial_norm = float(np.max(np.abs(trial_res)))
@@ -368,7 +408,9 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     1 iteration.  Every solve takes at least one step.  If it fails, the
     radius falls back to the continuation from the same start, which from
     zero is ``continuation_solve``.  Each trace entry's ``newton_steps``
-    holds the one lambda = 1 solve, or the continuation's steps.
+    holds the one lambda = 1 solve, or the continuation's steps.  A solver
+    error at a radius is raised again, of its class, with r_j and the
+    smallest and largest spacing of that radius's grid added to its message.
     """
     schedule = sorted(float(r) for r in r_j_schedule)
     if not schedule:
@@ -388,7 +430,13 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
         start = (np.zeros_like(grid.nodes) if prev_state is None
                  else _transfer(prev_state, grid))
         steps = []
-        state = _warm_solve(data, config, grid, start, steps)
+        try:
+            state = _warm_solve(data, config, grid, start, steps)
+        except _SOLVER_ERRORS as exc:
+            h = grid.spacings
+            raise type(exc)(
+                f"{exc} (at r_j = {r_j!r}, on a grid whose spacings run "
+                f"from {h.min():.3g} to {h.max():.3g})") from exc
         on_compact = state.w[:compact.size]
         dw = state.profile().deriv1(grid.nodes)
         entry = {
@@ -643,7 +691,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     psi_hat = 2.0 / sigma * (2.0 * d ** 2 - sigma ** 2)
     dpsi_hat = local.deriv1(psi_hat)
     d2psi_hat = local.deriv2(psi_hat)
-    hess_rad = (d2psi_hat - frame.da / (2.0 * a) * dpsi_hat) / a
+    hess_rad = (d2psi_hat - frame.half_dlog_a * dpsi_hat) / a
     hess_tan = frame.warp_a * dpsi_hat
     hess_norm = np.sqrt(hess_rad ** 2 + (n - 1) * hess_tan ** 2)
     if ball[0]:

@@ -389,9 +389,16 @@ def test_cli_loads_only_scipy_linalg_and_special(tmp_path):
      EXIT_CONFIG,
      ["configuration error: geometric stretch 1.4 over 2048 intervals gives "
       "a spacing of 1.1e-297, below the 1.49e-154"], None),
+    # spacings from 8.7e-84 at the origin to 46.5 at r_max: the exhaustion
+    # fails, and names the radius and the spacings of the grid it failed on
+    ({"grid": {"policy": "geometric", "stretch": 1.1}}, (), "out",
+     EXIT_SOLVER,
+     ["solver failure: continuation stalled at lambda=0.0 with step below "
+      "0.00390625 (at r_j = 128.0, on a grid whose spacings run from "
+      "8.65e-84 to 11.1)"], {"error.json", "manifest.json"}),
 ], ids=["collar-without-node", "truncation-near-origin", "unwritable-out",
         "unwritable-error-json", "stretch-overflow", "config-not-utf8",
-        "stretch-underflow"])
+        "stretch-underflow", "stretch-1.1"])
 def test_each_failure_exits_with_its_documented_code(tmp_path, capsys, cfg,
                                                      extra, out, code, lines,
                                                      written):

@@ -4,7 +4,8 @@ The matrix takes the default n = 4 run (seed 7, N = 2048 on [0, 512],
 r0 = 1) and puts one fault at one node, which hypothesis chooses, in one
 region: the core r < 4 r0, the collar 4 r0 <= r <= 8 r0 or the tail
 r > r_max / 2.  A fault is a NaN, or a shift just past the tolerance the
-checker states.  Each checker must fail and name that node.
+checker states; a density, Q or Q_hat, also gets a flip of its sign.  Each
+checker must fail and name that node.
 """
 
 import copy
@@ -104,11 +105,16 @@ def run(dec_data, base_grid, cap_config, jang_limit, graph_geo, barrier):
 
 def capillary_q(run, i, fault):
     """The capillary checker on Q; the shift puts Q[i] above the margin
-    less the kappa terms, whose tolerance is 0."""
+    less the kappa terms, whose tolerance is 0, and the flip below 0."""
     cfg = copy.copy(run["config"])
-    cfg.Q = cfg.Q.copy()
-    cfg.Q[i] = np.nan if fault == "nan" else run["lhs"][i] * (1.0 + 1e-9)
+    q = cfg.Q = cfg.Q.copy()
+    q[i] = {"nan": np.nan, "shift": run["lhs"][i] * (1.0 + 1e-9),
+            "flip": -q[i]}[fault]
     problems = check_capillary_config(cfg, run["data"], run["grid"])
+    if fault == "flip":
+        radius = float(run["r"][i])
+        assert f"Q must be strictly positive (first at r = {radius!r})" \
+            in problems
     return [float(x) for p in problems
             for x in re.findall(r"first at r = ([^)]+)\)", p)]
 
@@ -158,28 +164,46 @@ def consequence(run, i, fault):
 def shielding_q_hat(run, i, fault):
     """The shielding audit on Q_hat; the shift raises Q_hat[i] by four
     times the reduced-density tolerance 1e-6 max(1, |x|, max |Q_hat|),
-    x = 2 Q_hat off E0, which is also past the 1e-14 of Q_hat = Q/2 on it."""
+    x = 2 Q_hat off E0, which is also past the 1e-14 of Q_hat = Q/2 on it.
+    The flip makes Q_hat[i] negative, which bullet 4 refuses on E."""
     sd = copy.copy(run["shielding"])
     q_hat = sd.Q_hat = sd.Q_hat.copy()
     scale = max(1.0, 2.0 * abs(q_hat[i]), float(np.max(np.abs(q_hat))))
-    q_hat[i] = np.nan if fault == "nan" else q_hat[i] + 4e-6 * scale
+    q_hat[i] = {"nan": np.nan, "shift": q_hat[i] + 4e-6 * scale,
+                "flip": -q_hat[i]}[fault]
     report = shielding_audit(sd, run["config"], run["grid"])
     assert report["passed"] is False
+    if fault == "flip":
+        assert report["bullets"]["signs_on_E"]["first_violation"] == {
+            "node_radius": run["r"][i]}
     return [b["first_violation"]["node_radius"]
             for b in report["bullets"].values()
             if not b["passed"] and b.get("first_violation")]
 
 
-# each checker with the nodes it decides; the gradient ball holds no tail
-# node, and a finite shift of a Ricci value only moves A
+def every_node(run, fault):
+    return np.ones_like(run["r"], bool)
+
+
+def q_nodes(run, fault):
+    """Every node, but for a flip not the first of the outer third: its Q
+    anchors the tail ratio, so its flip fails the tail bound at the nodes
+    beyond it."""
+    nodes = every_node(run, fault)
+    if fault == "flip":
+        nodes[np.argmax(run["grid"].outer_third_mask())] = False
+    return nodes
+
+
+# each checker with the nodes it decides under each fault; the gradient
+# ball holds no tail node, and a finite shift of a Ricci value only moves A
 CHECKERS = {
-    capillary_q: (lambda run: np.ones_like(run["r"], bool), ("nan", "shift")),
-    envelopes: (lambda run: run["r"] > 2.0 * run["config"].r0,
+    capillary_q: (q_nodes, ("nan", "shift", "flip")),
+    envelopes: (lambda run, fault: run["r"] > 2.0 * run["config"].r0,
                 ("nan", "shift")),
-    ball_ricci: (lambda run: run["ball"], ("nan", "inf")),
-    consequence: (lambda run: np.ones_like(run["r"], bool), ("nan", "shift")),
-    shielding_q_hat: (lambda run: np.ones_like(run["r"], bool),
-                      ("nan", "shift")),
+    ball_ricci: (lambda run, fault: run["ball"], ("nan", "inf")),
+    consequence: (every_node, ("nan", "shift")),
+    shielding_q_hat: (every_node, ("nan", "shift", "flip")),
 }
 CASES = [(checker, region, fault)
          for checker, (_, faults) in CHECKERS.items()
@@ -196,10 +220,18 @@ def test_a_fault_fails_its_checker_at_its_node(run, checker, region, fault,
                                                draw):
     r = run["r"]
     inside = REGIONS[region](r, run["config"].r0, run["grid"].r_max)
-    nodes = np.flatnonzero(CHECKERS[checker][0](run) & inside)
+    nodes = np.flatnonzero(CHECKERS[checker][0](run, fault) & inside)
     i = draw.draw(st.sampled_from(nodes.tolist()), label="node")
     named = checker(run, i, fault)
     assert named, "the checker passed or named no node"
     assert all(REGIONS[region](x, run["config"].r0, run["grid"].r_max)
                for x in named)
     assert set(named) == {r[i]}
+
+
+def test_a_shift_at_the_edge_of_the_exterior_region_fails(run):
+    """The node at 8 r0 has collar depth 0 but lies outside E0 = {r > 8 r0}:
+    bullet 3 holds its Q_hat to Q/2 on the closure of E0."""
+    [i] = np.flatnonzero(run["r"] == 8.0 * run["config"].r0)
+    assert run["shielding"].d_profile[i] == 0.0
+    assert shielding_q_hat(run, i, "shift") == [run["r"][i]]
