@@ -212,11 +212,14 @@ def make_dataset(family: str, n: int, params: dict | None = None,
                 params={"m": m, "amplitude": amplitude}, seed=seed)
 
         # Trial k's q_rad, q_tan and q_tan' are exactly 2^-k times those at
-        # eps = amplitude; where all three vanish the margin is R/2 for any k.
+        # eps = amplitude, so its margin comes from the terms evaluated at
+        # eps = amplitude (``_dec_margin``); where all three vanish the
+        # margin is R/2 for any k.
         full = RadialFrame.on(dataset(amplitude), grid)
         idle = (full.q_rad == 0.0) & (full.q_tan == 0.0) & (full.dq_tan == 0.0)
+        terms = _dec_terms(full)
         for k in range(40):
-            margin = evaluate_constraint_fields(full._rescaled_q(0.5 ** k)).margin
+            margin = _dec_margin(terms, 0.5 ** k)[1]
             if np.min(margin) > 0.0:
                 return full.data if k == 0 else dataset(amplitude * 0.5 ** k)
             stuck = np.flatnonzero(idle & (margin <= 0.0))
@@ -371,16 +374,6 @@ class RadialFrame:
         """This frame at the radii ``r[part]``, as read-only slices."""
         frame = RadialFrame(self.data, self.r[part])
         object.__setattr__(frame, "_whole", (self, part))
-        return frame
-
-    def _rescaled_q(self, scale: float) -> "RadialFrame":
-        """This frame's metric, with q_rad, q_tan and their slopes times
-        ``scale``; its ``data`` still names the unscaled q profiles."""
-        frame = RadialFrame(self.data, self.r)
-        vars(frame).update((name, getattr(self, name)) for name in _METRIC)
-        for name in ("q_rad", "q_tan", "dq_rad", "dq_tan"):
-            vars(frame)[name] = values = getattr(self, name) * scale
-            values.flags.writeable = False
         return frame
 
     @property
@@ -639,18 +632,36 @@ def constraint_fields(data: RadialInitialData, grid: RadialGrid) -> ConstraintFi
 def evaluate_constraint_fields(frame: RadialFrame) -> ConstraintFields:
     """A fresh evaluation of mu, J_rad and the margin from the frame
     coefficients; R_g is the frame's curvature, a metric coefficient."""
+    terms = _dec_terms(frame)
+    mu, margin = _dec_margin(terms)
+    return ConstraintFields(R_g=terms[0], mu=mu, J_rad=terms[3], margin=margin)
+
+
+def _dec_terms(frame: RadialFrame) -> tuple:
+    """(R, |q|^2, (tr q)^2, J_rad) from the frame coefficients."""
     n, data = frame.n, frame.data
     R = frame.R
     qr, qt = frame.q_rad, frame.q_tan
     q2 = qr ** 2 + (n - 1) * qt ** 2
     tr = qr + (n - 1) * qt
-    mu = 0.5 * (R - q2 + tr ** 2)
     with np.errstate(invalid="ignore"):
         J = (n - 1) * (frame.warp * (qr - qt) - frame.dq_tan) / np.sqrt(frame.a)
     # smooth origin: (q_rad - q_tan)/r -> (q_rad - q_tan)'(0) = 0 and q_tan'(0) = 0
     J[0] = 0.0 if data.origin_regular else np.nan
-    margin = mu - np.abs(J)
-    return ConstraintFields(R_g=R, mu=mu, J_rad=J, margin=margin)
+    return R, q2, tr ** 2, J
+
+
+def _dec_margin(terms: tuple, scale: float = 1.0) -> tuple:
+    """(mu, strict-DEC margin) of the ``_dec_terms`` with q times ``scale``:
+    mu = (R - s^2 |q|^2 + s^2 (tr q)^2)/2 and margin = mu - s |J_rad|.
+
+    For a power of two s, each product is the one that q times s gives,
+    bit for bit, wherever neither underflows; at s = 1 they are the terms.
+    """
+    R, q2, tr2, J = terms
+    s2 = scale * scale
+    mu = 0.5 * (R - s2 * q2 + s2 * tr2)
+    return mu, mu - scale * np.abs(J)
 
 
 # the Gauss-Kronrod (7, 15) pair on [-1, 1] (QUADPACK's qk15), symmetric

@@ -6,14 +6,17 @@ second order on uniform grids and on smoothly stretched (geometric) grids.
 
 What depends on the nodes alone, plus a key its owner chooses, is made on
 first use and kept in one store on the grid for the grid's life
-(``RadialGrid.kept``): the stencil weights, the coarsening, the spline
-system, the Simpson weights, the capillary cutoff per r0 and the barrier
-values per (r0, n).
+(``RadialGrid.kept``): the stencil weights, the coarsening, the grid of
+each exhaustion radius (``kept_truncation``), the spline system with its
+factored matrix, the Simpson weights, the capillary cutoff per r0 and the
+barrier values per (r0, n).
 The frame of the last dataset is kept apart, as it is replaced when the
 dataset changes.  A grid truncated at one of its nodes is a view: its
 nodes are a leading slice of the base grid's immutable buffer, its
 interior and origin stencil rows are the base grid's, and its frame and
-cutoff are slices of the base grid's.
+cutoff are slices of the base grid's, for as long as the base grid lives.
+A view and a coarsening refer to their base grid weakly, so a base grid
+that keeps them forms no reference cycle with them.
 """
 
 from __future__ import annotations
@@ -129,10 +132,11 @@ class RadialGrid:
     _keeps: dict = field(default_factory=dict, repr=False, compare=False)
     # the frame of the last dataset evaluated here (geometry.RadialFrame.on)
     _frame: object = field(default=None, repr=False, compare=False)
-    # the grid whose leading nodes these are (``truncate`` at a node): the
-    # nodes are a slice of that grid's
-    _prefix_of: "RadialGrid | None" = field(default=None, repr=False,
-                                            compare=False)
+    # the grid whose leading nodes these are (``truncate`` at a node; a
+    # weak reference: that grid may keep this one): the nodes are a slice
+    # of that grid's
+    _prefix_of: "weakref.ref | None" = field(default=None, repr=False,
+                                             compare=False)
     # the grid whose even-numbered nodes these are (a weak reference: that
     # grid keeps this one as its coarsening)
     _stride_of: "weakref.ref | None" = field(default=None, repr=False,
@@ -165,13 +169,16 @@ class RadialGrid:
         return np.diff(self.nodes)
 
     def _part_of(self):
-        """(grid, part) when these nodes are ``grid.nodes[part]``: for a
-        truncation at a node, and for the coarsening of an even N while its
-        base grid lives; None otherwise."""
+        """(grid, part) when these nodes are ``grid.nodes[part]`` and that
+        grid lives: for a truncation at a node, and for the coarsening of an
+        even N; None otherwise."""
         if self._prefix_of is not None:
-            return self._prefix_of, slice(None, self.nodes.size)
-        base = self._stride_of() if self._stride_of is not None else None
-        return None if base is None else (base, slice(None, None, 2))
+            base, part = self._prefix_of(), slice(None, self.nodes.size)
+        elif self._stride_of is not None:
+            base, part = self._stride_of(), slice(None, None, 2)
+        else:
+            return None
+        return None if base is None else (base, part)
 
     def kept(self, key, make):
         """The value kept on this grid for ``key``: ``make()`` on first use,
@@ -195,15 +202,16 @@ class RadialGrid:
         one-sided rows of derivative k + 1 at the origin (on nodes 0, 1, 2)
         and at r_max (on the last three nodes).  A truncation at a node
         reads the base grid's interior rows and origin rows, which are its
-        own, and evaluates its outer rows.
+        own, while the base grid lives, and evaluates its outer rows.
         """
         return self.kept("weights", self._evaluate_weights)
 
     def _evaluate_weights(self):
         x = self.nodes
         last = _one_sided_weights(x[-3:], x[-1])
-        if self._prefix_of is not None:
-            base_d1, base_d2, base_ends = self._prefix_of._weights()
+        base = self._prefix_of() if self._prefix_of is not None else None
+        if base is not None:
+            base_d1, base_d2, base_ends = base._weights()
             d1, d2 = base_d1[:, :x.size - 2], base_d2[:, :x.size - 2]
             first = base_ends[:, 0]
         else:
@@ -260,10 +268,12 @@ class RadialGrid:
         beyond raises InvalidArgument, and one up to node ``MIN_NODES``
         GridTooShort.  When r_out is a node, the sub-grid is a view of this
         grid: its nodes are a leading slice of these (neither copied nor
-        checked again), and its interior and origin stencil rows, frames
-        (``geometry.RadialFrame.on``) and cutoff read this grid's.
-        Otherwise a node within a relative 1e-14 of r_out is moved onto
-        it, and the sub-grid is built from its own copy of the nodes.
+        checked again), and while this grid lives its interior and origin
+        stencil rows, frames (``geometry.RadialFrame.on``) and cutoff read
+        this grid's.  Otherwise a node within a relative 1e-14 of r_out is
+        moved onto it, and the sub-grid is built from its own copy of the
+        nodes.  Each call builds a new sub-grid; ``kept_truncation`` keeps
+        one per radius.
         """
         x = self.nodes
         r_out = self.radius_within(r_out)
@@ -274,13 +284,28 @@ class RadialGrid:
         m = int(np.searchsorted(x, r_out * (1.0 + 1e-14), "right"))
         if x[m - 1] == r_out:
             return RadialGrid(x[:m], policy="truncated", stretch=self.stretch,
-                              _prefix_of=self)
+                              _prefix_of=weakref.ref(self))
         if x[m - 1] < r_out * (1.0 - 1e-14):
             keep = np.append(x[:m], r_out)
         else:
             keep = x[:m].copy()
             keep[-1] = r_out
         return RadialGrid(keep, policy="truncated", stretch=self.stretch)
+
+    def kept_truncation(self, r_out: float) -> "RadialGrid":
+        """``truncate(r_out)``, built once per radius and kept (``kept``).
+
+        The domains of the exhaustion solve: on a grid that certifies
+        many datasets, each radius's sub-grid, with its stencils, spline
+        system and cutoffs, is built once, whether r_out is a node or
+        appended.  The grid itself (r_out at r_max) is not kept in its own
+        store.  A radius that depends on the dataset belongs to
+        ``truncate``: keeping it would grow the store without bound.
+        """
+        r_out = self.radius_within(r_out)
+        if r_out == self.nodes[-1]:
+            return self
+        return self.kept(("truncation", r_out), lambda: self.truncate(r_out))
 
     def coarsen(self) -> "RadialGrid":
         """Every other node, plus r_max when N is odd.
@@ -298,17 +323,28 @@ class RadialGrid:
         return self.kept("coarse", make)
 
     def _keep_frame(self, frame) -> None:
-        """Hold ``frame`` as this grid's frame.  The frames of its even
-        coarsenings read the frame it replaces, so they are dropped;
-        ``None`` drops every coarsening's frame (at odd N a coarsening's
-        frame is its own), so that no dataset stays reachable from the
-        grid.  What the grid keeps (``kept``) stays."""
+        """Hold ``frame`` as this grid's frame.  The frames of the grids it
+        keeps that read its frame (its even coarsening, its truncations at
+        a node) read the frame it replaces, so they are dropped, and so on
+        down; ``None`` drops the frame of every grid it keeps (an odd
+        coarsening's and an appended truncation's frames are their own), so
+        that no dataset stays reachable from the grid.  What the grids keep
+        (``kept``) stays."""
         object.__setattr__(self, "_frame", frame)
-        coarse = self._keeps.get("coarse")
-        while coarse is not None and (frame is None
-                                      or coarse._stride_of is not None):
-            object.__setattr__(coarse, "_frame", None)
-            coarse = coarse._keeps.get("coarse")
+        self._drop_kept_frames(everything=frame is None)
+
+    def _drop_kept_frames(self, everything: bool) -> None:
+        # the kept grids whose frame reads this grid's, or every kept grid;
+        # a grid whose frame reads another's holds none while that one does
+        # not, and so do the grids that read its frame
+        for grid in self._keeps.values():
+            if not isinstance(grid, RadialGrid):
+                continue
+            base = grid._prefix_of or grid._stride_of
+            if everything or (grid._frame is not None and base is not None
+                              and base() is self):
+                object.__setattr__(grid, "_frame", None)
+                grid._drop_kept_frames(everything)
 
     def outer_third_mask(self) -> np.ndarray:
         """Boolean mask selecting radii in the outer third of [0, r_max]."""

@@ -1,8 +1,8 @@
 """Damped-Newton solver for the capillary-regularized radial Jang problems.
 
 The unknown w lives on the base grid cut at an outer radius r_j
-(``RadialGrid.truncate``), with a Dirichlet condition w(r_j) = 0 and an
-even-symmetry (Neumann) closure at the origin.  The discrete residual is the
+(``RadialGrid.kept_truncation``), with a Dirichlet condition w(r_j) = 0 and
+an even-symmetry (Neumann) closure at the origin.  The discrete residual is the
 warped-product reduction of the graph mean-curvature operator minus lambda
 times the contracted momentum profile, minus the capillary term
 tau^2 zeta^2 w.  The Jacobian is tridiagonal, is
@@ -392,9 +392,10 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     extrapolated remaining error is recorded in the trace.  The
     outer-boundary influence decays like r_j^{2-n}, so for low dimensions
     only the contraction route is reachable at practical radii.  Each radius
-    r_j is solved on ``base_grid.truncate(r_j)``: a view of the base grid
-    when r_j is a node, and the base grid itself when r_j lies within a
-    relative ``TRUNCATION_TOL`` of r_max; a schedule reaching beyond that
+    r_j is solved on ``base_grid.kept_truncation(r_j)``, built once per
+    base grid and radius: a view of the base grid when r_j is a node, and
+    the base grid itself when r_j lies within a relative
+    ``TRUNCATION_TOL`` of r_max; a schedule reaching beyond that
     raises InvalidArgument before any solve (``RadialGrid.radius_within``).
     The returned nodal u is the last iterate at the base nodes it shares,
     and zero beyond them; when the last radius is the base grid's r_max, it
@@ -426,7 +427,7 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
     prev_state = None
     converged = False
     for r_j in schedule:
-        grid = base_grid.truncate(r_j)
+        grid = base_grid.kept_truncation(r_j)
         start = (np.zeros_like(grid.nodes) if prev_state is None
                  else _transfer(prev_state, grid))
         steps = []

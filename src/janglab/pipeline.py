@@ -33,9 +33,13 @@ def default_grid(r_max: float = DEFAULT_R_MAX,
                  n_intervals: int = DEFAULT_N_INTERVALS) -> RadialGrid:
     """Uniform solver grid.
 
-    Uniform spacing keeps the origin stencil weight 1/h_1^2 moderate, so the
-    discrete Newton residual can be driven below its 1e-10 tolerance without
-    hitting roundoff amplification.
+    Uniform spacing is a choice, not a need of the Newton solves: on
+    perturbed-dec data (n = 4, m = 1, seed 7) a geometric grid on
+    [0, 512] with stretch 1.003 and N = 2048 (first spacing 3.3e-3)
+    drove the residual below its 1e-10 tolerance and passed every audit,
+    its error in u on [0, 16] 3.1e-7 against this grid's 1.5e-4; CI
+    certifies stretch 1.001 too.  The default stays uniform so that the
+    artifacts of a default run keep their bytes.
     """
     return build_grid(r_max, n_intervals, "uniform")
 

@@ -16,7 +16,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grids import RadialGrid
 
-_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
 
 class AnalyticProfile:
@@ -170,42 +170,44 @@ class _Cubic:
 class _SplineSystem:
     """scipy's not-a-knot ``CubicSpline`` on one grid's nodes.
 
-    The spacings and end factors depend on the nodes alone, so a grid
-    builds them once and keeps them (``SampledProfile._system``).
-    ``slopes(y)`` assembles CubicSpline's right-hand side and calls the
-    LAPACK routine (``gtsv``) that its ``solve_banded((1, 1), ...)``
-    calls, and ``spline(y, s)`` forms its Hermite coefficients: the
-    result equals ``CubicSpline(nodes, y)`` bit for bit.  The three
-    diagonals are formed per solve, which overwrites them: keeping them
-    would hold three arrays of the grid's size for as long as the grid
-    lives.
+    The spacings, end factors and matrix depend on the nodes alone, so a
+    grid builds them once and keeps them (``SampledProfile._system``).
+    The matrix is factored once, with LAPACK's ``gttrf``, and ``slopes(y)``
+    assembles CubicSpline's right-hand side and solves with ``gttrs`` on
+    that factor.  The two run the elimination and the substitutions of
+    ``gtsv``, which CubicSpline's ``solve_banded((1, 1), ...)`` calls, in
+    the same order; ``spline(y, s)`` forms its Hermite coefficients: the
+    result equals ``CubicSpline(nodes, y)`` bit for bit.  The factor holds
+    four float arrays and one int32 array of the grid's size, about 36
+    bytes per node (1.2 MB at N = 32768), for as long as the grid lives.
     """
 
     def __init__(self, x: np.ndarray):
         dx = np.diff(x)
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        m, d0, d1 = x.size, x[2] - x[0], x[-1] - x[-3]
         self.x, self.dx, self.d0, self.d1 = x, dx, d0, d1
         # the end rows' node factors, grouped as CubicSpline's expressions are
         self.k = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2,
                   dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2])
+        # (sub, diagonal, super) as solve_banded slices them from its band
+        sub, diag, sup = np.empty(m - 1), np.empty(m), np.empty(m - 1)
+        sub[:-1], diag[1:-1], sup[1:] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
+        sub[-1], diag[0], diag[-1], sup[0] = d1, dx[1], dx[-2], d0
+        *self._factor, self._info = _gttrf(sub, diag, sup, True, True, True)
 
     def slopes(self, y: np.ndarray) -> np.ndarray:
         """The not-a-knot slopes at the nodes through the values y."""
         if not np.all(np.isfinite(y)):
             raise ValueError("`y` must contain only finite values.")
+        if self._info > 0:
+            raise LinAlgError("singular matrix")
         dx, m, (k0, k1, k2, k3) = self.dx, self.x.size, self.k
         slope = np.diff(y) / dx
         b = np.empty(m)
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         b[0] = (k0 * slope[0] + k1 * slope[1]) / self.d0
         b[-1] = (k2 * slope[-2] + k3 * slope[-1]) / self.d1
-        # (sub, diagonal, super) as solve_banded slices them from its band
-        sub, diag, sup = np.empty(m - 1), np.empty(m), np.empty(m - 1)
-        sub[:-1], diag[1:-1], sup[1:] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
-        sub[-1], diag[0], diag[-1], sup[0] = self.d1, dx[1], dx[-2], self.d0
-        *_, s, info = _gtsv(sub, diag, sup, b, True, True, True, True)
-        if info > 0:
-            raise LinAlgError("singular matrix")
+        s, _ = _gttrs(*self._factor, b, overwrite_b=True)
         return s
 
     def spline(self, y: np.ndarray, s: np.ndarray, lo: int = 0,

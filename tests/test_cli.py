@@ -448,24 +448,46 @@ ODD = {"r_max": 512.0, "n_intervals": 2047}
 GEOMETRIC = {**UNIFORM, "policy": "geometric", "stretch": 1.001}
 
 
+def _grids_kept(grid):
+    """``grid`` and every grid that it, or a grid it keeps, keeps."""
+    out = [grid]
+    for kept in grid._keeps.values():
+        if isinstance(kept, type(grid)):
+            out += _grids_kept(kept)
+    return out
+
+
+# m = 2 gives r0 = 4, whose exhaustion radii 181.02 and 362.04 are appended
+# to the grid, each domain with a frame of its own
+R0_FOUR = {"dataset": {**GOOD["dataset"],
+                       "params": {"m": 2.0, "amplitude": 0.05}}}
+
+
 def test_cli_runs_on_one_grid_config_share_one_grid(tmp_path, monkeypatch):
     # main keeps the grid of its last run: a run on the same grid settings
     # builds none, writes what a run on a new grid writes, and leaves no
-    # frame (no dataset) on the kept grid or its coarsening
+    # frame (no dataset) on the kept grid, its coarsening or its exhaustion
+    # domains
     built = []
 
     def counted(*settings):
         built.append(settings)
         return build_grid(*settings)
     monkeypatch.setattr(janglab.cli, "build_grid", counted)
-    for k, grid in enumerate((UNIFORM, UNIFORM, ODD, GEOMETRIC, UNIFORM)):
-        code, _ = run(tmp_path, "pipeline", cfg={**GOOD, "grid": grid},
+    for k, (grid, cfg) in enumerate(((UNIFORM, GOOD), (UNIFORM, GOOD),
+                                     (ODD, GOOD), (GEOMETRIC, GOOD),
+                                     (UNIFORM, GOOD), (UNIFORM, R0_FOUR))):
+        code, _ = run(tmp_path, "pipeline", cfg={**cfg, "grid": grid},
                       out=f"run{k}")
         assert code == EXIT_OK
         if k == 1:
             assert len(built) == 1
-        kept = janglab.cli._last_grid["grid"]
-        assert kept._frame is None and kept._keeps["coarse"]._frame is None
+        kept = _grids_kept(janglab.cli._last_grid["grid"])
+        assert len(kept) >= 4 and all(g._frame is None for g in kept)
+    # r0 = 1 kept 64, 128 and 256; r0 = 4 shares 256 and adds its own two
+    radii = sorted(key[1] for key in kept[0]._keeps if key[0] == "truncation")
+    assert radii[:2] == [64.0, 128.0] and radii[3] == 256.0
+    assert len(radii) == 5
     # each run on other settings builds, the policy alone counting too; the
     # last run follows one on other settings, so its grid is new
     assert len(built) == 4 and built[3] == built[0]

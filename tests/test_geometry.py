@@ -13,7 +13,8 @@ import janglab.geometry
 from janglab.barrier import BarrierProfile, barrier_inequality_audit, find_r0
 from janglab.errors import (DecViolation, GenerationFailure, InvalidArgument,
                             NumericalDegeneracy)
-from janglab.geometry import (RadialFrame, RadialInitialData, _conformal_power,
+from janglab.geometry import (_METRIC, RadialFrame, RadialInitialData,
+                              _conformal_power, _dec_margin, _dec_terms,
                               _even_gaussian, _tail_sum_profile,
                               constraint_fields,
                               dataset_from_json, dataset_from_samples,
@@ -464,15 +465,48 @@ def test_generation_fails_fast_where_q_vanishes():
                      grid=grid, seed=7)
 
 
-def test_generation_failure_names_the_smallest_margin(monkeypatch):
-    fresh = janglab.geometry.evaluate_constraint_fields
+def _q_scaled_frame(frame, scale):
+    """``frame``'s metric with q_rad, q_tan and their slopes times ``scale``:
+    the frame that each rescale of q evaluated afresh before its margin
+    came from ``_dec_margin``."""
+    scaled = RadialFrame(frame.data, frame.r)
+    vars(scaled).update((name, getattr(frame, name)) for name in _METRIC)
+    for name in ("q_rad", "q_tan", "dq_rad", "dq_tan"):
+        vars(scaled)[name] = getattr(frame, name) * scale
+    return scaled
 
-    def lowered(frame):
-        fields = fresh(frame)
-        margin = fields.margin.copy()
+
+@pytest.mark.parametrize("N", [2048, 8192])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_trial_margins_equal_a_fresh_evaluation_at_scaled_q(n, N):
+    # every rescale's margin, formed from the terms at eps = amplitude,
+    # carries the bits of the constraint fields evaluated at 2^-k q, down
+    # to where q and its products underflow
+    grid = build_grid(512.0, N, "uniform")
+    rng = np.random.default_rng(n)
+    data = RadialInitialData(
+        n=n, a=_conformal_power(1.0, n, regularized=True),
+        c=_conformal_power(1.0, n, regularized=True),
+        q_rad=_even_gaussian(*rng.uniform(-1.0, 1.0, 2), 2.5),
+        q_tan=_even_gaussian(*rng.uniform(-1.0, 1.0, 2), 2.5))
+    frame = RadialFrame(data, grid.nodes)
+    assert np.any((frame.q_rad != 0.0) & (np.abs(frame.q_rad) < 1e-300))
+    terms = _dec_terms(frame)
+    for k in range(40):
+        want = evaluate_constraint_fields(_q_scaled_frame(frame, 0.5 ** k))
+        mu, margin = _dec_margin(terms, 0.5 ** k)
+        assert mu.tobytes() == want.mu.tobytes(), k
+        assert margin.tobytes() == want.margin.tobytes(), k
+
+
+def test_generation_failure_names_the_smallest_margin(monkeypatch):
+    trial = janglab.geometry._dec_margin
+
+    def lowered(terms, scale=1.0):
+        mu, margin = trial(terms, scale)
         margin[40] = -1.0       # r = 10, where q does not vanish
-        return dataclasses.replace(fields, margin=margin)
-    monkeypatch.setattr(janglab.geometry, "evaluate_constraint_fields", lowered)
+        return mu, margin
+    monkeypatch.setattr(janglab.geometry, "_dec_margin", lowered)
     with pytest.raises(GenerationFailure,
                        match=r"margin -1 at r = 10\.00 after 40 rescales"):
         make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},

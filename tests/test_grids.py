@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,7 +170,7 @@ def test_truncated_views_equal_grids_built_from_scratch(grid):
         fresh = RadialGrid(np.array(sub.nodes), policy="truncated",
                            stretch=grid.stretch)
         m = sub.nodes.size
-        is_view = sub._prefix_of is grid
+        is_view = sub._prefix_of is not None and sub._prefix_of() is grid
         views += is_view
         assert is_view == (r_out in r)
         assert _bits(sub.nodes) == _bits(fresh.nodes)
@@ -195,6 +198,36 @@ def test_truncated_views_equal_grids_built_from_scratch(grid):
                 sub.nodes.flags.writeable = True
             assert not sub.nodes.flags.writeable
     assert views >= 1 and ball in radii
+
+
+def test_kept_truncations_outlive_their_base_grid():
+    # one sub-grid per radius, kept on the grid, which refers to it while
+    # it refers to the grid weakly: the grid is freed by reference counts
+    # alone, and a view that outlives it evaluates what it read from it
+    grid = build_grid(512.0, 2048, "uniform")
+    view, appended = grid.kept_truncation(128.0), grid.kept_truncation(100.3)
+    assert view._prefix_of() is grid and appended._prefix_of is None
+    assert grid.kept_truncation(128.0) is view
+    assert grid.kept_truncation(grid.r_max * (1.0 - 1e-15)) is grid
+    assert sorted(key[1] for key in grid._keeps
+                  if key[0] == "truncation") == [100.3, 128.0]
+    fresh = RadialGrid(np.array(view.nodes))
+    gc.disable()
+    try:
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
+    orphan = build_grid(512.0, 2048, "uniform").truncate(128.0)
+    values = np.sin(fresh.nodes / 7.0)
+    for sub in (view, orphan):
+        assert sub._part_of() is None
+        for apply in ("deriv1", "deriv2"):
+            assert (_bits(getattr(sub, apply)(values))
+                    == _bits(getattr(fresh, apply)(values)))
+        assert _bits(SampledProfile(sub, values).slopes()) == _bits(
+            SampledProfile(fresh, values).slopes())
 
 
 def test_coarsen_keeps_every_other_node_and_r_max():

@@ -236,6 +236,70 @@ def test_a_certified_grid_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_a_second_certification_reuses_its_domains_and_spline_factors(
+        monkeypatch):
+    # r0 = 4: the schedule 181.02, 256, 362.04, 512 has two appended radii,
+    # one node and r_max
+    grid = build_grid(512.0, 2048, "uniform")
+    params = {"m": 2.0, "amplitude": 0.05}
+    first = run_pipeline_on(make_dataset("perturbed-dec", 4, params,
+                                         grid=grid, seed=7), grid, seed=7)
+    schedule = first["exhaustion"]["schedule"]
+    assert first["barrier"]["r0"] == 4.0 and len(schedule) == 4
+    kept = {key: sub for key, sub in grid._keeps.items()
+            if key[0] == "truncation"}
+    assert sorted(key[1] for key in kept) == schedule[:-1]
+    assert [sub._prefix_of is None for sub in kept.values()].count(True) == 2
+    built, factored = [], []
+    init, gttrf = RadialGrid.__post_init__, janglab.profiles._gttrf
+
+    def counted_init(self):
+        built.append(self)
+        init(self)
+
+    def counted_gttrf(*args):
+        factored.append(args[1].size)
+        return gttrf(*args)
+    monkeypatch.setattr(RadialGrid, "__post_init__", counted_init)
+    monkeypatch.setattr(janglab.profiles, "_gttrf", counted_gttrf)
+    second = run_pipeline_on(make_dataset("perturbed-dec", 4, params,
+                                          grid=grid, seed=11), grid, seed=11)
+    assert second["exhaustion"]["schedule"] == schedule
+    assert second["audits_passed"]
+    # the exhaustion domains, the coarsening and every spline system are
+    # the first certification's; the only grids built are the gradient
+    # ball's truncations at a node, which depend on the dataset
+    assert factored == []
+    assert all(grid._keeps[key] is sub for key, sub in kept.items())
+    assert len([key for key in grid._keeps if key[0] == "truncation"]) == 3
+    assert built and all(sub._prefix_of() is grid and sub.r_max < 64.0
+                         for sub in built)
+
+
+def test_a_batch_keeps_one_grid_per_exhaustion_radius(monkeypatch):
+    certified, truncated = [], []
+    run, truncate = janglab.pipeline.run_pipeline_on, RadialGrid.truncate
+
+    def counted_run(*args, **kwargs):
+        certified.append(run(*args, **kwargs))
+        return certified[-1]
+
+    def counted_truncate(self, r_out):
+        truncated.append(r_out)
+        return truncate(self, r_out)
+    monkeypatch.setattr(janglab.pipeline, "run_pipeline_on", counted_run)
+    monkeypatch.setattr(RadialGrid, "truncate", counted_truncate)
+    grid = default_grid()
+    assert positivity_experiment(4, 20, 500, grid)["passed"]
+    radii = {r for res in certified for r in res["exhaustion"]["schedule"]
+             if r < grid.r_max}
+    assert len({res["barrier"]["r0"] for res in certified}) == 3
+    # one kept grid per distinct radius below r_max, each built once
+    assert sorted(key[1] for key in grid._keeps
+                  if key[0] == "truncation") == sorted(radii)
+    assert all(truncated.count(r) == 1 for r in radii)
+
+
 def _certified(m, grid):
     """(results JSON without arrays, solution.csv, r0) of seed 7 at mass m."""
     data = make_dataset("perturbed-dec", 4, {"m": m, "amplitude": 0.05},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import janglab.profiles
 from janglab.grids import build_grid
 from janglab.profiles import SampledProfile, _SplineSystem
 
@@ -135,12 +136,19 @@ def test_spline_equals_cubic_spline_bit_for_bit(grid):
 
 
 def test_each_grid_builds_one_spline_system(monkeypatch):
-    built = []
+    # and factors its matrix once: every slope solve reads that factor
+    built, factored = [], []
+    gttrf = janglab.profiles._gttrf
 
     def counted(self, x, init=_SplineSystem.__init__):
         built.append(x)
         init(self, x)
+
+    def counted_gttrf(*args):
+        factored.append(args[1].size)
+        return gttrf(*args)
     monkeypatch.setattr(_SplineSystem, "__init__", counted)
+    monkeypatch.setattr(janglab.profiles, "_gttrf", counted_gttrf)
     base = build_grid(64.0, 128, "uniform")
     grids = [base, build_grid(64.0, 128, "geometric", stretch=1.01),
              base.truncate(30.5)]
@@ -151,6 +159,7 @@ def test_each_grid_builds_one_spline_system(monkeypatch):
             prof(0.5 * grid.r_max)
     assert len(built) == len(grids)
     assert all(x is grid.nodes for x, grid in zip(built, grids))
+    assert factored == [grid.nodes.size for grid in grids]
     assert all(isinstance(grid._keeps["spline"], _SplineSystem)
                for grid in grids)
 

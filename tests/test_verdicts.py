@@ -5,7 +5,9 @@ r0 = 1) and puts one fault at one node, which hypothesis chooses, in one
 region: the core r < 4 r0, the collar 4 r0 <= r <= 8 r0 or the tail
 r > r_max / 2.  A fault is a NaN, or a shift just past the tolerance the
 checker states; a density, Q or Q_hat, also gets a flip of its sign.  Each
-checker must fail and name that node.
+checker must fail and name that node.  Besides the drawn nodes, every
+checker takes each fault at the region edges r = 4 r0, r = 8 r0 and the
+first node of the outer third, which a draw reaches only by chance.
 """
 
 import copy
@@ -226,6 +228,40 @@ def test_a_fault_fails_its_checker_at_its_node(run, checker, region, fault,
     assert named, "the checker passed or named no node"
     assert all(REGIONS[region](x, run["config"].r0, run["grid"].r_max)
                for x in named)
+    assert set(named) == {r[i]}
+
+
+# the region edges, each with the region it lies in: the inner and outer
+# edge of the collar, and the first node of the outer third, which anchors
+# the capillary checker's tail ratio
+EDGES = {
+    "4r0": (lambda run: 4.0 * run["config"].r0, "collar"),
+    "8r0": (lambda run: 8.0 * run["config"].r0, "collar"),
+    "outer-third": (lambda run: run["r"][
+        np.argmax(run["grid"].outer_third_mask())], "tail"),
+}
+# the gradient ball spans [0.5, 7.75] on this run; a flipped tail anchor
+# fails the tail bound beyond it (``q_nodes``)
+EDGE_CASES = [(checker, edge, fault)
+              for checker, (_, faults) in CHECKERS.items()
+              for edge in EDGES for fault in faults
+              if not (checker is ball_ricci and edge != "4r0")
+              and not (checker is capillary_q and edge == "outer-third"
+                       and fault == "flip")]
+
+
+@pytest.mark.parametrize(
+    "checker, edge, fault", EDGE_CASES,
+    ids=[f"{c.__name__}-{e}-{f}" for c, e, f in EDGE_CASES])
+def test_a_fault_at_a_region_edge_fails_its_checker_there(run, checker, edge,
+                                                          fault):
+    radius, region = EDGES[edge]
+    r = run["r"]
+    [i] = np.flatnonzero(r == radius(run))
+    assert REGIONS[region](r[i], run["config"].r0, run["grid"].r_max)
+    assert CHECKERS[checker][0](run, fault)[i]
+    named = checker(run, i, fault)
+    assert named, "the checker passed or named no node"
     assert set(named) == {r[i]}
 
 
