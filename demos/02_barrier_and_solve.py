@@ -6,8 +6,6 @@ solve the regularized graph equation on growing truncated domains and
 extract the limit solution.
 """
 
-import numpy as np
-
 from janglab import (BarrierProfile, exhaustion_solve, estimate_audits,
                      find_r0, make_dataset, ode_residual_audit,
                      select_capillary_config)
@@ -19,10 +17,9 @@ data = make_dataset("perturbed-dec", n=4, params={"m": 1.0, "amplitude": 0.05},
 
 r0 = find_r0(data, grid, [1.0, 2.0, 4.0, 8.0])
 bp = BarrierProfile(r0=r0, n=data.n)
-samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
 print(f"inner radius r0 = {r0}")
 print(f"barrier ODE residual (closed forms vs the defining ODE): "
-      f"{ode_residual_audit(bp, samples):.2e}")
+      f"{ode_residual_audit(bp, bp.sample_radii()):.2e}")
 
 config = select_capillary_config(data, r0, grid)
 print(f"capillary parameters: kappa0 = {config.kappa0:.3e}, "

@@ -11,8 +11,7 @@ from .capillary import (CapillaryConfig, check_capillary_config,
 from .errors import JanglabError
 from .geometry import (ConstraintFields, RadialInitialData, constraint_fields,
                        dataset_from_json, dataset_from_samples,
-                       dq_frame_norm, geodesic_distance, make_dataset,
-                       radius_at_distance, ricci_eigenvalues,
+                       dq_frame_norm, make_dataset, ricci_eigenvalues,
                        scalar_curvature, validate_dataset)
 from .grids import RadialGrid, build_grid, geometric_stretch_for
 from .jang_metric import (JangGraphGeometry, ShieldingData,

@@ -71,6 +71,16 @@ class BarrierProfile:
         val = (self.r0 / p) * beta(a, 0.5) * betainc(a, 0.5, (s / self.r0) ** -p)
         return float(val[0]) if scalar else val
 
+    def first_node(self, grid: RadialGrid) -> int:
+        """Index of the first node in (r0 (1 + 1e-9), r_max]: ``on_grid``'s."""
+        return int(np.searchsorted(grid.nodes, self.r0 * (1.0 + _REL_EDGE),
+                                   "right"))
+
+    def sample_radii(self) -> np.ndarray:
+        """200 radii, geometric in [1.5 r0, 64 r0]: where the pipeline
+        audits the ODE and the ``barrier`` command tabulates b."""
+        return np.geomspace(1.5 * self.r0, 64.0 * self.r0, 200)
+
     def on_grid(self, grid: RadialGrid, names, count=None):
         """The closed forms ``names`` ("b", "bprime", "bsecond") at the
         first ``count`` grid nodes in (r0 (1 + 1e-9), r_max], all of them
@@ -84,8 +94,7 @@ class BarrierProfile:
         """
         values = grid.kept(("barrier", self.r0, self.n), dict)
         nodes = grid.nodes
-        start = int(np.searchsorted(nodes, self.r0 * (1.0 + _REL_EDGE),
-                                    "right"))
+        start = self.first_node(grid)
         stop = nodes.size if count is None else start + count
         out = []
         for name in names:

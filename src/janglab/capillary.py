@@ -115,13 +115,13 @@ class CapillaryConfig:
 def _collar_mask(data, grid, r_in, width):
     """Nodes outside {r > r_in} within g-distance `width` of it.
 
-    The edge radius is the frame's (``RadialFrame.radius_at_distance``):
-    evaluated once per (r_in, width) and dataset, and read by the selector
-    and the checker alike, each with its own r_in and width.
+    The distance is measured by the frame's ``length``: evaluated once per
+    dataset, and read by the selector and the checker alike, each with its
+    own r_in and width.
     """
     r = grid.nodes
-    r_edge = RadialFrame.on(data, grid).radius_at_distance(r_in, width)
-    return (r <= r_in) & (r >= r_edge)
+    length = RadialFrame.on(data, grid).length
+    return (r <= r_in) & (np.interp(r_in, r, length) - length <= width)
 
 
 def select_capillary_config(data: RadialInitialData, r0: float,
@@ -194,8 +194,9 @@ def check_capillary_config(cfg: CapillaryConfig, data: RadialInitialData,
 
     Re-evaluates every defining inequality directly from the stored fields;
     shares no construction logic with select_capillary_config.  It reads
-    the evaluated inputs kept per grid (the frame coefficients, the scalar
-    curvature among them, and the cutoff), and evaluates its own margin.
+    the evaluated inputs kept per grid (the frame coefficients, among them
+    the scalar curvature and the g-length ``length`` that measures the
+    collar, and the cutoff), and evaluates its own margin.
     Returns a list of violation descriptions (empty = pass), each nodewise
     one naming the first radius where it fails.
     """

@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import errors, jang_solver
 from .barrier import (BarrierProfile, barrier_csv, find_r0,
                       default_r0_candidates)
@@ -241,11 +239,9 @@ def _run(args, cfg: dict, out: str) -> int:
         alpha, fit = fit_alpha(data, grid)
         files = {"mass.json": {"alpha": alpha, "fit": asdict(fit)}}
     elif args.command == "barrier":
-        r0 = find_r0(data, grid, candidates)
-        samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
-        files = {"barrier.csv": barrier_csv(BarrierProfile(r0=r0, n=data.n),
-                                            samples),
-                 "barrier.json": {"r0": r0, "n": data.n}}
+        bp = BarrierProfile(r0=find_r0(data, grid, candidates), n=data.n)
+        files = {"barrier.csv": barrier_csv(bp, bp.sample_radii()),
+                 "barrier.json": {"r0": bp.r0, "n": data.n}}
     elif args.command == "solve":
         r0 = find_r0(data, grid, candidates)
         config = select_capillary_config(data, r0, grid)

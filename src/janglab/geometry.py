@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GenerationFailure, InvalidArgument, NumericalDegeneracy
-from .grids import RadialGrid, build_grid
+from .grids import RadialGrid, _cumulative_trapezoid, build_grid
 from .profiles import AnalyticProfile, SampledProfile, constant_profile
 from .report import _float_csv
 
@@ -290,8 +290,8 @@ def _read_only(values) -> np.ndarray:
 
 
 # the coefficients of a, c, n and origin_regular
-_METRIC = ("a", "da", "half_dlog_a", "c", "dc", "d2c", "_sc", "f", "f1",
-           "f2", "warp", "warp_a", "origin_d2", "R")
+_METRIC = ("a", "da", "sqrt_a", "length", "half_dlog_a", "c", "dc", "d2c",
+           "_sc", "f", "f1", "f2", "warp", "warp_a", "origin_d2", "R")
 # the coefficients that one jet of each profile gives, in order
 _JETS = {"a": ("a", "da"), "c": ("c", "dc", "d2c"),
          "q_rad": ("q_rad", "dq_rad"), "q_tan": ("q_tan", "dq_tan")}
@@ -327,8 +327,6 @@ class RadialFrame:
         object.__setattr__(self, "_profiles", _profiles(self.data))
         object.__setattr__(self, "_whole", None)
         object.__setattr__(self, "_c_is_a", self.data.c is self.data.a)
-        # (r_start, dist) -> radius_at_distance(data, r_start, dist)
-        object.__setattr__(self, "_edges", {})
 
     @classmethod
     def on(cls, data: RadialInitialData, grid: RadialGrid) -> "RadialFrame":
@@ -379,18 +377,6 @@ class RadialFrame:
     @property
     def n(self) -> int:
         return self.data.n
-
-    def radius_at_distance(self, r_start: float, dist: float) -> float:
-        """``radius_at_distance(data, r_start, dist)``, an evaluated input
-        of the metric: kept with the frame per (r_start, dist).  A cut
-        frame asks its whole frame.
-        """
-        if self._whole is not None:
-            return self._whole[0].radius_at_distance(r_start, dist)
-        edges = self._edges
-        if (r_start, dist) not in edges:
-            edges[r_start, dist] = radius_at_distance(self.data, r_start, dist)
-        return edges[r_start, dist]
 
     def _jet(self, profile: str) -> dict:
         """Evaluate one jet of ``profile`` at r and keep each of its arrays
@@ -445,6 +431,25 @@ class RadialFrame:
         r, c, dc, sc = self.r, self.c, self.dc, self._sc
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return dc / sc + r * self.d2c / (2.0 * sc) - r * dc ** 2 / (4.0 * c * sc)
+
+    @_coefficient
+    def sqrt_a(self):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(self.a)
+
+    @_coefficient
+    def length(self):
+        """g-length from the first radius by the trapezoid rule (a cut
+        frame's is its whole frame's, sliced): each base-metric distance is
+        a difference of two values.  Raises NumericalDegeneracy as ``R``
+        does.  Where a is not finite at the first radius (exact
+        Schwarzschild's r = 0, its other end), it is -inf there and is
+        measured from the second radius."""
+        self.check_metric()
+        sqrt_a, r = self.sqrt_a, self.r
+        if np.isfinite(sqrt_a[0]):
+            return _cumulative_trapezoid(sqrt_a, r)
+        return np.append(-np.inf, _cumulative_trapezoid(sqrt_a[1:], r[1:]))
 
     @_coefficient
     def half_dlog_a(self):
@@ -645,7 +650,7 @@ def _dec_terms(frame: RadialFrame) -> tuple:
     q2 = qr ** 2 + (n - 1) * qt ** 2
     tr = qr + (n - 1) * qt
     with np.errstate(invalid="ignore"):
-        J = (n - 1) * (frame.warp * (qr - qt) - frame.dq_tan) / np.sqrt(frame.a)
+        J = (n - 1) * (frame.warp * (qr - qt) - frame.dq_tan) / frame.sqrt_a
     # smooth origin: (q_rad - q_tan)/r -> (q_rad - q_tan)'(0) = 0 and q_tan'(0) = 0
     J[0] = 0.0 if data.origin_regular else np.nan
     return R, q2, tr ** 2, J
@@ -662,120 +667,6 @@ def _dec_margin(terms: tuple, scale: float = 1.0) -> tuple:
     s2 = scale * scale
     mu = 0.5 * (R - s2 * q2 + s2 * tr2)
     return mu, mu - scale * np.abs(J)
-
-
-# the Gauss-Kronrod (7, 15) pair on [-1, 1] (QUADPACK's qk15), symmetric
-# about 0: per node from -1 to 0, the node, its Kronrod weight, and its
-# Gauss weight (0 at the nodes that Kronrod adds)
-_GK = np.array([
-    (-0.991455371120812639206854697526329, 0.022935322010529224963732008058970,
-     0.0),
-    (-0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
-     0.129484966168869693270611432679082),
-    (-0.864864423359769072789712788640926, 0.104790010322250183839876322541518,
-     0.0),
-    (-0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
-     0.279705391489276667901467771423780),
-    (-0.586087235467691130294144845693013, 0.169004726639267902826583426598550,
-     0.0),
-    (-0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
-     0.381830050505118944950369775488975),
-    (-0.207784955007898467600689403773245, 0.204432940075298892414161999234649,
-     0.0),
-    (0.0, 0.209482141084727828012999174891714,
-     0.417959183673469387755102040816327)])
-_GK_X, _K15_W, _G7_W = np.concatenate((_GK, _GK[-2::-1] * (-1, 1, 1))).T
-_PANEL_LIMIT = 200
-
-
-def _sqrt_a_integral(data: RadialInitialData, lo: float, hi: float,
-                     epsrel: float, epsabs: float = 0.0) -> float:
-    """int_lo^hi sqrt(a) dr (negative for hi < lo), by adaptive quadrature.
-
-    Each panel carries a 15-point Kronrod sum K and the 7-point Gauss sum G
-    nested in it, with |K - G| as its error.  The integral is the sum of K
-    once the errors sum to at most max(epsabs, epsrel |integral|).  Until
-    then, the panels with the largest errors are bisected, as few as leave
-    the others' errors within half that tolerance, and a is read at all
-    the new nodes in one call.  Needing more than ``_PANEL_LIMIT`` panels
-    raises NumericalDegeneracy, as does a non-finite sqrt(a).
-    """
-    if hi < lo:
-        return -_sqrt_a_integral(data, hi, lo, epsrel, epsabs)
-    left, right = np.array([lo]), np.array([hi])
-    K = err = np.empty(0)
-    while True:
-        half = 0.5 * (right[K.size:] - left[K.size:])
-        r = (left[K.size:] + half)[:, None] + half[:, None] * _GK_X
-        with np.errstate(invalid="ignore", over="ignore"):
-            f = np.sqrt(np.asarray(data.a(r.ravel()), dtype=float))
-            f = f.reshape(r.shape)
-            K_new = half * np.sum(f * _K15_W, axis=1)
-            G_new = half * np.sum(f * _G7_W, axis=1)
-            K = np.concatenate((K, K_new))
-            err = np.concatenate((err, np.abs(K_new - G_new)))
-        if not np.all(np.isfinite(err)):
-            raise NumericalDegeneracy(
-                f"sqrt(a) is not finite on the radial segment [{lo}, {hi}]")
-        integral, err_sum = float(np.sum(K)), float(np.sum(err))
-        tol = max(epsabs, epsrel * abs(integral))
-        if err_sum <= tol:
-            return integral
-        worst = np.argsort(err)[::-1]
-        count = int(np.searchsorted(np.cumsum(err[worst]),
-                                    err_sum - 0.5 * tol)) + 1
-        if K.size + count > _PANEL_LIMIT:
-            raise NumericalDegeneracy(
-                f"the length of [{lo}, {hi}] missed its tolerance "
-                f"{tol:.3g} within {_PANEL_LIMIT} quadrature panels")
-        split, keep = worst[:count], worst[count:]
-        mid = 0.5 * (left[split] + right[split])
-        left = np.concatenate((left[keep], left[split], mid))
-        right = np.concatenate((right[keep], mid, right[split]))
-        K, err = K[keep], err[keep]
-
-
-def geodesic_distance(data: RadialInitialData, r_from: float,
-                      r_to: float) -> float:
-    """g-geodesic length of the radial segment [r_from, r_to]."""
-    if r_from < 0 or r_to < r_from:
-        raise InvalidArgument(f"need 0 <= r_from <= r_to, got ({r_from}, {r_to})")
-    if r_to == r_from:
-        return 0.0
-    return _sqrt_a_integral(data, r_from, r_to, epsrel=1e-11)
-
-
-def radius_at_distance(data: RadialInitialData, r_start: float,
-                       dist: float) -> float:
-    """Radius at geodesic distance `dist` inward of r_start.
-
-    Newton's method on L(r) = int_r^{r_start} sqrt(a) = dist, L' = -sqrt(a),
-    bisecting when a step leaves the bracket; L is carried from iterate to
-    iterate, one short quadrature at a time.  Clipped at r = 0.
-    """
-    root_a = lambda s: math.sqrt(float(data.a(s)))
-    xtol = 1e-12 * max(1.0, r_start)
-    # L(hi) <= dist < L(lo) once lo is evaluated, and r is the end evaluated
-    # last; the origin is evaluated when a step first reaches it
-    lo, hi, r, L, origin_seen = 0.0, r_start, r_start, 0.0, False
-    for _ in range(100):
-        step = (L - dist) / root_a(r)
-        if abs(step) <= xtol:
-            return r + step
-        r_new = r + step
-        if r_new <= 0.0 and not origin_seen:
-            r_new, origin_seen = 0.0, True
-        elif not lo < r_new < hi:
-            r_new = 0.5 * (lo + hi)
-        L += _sqrt_a_integral(data, r_new, r, epsrel=1e-10, epsabs=1e-14)
-        r = r_new
-        if L > dist:
-            lo = r
-        elif r == 0.0:
-            return 0.0
-        else:
-            hi = r
-    raise NumericalDegeneracy(f"no radius at distance {dist} from {r_start}")
 
 
 def ricci_eigenvalues(data: RadialInitialData, grid: RadialGrid):

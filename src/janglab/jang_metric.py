@@ -181,7 +181,7 @@ def _identity_sides(data: RadialInitialData, config: CapillaryConfig,
 
     slope = P_m12 * du
     rhs = (hess_sq + fields.mu
-           - slope * fields.J_rad / np.sqrt(a)
+           - slope * fields.J_rad / frame.sqrt_a
            + slope * dtheta / a
            + 0.5 * theta ** 2 + theta * tr_q_check)
     return geo.effective, rhs
@@ -260,11 +260,9 @@ def _distance_to_exterior(data, geo: JangGraphGeometry, threshold: float,
     Zero on the region itself; measured in the graph metric ("check") or the
     base metric ("base").
     """
-    grid = geo.grid
-    r = grid.nodes
-    coeff = (geo.g_check_rr if metric == "check"
-             else RadialFrame.on(data, grid).a)
-    cum = _cumulative_trapezoid(np.sqrt(coeff), r)
+    r = geo.grid.nodes
+    cum = (_cumulative_trapezoid(np.sqrt(geo.g_check_rr), r)
+           if metric == "check" else RadialFrame.on(data, geo.grid).length)
     c_thr = float(np.interp(threshold, r, cum))
     return np.maximum(0.0, c_thr - cum)
 

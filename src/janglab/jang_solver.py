@@ -32,7 +32,7 @@ from .errors import (AuditInapplicable, ContinuationFailure,
 from .geometry import (GraphTerms, RadialFrame, RadialInitialData,
                        dq_frame_norm, graph_combination, graph_operator,
                        graph_terms, loglog_slope, ricci_eigenvalues)
-from .grids import MIN_NODES, RadialGrid, _cumulative_trapezoid
+from .grids import MIN_NODES, RadialGrid
 from .profiles import SampledProfile
 from .verdicts import nodewise
 
@@ -444,8 +444,8 @@ def exhaustion_solve(data: RadialInitialData, config: CapillaryConfig,
             "r_j": r_j,
             "residual_norm": state.residual_norm,
             "sup_w": float(np.max(np.abs(state.w))),
-            "sup_dw_g": float(np.max(np.abs(dw) / np.sqrt(
-                RadialFrame.on(data, grid).a))),
+            "sup_dw_g": float(np.max(np.abs(dw)
+                                     / RadialFrame.on(data, grid).sqrt_a)),
             "newton_steps": steps,
             "cauchy_gap": None,
         }
@@ -524,8 +524,7 @@ def estimate_audits(data: RadialInitialData, config: CapillaryConfig,
 
     # (i) |w| <= b(r) - b(r_j) on (r0, r_j], r0 the barrier's, with the
     # grid's kept b
-    sel = slice(int(np.searchsorted(r, bp.r0 * (1.0 + 1e-9), "right")),
-                int(np.searchsorted(r, r_out, "right")))
+    sel = slice(bp.first_node(grid), int(np.searchsorted(r, r_out, "right")))
     [bvals] = bp.on_grid(grid, ("b",), sel.stop - sel.start)
     # (ii) |w| <= 2 r0^{n-2} r^{3-n} on (2 r0, r_j]
     sel2 = (r > 2.0 * r0) & (r <= r_out)
@@ -648,9 +647,8 @@ def gradient_ball_audit(data: RadialInitialData, config: CapillaryConfig,
 
 def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     r = grid.nodes
-    sqrt_a = np.sqrt(RadialFrame.on(data, grid).a)
     # signed radial geodesic distance from the center, then the ball mask
-    cum = _cumulative_trapezoid(sqrt_a, r)
+    cum = RadialFrame.on(data, grid).length
     d_center = float(np.interp(center, r, cum))
     d = np.abs(cum - d_center)
     ball = d < sigma
@@ -665,7 +663,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
               r.size - 1)
     local = grid.truncate(r[end])
     m = local.nodes.size
-    r, ball, w, d, sqrt_a = r[:m], ball[:m], w[:m], d[:m], sqrt_a[:m]
+    r, ball, w, d = r[:m], ball[:m], w[:m], d[:m]
     frame = RadialFrame.on(data, local)
     a = frame.a
 
@@ -685,7 +683,7 @@ def _ball_supremum_data(data, config, wprof, grid, center, sigma):
     n = data.n
     zeta, zeta_d1 = config.cutoff(local)
     tz = config.tau * zeta
-    tdz = config.tau * np.abs(zeta_d1) / sqrt_a
+    tdz = config.tau * np.abs(zeta_d1) / frame.sqrt_a
     cutoff_load = (1.0 + tz ** 2 * sigma ** 2 + tdz ** 2 * sigma ** 4) * np.abs(w)
 
     # psi-hat = psi / C0; its Hessian scales linearly with C0

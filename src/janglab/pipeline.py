@@ -71,6 +71,15 @@ def full_pipeline(family: str, n: int, params: dict, grid: RadialGrid,
 def run_pipeline_on(data, grid: RadialGrid, seed: int,
                     schedule_factors=SCHEDULE_FACTORS,
                     r0_candidates=None) -> dict:
+    """Certify ``data`` on ``grid``: every stage's report in one dict.
+
+    The stages: validation; the barrier at the smallest r0 of
+    ``r0_candidates`` (``default_r0_candidates`` when None) that passes;
+    the capillary config; the exhaustion solve at ``schedule_factors``
+    times r0; the graph geometry and its audits; the mass fits.  u, the
+    nodes and the consequence margin are under ``arrays``, for CSV; the
+    rest is JSON-ready.  A failing stage raises its ``JanglabError``.
+    """
     fields = constraint_fields(data, grid)
     min_margin = float(np.nanmin(fields.margin))
     validation = validate_dataset(data, grid)
@@ -79,10 +88,9 @@ def run_pipeline_on(data, grid: RadialGrid, seed: int,
     r0, minus, plus, verdict = _search_r0(
         data, grid, r0_candidates or default_r0_candidates(grid))
     bp = BarrierProfile(r0=r0, n=data.n)
-    ode_samples = np.geomspace(1.5 * r0, 64.0 * r0, 200)
     barrier_report = {
         "r0": r0,
-        "ode_max_residual": ode_residual_audit(bp, ode_samples),
+        "ode_max_residual": ode_residual_audit(bp, bp.sample_radii()),
         "inequality_max_minus": float(np.max(minus)),
         "inequality_max_plus": float(np.max(plus)),
         "passed": verdict.passed,

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import janglab.geometry
 from janglab.barrier import default_r0_candidates, find_r0
 from janglab.capillary import (CapillaryConfig, _collar_mask,
                                check_capillary_config,
                                select_capillary_config, smoothstep,
                                smoothstep_d1)
 from janglab.errors import DecViolation, GridTooShort, InvalidArgument
-from janglab.geometry import (RadialFrame, constraint_fields, make_dataset,
-                              radius_at_distance)
+from janglab.geometry import RadialFrame, constraint_fields, make_dataset
 from janglab.grids import build_grid
 
 
@@ -198,8 +196,8 @@ def test_config_derived_properties(cap_config):
 
 
 def _quad_radius_at_distance(data, r_start, dist):
-    """radius_at_distance's Newton search with scipy's quad for each step,
-    as the collar was found before janglab had its own quadrature."""
+    """The radius at g-distance ``dist`` inward of r_start, by Newton steps
+    with scipy's quad for each: the reference for the collar's inner edge."""
     root_a = lambda s: math.sqrt(float(data.a(s)))
     xtol = 1e-12 * max(1.0, r_start)
     lo, hi, r, L, origin_seen = 0.0, r_start, r_start, 0.0, False
@@ -225,51 +223,69 @@ def _quad_radius_at_distance(data, r_start, dist):
 
 @pytest.mark.parametrize("grid", [build_grid(512.0, 2048, "uniform"),
                                   build_grid(512.0, 2047, "geometric",
-                                             stretch=1.001)],
-                         ids=["uniform", "geometric"])
+                                             stretch=1.001),
+                                  build_grid(512.0, 8192, "uniform")],
+                         ids=["uniform", "geometric", "uniform-8192"])
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_collar_mask_matches_the_quad_search(grid, n):
-    # the collar's inner edge from janglab's quadrature lies within 1e-12
-    # relative of the edge that QUADPACK steps find, and holds the same nodes
-    for seed in range(5):
-        data = make_dataset("perturbed-dec", n, {"m": 1.0, "amplitude": 0.05},
-                            grid=grid, seed=seed)
-        r0 = find_r0(data, grid, default_r0_candidates(grid))
-        r_in, width = 8.0 * r0, 2.0 * r0 / 4.0
-        want = _quad_radius_at_distance(data, r_in, width)
-        assert abs(radius_at_distance(data, r_in, width) - want) <= 1e-12 * want
-        r = grid.nodes
-        mask = _collar_mask(data, grid, r_in, width)
-        assert np.array_equal(mask, (r <= r_in) & (r >= want))
-        assert np.any(mask)
+    # the collar measured by the frame's trapezoid length holds the nodes
+    # inward of 8 r0 up to the edge that QUADPACK steps find; m = 2 puts r0
+    # at 4 for n = 4
+    r0s = set()
+    for m in (1.0, 2.0):
+        for seed in range(5):
+            data = make_dataset("perturbed-dec", n,
+                                {"m": m, "amplitude": 0.05}, grid=grid,
+                                seed=seed)
+            r0 = find_r0(data, grid, default_r0_candidates(grid))
+            r_in, width = 8.0 * r0, 2.0 * r0 / 4.0
+            want = _quad_radius_at_distance(data, r_in, width)
+            r = grid.nodes
+            mask = _collar_mask(data, grid, r_in, width)
+            assert np.array_equal(mask, (r <= r_in) & (r >= want))
+            assert np.any(mask)
+            r0s.add(r0)
+    assert n > 4 or 4.0 in r0s
+
+
+def test_collar_of_schwarzschild_matches_the_quad_search():
+    # exact Schwarzschild's origin is its other asymptotic end, where a is
+    # infinite: the length is -inf there and measured from the next node
+    grid = build_grid(512.0, 2047, "uniform")
+    r = grid.nodes
+    for n in (4, 5, 6):
+        data = make_dataset("schwarzschild", n, {"m": 1.0})
+        assert RadialFrame.on(data, grid).length[0] == -np.inf
+        for r0 in (1.0, 2.0, 4.0):
+            want = _quad_radius_at_distance(data, 8.0 * r0, r0 / 2.0)
+            mask = _collar_mask(data, grid, 8.0 * r0, r0 / 2.0)
+            assert np.any(mask)
+            assert np.array_equal(mask, (r <= 8.0 * r0) & (r >= want))
 
 
 @pytest.mark.parametrize("field, factor", [("s0", 0.5), ("s0", 4.0),
                                            ("r0", 0.9)])
 def test_checker_evaluates_the_collar_edge_of_its_own_config(
-        dec_data, field, factor, monkeypatch):
+        dec_data, field, factor):
     grid = build_grid(512.0, 2048, "uniform")
     cfg = select_capillary_config(dec_data, find_r0(dec_data, grid, [1.0, 2.0]),
                                   grid)
-    # the selection's edge, kept with the grid's frame
-    edge = radius_at_distance(dec_data, 8.0 * cfg.r0, 2.0 * cfg.s0)
     changed = dataclasses.replace(cfg, **{field: getattr(cfg, field) * factor})
-    edges = []
-    radius = janglab.geometry.radius_at_distance
-
-    def counted(data, r_start, dist):
-        edges.append((r_start, dist))
-        return radius(data, r_start, dist)
-    monkeypatch.setattr(janglab.geometry, "radius_at_distance", counted)
     got = check_capillary_config(changed, dec_data, grid)
-    assert edges == [(8.0 * changed.r0, 2.0 * changed.s0)]
     # the verdict of a grid that keeps nothing
     fresh = build_grid(512.0, 2048, "uniform")
     assert got == check_capillary_config(changed, dec_data, fresh)
-    # the selection's edge would give the other collar verdict, so a keep
-    # keyed on the dataset alone fails here
-    r = grid.nodes
-    stale = (r <= 8.0 * changed.r0) & (r >= edge)
-    stale_fails = bool(np.any(stale)) and not np.all(
-        changed.Q[stale] > 128.0 / (changed.s1 * changed.s0))
-    assert any("collar" in p for p in got) != stale_fails
+
+    def collar_fails(edge_of):
+        # the collar condition of ``changed`` on the nodes up to 8 r0 from
+        # the oracle's edge for the r0 and s0 of ``edge_of``
+        r = grid.nodes
+        edge = _quad_radius_at_distance(dec_data, 8.0 * edge_of.r0,
+                                        2.0 * edge_of.s0)
+        collar = (r <= 8.0 * edge_of.r0) & (r >= edge)
+        return bool(np.any(collar)) and not np.all(
+            changed.Q[collar] > 128.0 / (changed.s1 * changed.s0))
+    # the checker decides the collar of its own config, and the selection's
+    # collar would give the other verdict
+    assert any("collar" in p for p in got) == collar_fails(changed)
+    assert collar_fails(changed) != collar_fails(cfg)

@@ -1,13 +1,9 @@
 import copy
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import janglab.geometry
 from janglab.barrier import BarrierProfile, barrier_inequality_audit, find_r0
@@ -19,8 +15,7 @@ from janglab.geometry import (_METRIC, RadialFrame, RadialInitialData,
                               constraint_fields,
                               dataset_from_json, dataset_from_samples,
                               dq_frame_norm, evaluate_constraint_fields,
-                              geodesic_distance, make_dataset,
-                              radius_at_distance, ricci_eigenvalues,
+                              make_dataset, ricci_eigenvalues,
                               scalar_curvature, validate_dataset)
 from janglab.grids import build_grid
 from janglab.profiles import AnalyticProfile, constant_profile
@@ -222,139 +217,19 @@ def test_ricci_eigenvalues_sum_to_scalar_curvature():
 # distances
 # ---------------------------------------------------------------------------
 
-def test_flat_geodesic_distance_is_euclidean(flat_data):
-    assert abs(geodesic_distance(flat_data, 1.0, 5.0) - 4.0) < 1e-12
-
-
-@given(r1=st.floats(0.0, 10.0), r2=st.floats(0.0, 10.0), r3=st.floats(0.0, 10.0))
-@settings(max_examples=25, deadline=None)
-def test_geodesic_distance_additivity(r1, r2, r3):
-    a, b, c = sorted([r1, r2, r3])
-    data2 = make_dataset("conformal", 4, {"alpha": 0.4})
-    d_ab = geodesic_distance(data2, a, b)
-    d_bc = geodesic_distance(data2, b, c)
-    d_ac = geodesic_distance(data2, a, c)
-    assert abs(d_ab + d_bc - d_ac) < 1e-8 * max(1.0, d_ac)
-
-
-def test_radius_at_distance_inverts_distance():
-    data = make_dataset("conformal", 4, {"alpha": 0.4})
-    r_in = radius_at_distance(data, 10.0, 3.0)
-    assert 0.0 < r_in < 10.0
-    assert abs(geodesic_distance(data, r_in, 10.0) - 3.0) < 1e-8
-
-
-def _bisected_radius(data, r_start, dist):
-    """Radius at distance `dist` inward of r_start, by plain bisection."""
-    def dist_to(r):
-        return quad(lambda s: math.sqrt(float(data.a(s))), r, r_start,
-                    epsrel=1e-10, epsabs=1e-14, limit=200)[0]
-
-    lo, hi = 0.0, r_start
-    while hi - lo >= 1e-12 * max(1.0, r_start):
-        mid = 0.5 * (lo + hi)
-        if dist_to(mid) > dist:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@pytest.mark.parametrize("r_start,dist", [(8.0, 0.5), (8.0, 4.0), (2.0, 0.3),
-                                          (4.0, 1.0)])
-def test_radius_at_distance_matches_bisection(dec_data, r_start, dist):
-    # both stop within 1e-12 max(1, r_start) of the root of the same quad
-    # distance, which at these collar radii leaves them 2e-11 apart at most
-    got = radius_at_distance(dec_data, r_start, dist)
-    assert abs(got - _bisected_radius(dec_data, r_start, dist)) <= 2e-11
-
-
-def test_collar_search_is_cheap(dec_data, r0):
-    # the shielding collar's inner edge, r0/2 inward of 8 r0: a few Newton
-    # steps, each one short quadrature
-    calls = []
-
-    class Counted:
-        def __call__(self, r):
-            calls.append(r)
-            return dec_data.a(r)
-
-    data = copy.copy(dec_data)
-    data.a = Counted()
-    got = radius_at_distance(data, 8.0 * r0, 0.5 * r0)
-    assert len(calls) <= 120
-    assert abs(got - _bisected_radius(dec_data, 8.0 * r0, 0.5 * r0)) <= 2e-11
-
-
-@pytest.mark.parametrize("fraction", [0.5, 0.999, 1.001])
-def test_radius_at_distance_near_the_origin(fraction):
-    # a decreasing a makes the first Newton step from r_start overshoot the
-    # origin when dist is close to L(0); the search then brackets from 0
-    data = make_dataset("conformal", 4, {"alpha": 0.4})
-    dist = fraction * geodesic_distance(data, 0.0, 2.0)
-    got = radius_at_distance(data, 2.0, dist)
-    if fraction > 1.0:
-        assert got == 0.0
-    else:
-        assert abs(got - _bisected_radius(data, 2.0, dist)) <= 2e-11
-
-
-def test_radius_at_distance_clips_at_origin():
-    data = make_dataset("flat", 4, {})
-    assert radius_at_distance(data, 2.0, 100.0) == 0.0
-
-
-@pytest.mark.parametrize("family,n,params", [
-    ("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05}),
-    ("perturbed-dec", 5, {"m": 1.0, "amplitude": 0.05}),
-    ("perturbed-dec", 6, {"m": 1.0, "amplitude": 0.05}),
-    ("conformal", 4, {"alpha": 0.4, "beta": 0.2}),
-    ("schwarzschild", 5, {"m": 2.0}),
-])
-def test_length_quadrature_matches_scipy_quad(base_grid, family, n, params):
-    # the adaptive Gauss-Kronrod lengths agree with QUADPACK's to 1e-12
-    # relative, on short collar-sized segments and across the whole grid
-    data = make_dataset(family, n, params, grid=base_grid, seed=3)
-    for lo, hi in ((0.25, 2.0), (3.0, 3.5), (7.5, 8.0), (0.5, 512.0),
-                   (8.0, 8.0 + 1e-9)):
-        want = quad(lambda s: math.sqrt(float(data.a(s))), lo, hi,
-                    epsrel=1e-11, epsabs=0.0, limit=200)[0]
-        got = geodesic_distance(data, lo, hi)
-        assert abs(got - want) <= 1e-12 * want, (lo, hi)
-
-
-def test_length_quadrature_meets_its_tolerance_on_sampled_data():
-    # a spline's third derivative jumps at every node, where QUADPACK's
-    # length over the whole grid is off by 3e-11 relative; the reference is
-    # 20-point Gauss-Legendre on each spline interval, where sqrt(a) is smooth
-    grid = build_grid(64.0, 256, "geometric", stretch=1.01)
-    r = grid.nodes
-    a = 1.0 + 0.3 * np.exp(-r ** 2 / 8.0) + 0.5 / (1.0 + r) ** 2
-    zero = np.zeros_like(r)
-    data = dataset_from_samples(grid, a, a, zero, zero, n=4)
-    x, w = np.polynomial.legendre.leggauss(20)
-    for lo, hi in ((0.25, 2.0), (7.5, 8.0), (0.0, 10.0), (0.0, 64.0)):
-        edges = np.concatenate(([lo], r[(r > lo) & (r < hi)], [hi]))
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        f = np.sqrt(data.a(mid[:, None] + half[:, None] * x))
-        want = float(np.sum(half * (f @ w)))
-        assert abs(geodesic_distance(data, lo, hi) - want) <= 1e-11 * want
-
-
-def test_length_quadrature_raises_past_its_panel_budget():
-    # sqrt(a) = |r - 4/3|^-0.9 is integrable, but bisection cannot reach
-    # 1e-11 relative within 200 panels; QUADPACK only warns there
-    data = copy.copy(make_dataset("flat", 4, {}))
-    data.a = lambda r: np.abs(np.asarray(r) - 4.0 / 3.0) ** -1.8
-    with pytest.raises(NumericalDegeneracy, match="200 quadrature panels"):
-        geodesic_distance(data, 0.5, 2.5)
-
-
-def test_length_quadrature_rejects_a_non_finite_metric():
-    data = copy.copy(make_dataset("flat", 4, {}))
-    data.a = lambda r: 1.0 - np.asarray(r)        # negative beyond r = 1
-    with pytest.raises(NumericalDegeneracy, match="not finite"):
-        geodesic_distance(data, 0.5, 2.0)
+@pytest.mark.parametrize("a", [lambda r: 1.0 - r, lambda r: 0.0 * r + 1e-11,
+                               lambda r: np.where(r > 2.0, np.nan, 1.0)],
+                         ids=["negative", "tiny", "nan"])
+def test_length_rejects_a_degenerate_metric(a):
+    # as the curvature does: a tiny or non-finite a is a named failure, not
+    # a NaN distance that empties the capillary collar
+    zero = lambda r: np.zeros_like(r)
+    data = RadialInitialData(n=4, a=closed_forms(a, zero, zero),
+                             c=constant_profile(1.0), q_rad=constant_profile(0.0),
+                             q_tan=constant_profile(0.0))
+    frame = RadialFrame.on(data, build_grid(8.0, 64, "uniform"))
+    with pytest.raises(NumericalDegeneracy, match="non-finite"):
+        frame.length
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +500,9 @@ def test_coarse_frame_matches_a_fresh_frame(dec_data, n_intervals, policy):
     coarse = base.coarsen()
     frame = RadialFrame.on(dec_data, coarse)
     fresh = RadialFrame(dec_data, coarse.nodes)
-    for name in ("a", "da", "c", "dc", "d2c", "q_rad", "q_tan", "dq_rad",
-                 "dq_tan", "f", "f1", "f2", "warp", "warp_a", "q_norm"):
+    for name in ("a", "da", "sqrt_a", "c", "dc", "d2c", "q_rad", "q_tan",
+                 "dq_rad", "dq_tan", "f", "f1", "f2", "warp", "warp_a",
+                 "q_norm"):
         values = getattr(frame, name)
         assert np.array_equal(values.view(np.uint64),
                               getattr(fresh, name).view(np.uint64))
@@ -637,6 +513,10 @@ def test_coarse_frame_matches_a_fresh_frame(dec_data, n_intervals, policy):
     # every other value of the base frame for even N; odd N evaluates
     whole = RadialFrame.on(dec_data, base)
     assert np.shares_memory(frame.a, whole.a) == (n_intervals % 2 == 0)
+    # an even coarsening's lengths are the base grid's, measured on its nodes
+    if n_intervals % 2 == 0:
+        assert np.shares_memory(frame.length, whole.length)
+        assert frame.length.tobytes() == whole.length[::2].tobytes()
     assert RadialFrame.on(dec_data, coarse) is frame
     # a new frame on the base grid drops the coarse frame that read the old
     other = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
@@ -759,9 +639,9 @@ def test_frame_keeps_no_arrays_beyond_its_coefficients():
     # dropped once the frame holds its arrays
     data = make_dataset("perturbed-dec", 4, {"m": 1.0, "amplitude": 0.05},
                         grid=build_grid(512.0, 2048, "uniform"), seed=7)
-    names = ("a", "da", "c", "dc", "d2c", "q_rad", "q_tan", "dq_rad",
-             "dq_tan", "_sc", "f", "f1", "f2", "warp", "warp_a", "R",
-             "q_norm")
+    names = ("a", "da", "sqrt_a", "c", "dc", "d2c", "q_rad", "q_tan",
+             "dq_rad", "dq_tan", "_sc", "f", "f1", "f2", "warp", "warp_a",
+             "R", "q_norm")
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -781,7 +661,7 @@ def test_frame_keeps_no_arrays_beyond_its_coefficients():
     finally:
         tracemalloc.stop()
     own = sum(owners.values())
-    assert len(owners) == 19         # c, c' and R_g are a, a' and R
+    assert len(owners) == 20         # c, c' and R_g are a, a' and R
     assert own <= held <= own + (64 << 10)
     assert left <= grid.nodes.nbytes + (64 << 10)
 
@@ -802,8 +682,9 @@ def test_truncated_frame_reads_its_base_frame(dec_data, policy, at_node):
     sub = base.truncate(r_out)
     frame = RadialFrame.on(dec_data, sub)
     fresh = RadialFrame(dec_data, sub.nodes)
-    for name in ("a", "da", "c", "dc", "d2c", "q_rad", "q_tan", "dq_rad",
-                 "dq_tan", "f", "f1", "f2", "warp", "warp_a", "q_norm"):
+    for name in ("a", "da", "sqrt_a", "length", "c", "dc", "d2c", "q_rad",
+                 "q_tan", "dq_rad", "dq_tan", "f", "f1", "f2", "warp",
+                 "warp_a", "q_norm"):
         values = getattr(frame, name)
         assert np.array_equal(values, getattr(fresh, name), equal_nan=True)
         assert not values.flags.writeable

@@ -327,24 +327,25 @@ def test_what_a_grid_keeps_never_changes_a_result():
 
 def test_a_batch_evaluates_b_once_per_radius_and_each_collar_edge_once(
         monkeypatch):
-    b_keys, edges, certified = [], [], []
+    b_keys, lengths, certified = [], [], []
     b = janglab.barrier.BarrierProfile.b
-    radius = janglab.geometry.radius_at_distance
+    trapezoid = janglab.geometry._cumulative_trapezoid
     run = janglab.pipeline.run_pipeline_on
 
     def counted_b(self, s):
         b_keys.append((self.r0, self.n))
         return b(self, s)
 
-    def counted_radius(data, r_start, dist):
-        edges.append((r_start, dist))
-        return radius(data, r_start, dist)
+    def counted_length(y, x):
+        lengths.append((len(certified), x.size))
+        return trapezoid(y, x)
 
     def counted_run(*args, **kwargs):
         certified.append(run(*args, **kwargs))
         return certified[-1]
     monkeypatch.setattr(janglab.barrier.BarrierProfile, "b", counted_b)
-    monkeypatch.setattr(janglab.geometry, "radius_at_distance", counted_radius)
+    monkeypatch.setattr(janglab.geometry, "_cumulative_trapezoid",
+                        counted_length)
     monkeypatch.setattr(janglab.pipeline, "run_pipeline_on", counted_run)
     grid = default_grid()
     report = positivity_experiment(4, 20, 500, grid)
@@ -352,8 +353,10 @@ def test_a_batch_evaluates_b_once_per_radius_and_each_collar_edge_once(
     r0s = [res["barrier"]["r0"] for res in certified]
     assert {1.0, 2.0, 4.0} <= set(r0s)
     assert b_keys == list(dict.fromkeys((r0, 4) for r0 in r0s))
-    assert edges == [(8.0 * res["config"]["r0"], 2.0 * res["config"]["s0"])
-                     for res in certified]
+    # one base length per certification, on the whole grid: the collar of
+    # the selector and of the checker, the neighborhood audit's base depth
+    # and the gradient ball all read it
+    assert lengths == [(k, grid.nodes.size) for k in range(20)]
     # the first r0, certified again after more than 8 other (r0, n) keys,
     # evaluates no b
     for n in (5, 6):
